@@ -4,8 +4,10 @@ Gated models wake each agent at its profile's created_at step; an agent
 becomes a diffuser when some in-neighbor already diffuses and the similarity
 gate passes, and then never leaves that state.  Agents inside one step are
 evaluated in ascending user id and see activations made earlier in the same
-step.  Classical models (sir, tipping, ic) ignore created_at and advance the
-whole graph every tick.
+step.  Under the every-step policy an agent is rechecked only when it wakes
+or when an in-neighbor activates, so the gated scheduler's work follows the
+activations, not the number of steps.  Classical models (sir, tipping, ic)
+ignore created_at and advance the whole graph every tick.
 
 Trial k of a run draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible for a given config.
@@ -14,9 +16,11 @@ are byte-for-byte reproducible for a given config.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -126,50 +130,44 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
 
     active = set(cfg.initials)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
-    # wake-up schedule; nodes without a profile have no created_at and never evaluate
-    schedule = []
+    # (step, user, admitted) events popped in step then id order; every user
+    # with a profile starts with its wake-up, and nodes without one have no
+    # created_at and never evaluate
+    events = []
     clamped = 0
-    for u in sorted(graph.nodes):
+    for u in graph.nodes:
         if u in active or u not in profiles:
             continue
         created_at = profiles[u].created_at
         if 0 <= created_at <= cfg.max_time:
-            schedule.append((u, created_at))
+            events.append((created_at, u, False))
         else:
             clamped += 1
-    wake = {}
-    for u, created_at in schedule:
-        wake.setdefault(created_at, []).append(u)
-    last_wake = max(wake) if wake else -1
+    heapq.heapify(events)
 
-    changes = {}
-    counts = []
-    t = 0
-    while t <= cfg.max_time:
-        delta = []
-        if t == 0:
-            delta.extend((u, "diffuser") for u in sorted(active))
-        if every_step:
-            candidates = [u for u, created_at in schedule if created_at <= t and u not in active]
-        else:
-            candidates = wake.get(t, [])
-        for j in candidates:
-            if j in active:
-                continue
-            # live view: sources activated earlier in this same step count
-            for i in graph.in_neighbors(j):
-                if i in active and admit(i, j):
-                    active.add(j)
-                    delta.append((j, "diffuser"))
-                    break
-        if delta:
-            changes[t] = delta
-        counts.append(len(active))
-        stalled = not delta if every_step else True
-        if last_wake <= t and stalled:
+    changes = {0: [(u, "diffuser") for u in sorted(active)]}
+    # awake users whose active in-neighbours have all failed the gate so far;
+    # an edge's gate runs at the follower's wake-up or at the source's
+    # activation, never both
+    waiting = set()
+    while events:
+        t, j, admitted = heapq.heappop(events)
+        if t > cfg.max_time:
             break
-        t += 1
-    _pad_counts(counts, cfg.max_time)
+        # live view: sources activated earlier in this same step count
+        if not admitted and not any(i in active and admit(i, j) for i in graph.in_neighbors(j)):
+            waiting.add(j)
+            continue
+        active.add(j)
+        changes.setdefault(t, []).append((j, "diffuser"))
+        if every_step:
+            # a waiting follower activates later in this step if its id is
+            # higher, else next step; one not awake yet checks at wake-up
+            for k in graph.out_neighbors(j):
+                if k in waiting and admit(j, k):
+                    waiting.remove(k)
+                    heapq.heappush(events, (t + (k < j), k, True))
+    counts = list(accumulate(len(changes.get(t, ())) for t in range(cfg.max_time + 1)))
 
     final_states = {
         u: "diffuser" if u in active else "non_diffuser" for u in graph.nodes

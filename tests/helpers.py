@@ -11,7 +11,8 @@ import math
 import random
 from pathlib import Path
 
-from rumorsim import SocialGraph, UserProfile
+from rumorsim import EvaluationPolicy, ModelKind, SocialGraph, UserProfile
+from rumorsim.gated import admission_test
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "ten_node"
 
@@ -119,6 +120,47 @@ def shuffled_closure(graph, initials, admit, rng):
                 members.add(j)
                 changed = True
     return members
+
+
+def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
+    """Gated scheduler by brute force: recheck every awake inactive user each step.
+
+    Under ``once`` a user checks its in-neighbours only at its ``created_at``
+    step; under ``every-step`` every awake user is rescanned each step until
+    it activates.  Users are visited in ascending id and see activations made
+    earlier in the same step.  Returns (changes, counts, clamped_agents) in
+    the shape ``run_simulation`` reports them.
+    """
+    content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
+    admit = admission_test(profiles, content, cfg.gate(decisions), set())
+    every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
+    active = set(cfg.initials)
+    schedule = []
+    clamped = 0
+    for u in sorted(graph.nodes):
+        if u in active or u not in profiles:
+            continue
+        if 0 <= profiles[u].created_at <= cfg.max_time:
+            schedule.append((u, profiles[u].created_at))
+        else:
+            clamped += 1
+    changes = {}
+    counts = []
+    for t in range(cfg.max_time + 1):
+        delta = [(u, "diffuser") for u in sorted(active)] if t == 0 else []
+        for j, created_at in schedule:
+            awake = created_at <= t if every_step else created_at == t
+            if not awake or j in active:
+                continue
+            for i in graph.in_neighbors(j):
+                if i in active and admit(i, j):
+                    active.add(j)
+                    delta.append((j, "diffuser"))
+                    break
+        if delta:
+            changes[t] = delta
+        counts.append(len(active))
+    return changes, counts, clamped
 
 
 def random_topic_set(rng, max_labels=12, min_labels=0):

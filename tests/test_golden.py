@@ -1,0 +1,212 @@
+"""Golden output digests: byte-identical trace.csv and curve.csv per config.
+
+Each case runs ``run_trials`` on a small input, writes the two files the
+``simulate`` command writes, and compares their SHA-256 digests with the
+values recorded below.  A refactor of the scheduler or the diffusion steps
+must leave every digest unchanged; an intended output change updates the
+table and says why.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from helpers import FIXTURE_DIR, VOCAB, oracle_corpus
+from rumorsim import (
+    EvaluationPolicy,
+    Metric,
+    ModelKind,
+    RumorContent,
+    SimulationConfig,
+    load_edges,
+    load_rumor,
+    load_users,
+    run_trials,
+    write_curve_csv,
+    write_trace_csv,
+)
+
+CORPUS_RUMOR = RumorContent(frozenset(VOCAB[:10]))
+
+CONFIGS = {
+    "user_user-once": dict(model=ModelKind.GATED_USER_USER),
+    "user_user-every_step": dict(
+        model=ModelKind.GATED_USER_USER, evaluation_policy=EvaluationPolicy.EVERY_STEP
+    ),
+    "user_content-once": dict(model=ModelKind.GATED_USER_CONTENT),
+    "user_content-every_step": dict(
+        model=ModelKind.GATED_USER_CONTENT, evaluation_policy=EvaluationPolicy.EVERY_STEP
+    ),
+    "sir": dict(model=ModelKind.SIR, beta=0.4, gamma=0.25, trials=3),
+    "ic": dict(model=ModelKind.IC, ic_default_p=0.35, trials=3),
+    "tipping": dict(model=ModelKind.TIPPING, theta=0.2),
+}
+
+# (trace.csv, curve.csv) SHA-256 per input/config
+GOLDEN = {
+    "ten_node/user_user-once": (
+        "5b4e3cbefdeee40245d9a682d650b2f96b167c1c8dcb2736732381a5364411b5",
+        "9b1b98982aeb2d056524a12ab9dc02f2de9be4e3aa9fdf3e30fc20ae5a40f5d3",
+    ),
+    "ten_node/user_user-every_step": (
+        "5b4e3cbefdeee40245d9a682d650b2f96b167c1c8dcb2736732381a5364411b5",
+        "9b1b98982aeb2d056524a12ab9dc02f2de9be4e3aa9fdf3e30fc20ae5a40f5d3",
+    ),
+    "ten_node/user_content-once": (
+        "5b4e3cbefdeee40245d9a682d650b2f96b167c1c8dcb2736732381a5364411b5",
+        "9b1b98982aeb2d056524a12ab9dc02f2de9be4e3aa9fdf3e30fc20ae5a40f5d3",
+    ),
+    "ten_node/user_content-every_step": (
+        "5b4e3cbefdeee40245d9a682d650b2f96b167c1c8dcb2736732381a5364411b5",
+        "9b1b98982aeb2d056524a12ab9dc02f2de9be4e3aa9fdf3e30fc20ae5a40f5d3",
+    ),
+    "ten_node/sir": (
+        "3937416db35a0a12e3da4fdf76a3a6a45fdca835d1f4593aa00e9bec034a7748",
+        "77874d3b795375896aec639e0199ceafbb478183a680f98f1c5bc2a3acd65fbf",
+    ),
+    "ten_node/ic": (
+        "23a7ae30e2bdfe2b575328f55e0fb586b1e7bc2f2c452d0641775af654415c76",
+        "0f0979ca413b2eec21d1d013b3732f092e1d2a8dc2147e0659b78f5bb062e110",
+    ),
+    "ten_node/tipping": (
+        "787a658b41205be63e772029159cb05650d9340483f40fd74fa0f843721bc68e",
+        "bb9fb4f88440be2afd000ce138f59b7df554cedaba1507a279dc6fab71261463",
+    ),
+    "corpus1/user_user-once": (
+        "f9bc9844b9ae5ba9832af4a4fa0bdfa6c0e543edbf4c09280d478652bd2c722a",
+        "5c2ac8edc8b7cd4acfc1202840d043dfed0d128595337c848841e37df8df2158",
+    ),
+    "corpus1/user_user-every_step": (
+        "f9bc9844b9ae5ba9832af4a4fa0bdfa6c0e543edbf4c09280d478652bd2c722a",
+        "5c2ac8edc8b7cd4acfc1202840d043dfed0d128595337c848841e37df8df2158",
+    ),
+    "corpus1/user_content-once": (
+        "bbbb854bedb0789726a57247485b3b4e8f979edf4b18b41aed45e52df939fd9c",
+        "c3010c5472e31cac2f37fbe592d181689ea41f564bc6645e3908b3cb5b3d9c2f",
+    ),
+    "corpus1/user_content-every_step": (
+        "bbbb854bedb0789726a57247485b3b4e8f979edf4b18b41aed45e52df939fd9c",
+        "c3010c5472e31cac2f37fbe592d181689ea41f564bc6645e3908b3cb5b3d9c2f",
+    ),
+    "corpus1/sir": (
+        "262a388d92d78f107b76bfa91d36c60bdd63dfd5dbc77885ef13672219eea99e",
+        "e11f54279a74bae1ad5c2c77f94e55149accf30c088c4e2bfbb83d116dffcb9d",
+    ),
+    "corpus1/ic": (
+        "666023427fa5e3ee66ebb6f71025387c08f7a2224ee787fdd826902c0562a8de",
+        "1b3d93a1e49159e83dba067004f8eb4f87630d7dbb377cdae4f5b57fee5cf966",
+    ),
+    "corpus1/tipping": (
+        "cef614765bea48883ac69d15ef6845aa41eaea7d8aad35778b3a1c3cf2368d7c",
+        "e08389f78c3b69b2ef473300458596d28ddd328dae82c436e7c6e21b7482dbd8",
+    ),
+    "corpus2/user_user-once": (
+        "48fc3a4e2748b84f3fd33e065a8fbfcef3d07e62d2db6291f8c18faa24405d61",
+        "39978e69389f2db73589689bb0b236cef2a295b43762e27b3a1dc650a079bc9b",
+    ),
+    "corpus2/user_user-every_step": (
+        "48fc3a4e2748b84f3fd33e065a8fbfcef3d07e62d2db6291f8c18faa24405d61",
+        "39978e69389f2db73589689bb0b236cef2a295b43762e27b3a1dc650a079bc9b",
+    ),
+    "corpus2/user_content-once": (
+        "adc2b58d86d18e32424bf394c5ce593199fbc5003ea4b772f3aa97f0218fe37c",
+        "168cb93bc584ede6d288ffa91858fdf1f2ff97d7d01016c188e716d6061fde5e",
+    ),
+    "corpus2/user_content-every_step": (
+        "25573bc297a5b2ee10eeec1eb9e9bd06f67aaef72d5cd952e6a57a5217f89f5b",
+        "9d92774b550252e0d1f3e8dba77582ee454bd468c2a540f80a13a76e88a1da38",
+    ),
+    "corpus2/sir": (
+        "aabc3de4bb944adaafda6964b42f2e7024c00b7227f6b6d67348d65049a16678",
+        "cdbd75cbefdf0cbea264f703df0d53f278e6655dd15d71bfe18345b6262c7445",
+    ),
+    "corpus2/ic": (
+        "38847b71b1650fd430a1bead9429b8c7c9bc7754c486c09deb51dd8d31c575c2",
+        "c618e8e4a901eb3bc2f533ff3302ce824f4a3d1c953b6a9c3604261b3b72d488",
+    ),
+    "corpus2/tipping": (
+        "d74dc5a92591f7d85dd707cc297cc6d4971ecda8ee0f016117657139e33d984a",
+        "86364ce10322080a1bee17c1c2f799f73d50db2562d6a704fa66683600579872",
+    ),
+    "corpus3/user_user-once": (
+        "46734303d0a7356aef831f20dc3c525181fd796bd61c505bf605bd3f1be53bbe",
+        "6349db71ab1943fe8c2669c67174bd59423cff16b3da6ef609d1682e661ea54e",
+    ),
+    "corpus3/user_user-every_step": (
+        "7ad3d675280d628e711172cd7efaa886b042c1a5fe5fcd2b67a9c6fe08da3875",
+        "3e9f791beac89f53fd03ee53d7670bb9c006a25b28f710d1e6eb5237ae4b624f",
+    ),
+    "corpus3/user_content-once": (
+        "2e1b56029a80895a4451021df1a5710b076b719643aab11138057d88765ddeb6",
+        "22d72e7e70d1b559a16ff4c7ea35177184e145fc2001b9ba00eea51e1e631d00",
+    ),
+    "corpus3/user_content-every_step": (
+        "2e1b56029a80895a4451021df1a5710b076b719643aab11138057d88765ddeb6",
+        "22d72e7e70d1b559a16ff4c7ea35177184e145fc2001b9ba00eea51e1e631d00",
+    ),
+    "corpus3/sir": (
+        "d815fa11035a27945547a79796c43e8e9642c57c644b645474ac3e683f59af6a",
+        "1a9722a09775d64dfba2c0a865d7e3ad964245f4866a095b770a203d998a3da9",
+    ),
+    "corpus3/ic": (
+        "bcae25d9e2bb2cf67e679d11a1381155040efaabecf43f8e83a90d19745164bf",
+        "67bf7d38a9704f1c68a1489fc79d1a3e12638799817a6f9aa4da1601a999affa",
+    ),
+    "corpus3/tipping": (
+        "bd183a2427c6c1e20b3f5ecb6be9e72803eb0209cd238ac0dd7418178809b024",
+        "524176900e9d188baf2c62845216aa880159020bb646e516803ade07608990f5",
+    ),
+}
+
+
+def _inputs(name):
+    """(base config, graph, profiles, rumor) for one named input."""
+    base = dict(
+        edges_path=Path("edges.csv"),
+        users_path=Path("users.csv"),
+        rumor_path=Path("rumor.txt"),
+        trials=2,
+        seed=42,
+        metric=Metric.COSINE,
+    )
+    if name == "ten_node":
+        graph = load_edges(FIXTURE_DIR / "edges.csv")
+        profiles = load_users(FIXTURE_DIR / "users.csv")
+        rumor = load_rumor(FIXTURE_DIR / "rumor.txt")
+        cfg = SimulationConfig(max_time=20, threshold=0.5, initials=(1,), **base)
+        return cfg, graph, profiles, rumor
+    # three of the densest corpus graphs (edge probability 0.05); wake-ups
+    # spread over 0..6, and at threshold 0.15 every-step reaches users that
+    # once misses
+    k = int(name.removeprefix("corpus"))
+    corpus = oracle_corpus(seed=702, count=12, max_nodes=40, max_created=6)
+    graph, profiles, initials = corpus[4 * k - 1]
+    cfg = SimulationConfig(max_time=12, threshold=0.15, initials=initials, **base)
+    return cfg, graph, profiles, CORPUS_RUMOR
+
+
+def output_digests(input_name, config_name, out_dir):
+    base, graph, profiles, rumor = _inputs(input_name)
+    cfg = dataclasses.replace(base, **CONFIGS[config_name])
+    traces, aggregate = run_trials(cfg, graph, profiles, rumor)
+    write_trace_csv(traces, out_dir / "trace.csv")
+    write_curve_csv(aggregate, out_dir / "curve.csv")
+    return tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "curve.csv")
+    )
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_outputs_match_golden_digests(key, tmp_path):
+    input_name, config_name = key.split("/")
+    assert output_digests(input_name, config_name, tmp_path) == GOLDEN[key]
+
+
+def test_golden_table_covers_every_input_and_config():
+    inputs = ("ten_node", "corpus1", "corpus2", "corpus3")
+    assert sorted(GOLDEN) == sorted(f"{i}/{c}" for i in inputs for c in CONFIGS)

@@ -3,12 +3,14 @@ trace round-tripping, frame export, and config parsing."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from helpers import oracle_corpus, random_digraph, random_profiles
+from helpers import oracle_corpus, random_digraph, random_profiles, rescan_gated_run
 from rumorsim import (
     ConfigurationError,
     EvaluationPolicy,
@@ -183,6 +185,90 @@ class TestEveryStepFixpoint:
         # tail of the curve must be flat
         last = changed_steps[-1]
         assert trace.counts[last:] == [trace.counts[last]] * (cfg.max_time + 1 - last)
+
+
+class CountingTable(dict):
+    """Gate decisions table that counts lookups per edge."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+
+class TestEventDrivenScheduler:
+    """The gated scheduler against the brute-force rescan in helpers."""
+
+    def random_case(self, rng):
+        graph = random_digraph(rng, rng.randint(2, 30), rng.choice([0.05, 0.1, 0.2]))
+        profiles = random_profiles(rng, graph.nodes, max_created=8)
+        # some users have no profile and some wake outside the horizon; user
+        # 1 keeps its profile so there is always an eligible initial
+        for u in sorted(graph.nodes)[1:]:
+            roll = rng.random()
+            if roll < 0.1:
+                del profiles[u]
+            elif roll < 0.2:
+                profiles[u] = dataclasses.replace(profiles[u], created_at=rng.choice([-1, 99]))
+        initials = tuple(rng.sample(sorted(profiles), min(len(profiles), rng.randint(1, 3))))
+        decisions = {e: rng.random() < 0.6 for e in sorted(graph.edges)}
+        return graph, profiles, initials, decisions
+
+    def test_matches_rescan_reference(self):
+        rng = random.Random(70)
+        rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
+        late = cut = 0
+        for _ in range(300):
+            graph, profiles, initials, decisions = self.random_case(rng)
+            # horizons this short stop some chains of late activations
+            horizon = rng.randint(1, 12)
+            for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
+                for policy in EvaluationPolicy:
+                    for table in (decisions, None):
+                        cfg = gated_config(
+                            model=model,
+                            evaluation_policy=policy,
+                            initials=initials,
+                            max_time=horizon,
+                            threshold=0.3,
+                            rumor_path=Path("r.txt"),
+                        )
+                        trace = run_simulation(cfg, graph, profiles, rumor, table)
+                        expected = rescan_gated_run(cfg, graph, profiles, rumor, table)
+                        assert (trace.changes, trace.counts, trace.clamped_agents) == expected
+                        if policy is EvaluationPolicy.EVERY_STEP and table is decisions:
+                            wakes = [p.created_at for p in profiles.values() if 0 <= p.created_at <= horizon]
+                            last_wake = max(wakes, default=0)
+                            late += any(step > last_wake for step in trace.changes)
+                            longer = dataclasses.replace(cfg, max_time=horizon + 1)
+                            cut += horizon + 1 in rescan_gated_run(longer, graph, profiles, rumor, table)[0]
+        # the cases do reach activations by recheck and cut-off chains
+        assert late > 0
+        assert cut > 0
+
+    def test_gate_lookups_bounded_by_twice_the_edges(self):
+        rng = random.Random(71)
+        n = 300
+        edges = {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b and rng.random() < 0.01}
+        # five hubs that follow, and are followed by, every other user
+        for hub in range(1, 6):
+            for u in range(6, n + 1):
+                edges.update({(hub, u), (u, hub)})
+        graph = SocialGraph(edges)
+        profiles = random_profiles(rng, graph.nodes, max_created=120)
+        table = CountingTable({e: rng.random() < 0.15 for e in sorted(edges)})
+        cfg = gated_config(
+            initials=(1,), max_time=150, evaluation_policy=EvaluationPolicy.EVERY_STEP
+        )
+        trace = run_simulation(cfg, graph, profiles, decisions=table)
+        assert trace.counts[-1] > n // 2
+        assert sum(table.lookups.values()) <= 2 * len(graph.edges)
+        # an edge is tried at the follower's wake-up or at the source's
+        # activation, never both
+        assert max(table.lookups.values()) == 1
 
 
 class TestClassicalRuns:
