@@ -1,11 +1,17 @@
 """Classical diffusion dynamics: SIR, threshold adoption, independent cascade,
 and pairwise belief exchange between regular and forceful agents.
 
-Step functions are synchronous: every transition in one call is decided from
-the states at the start of that call.  Influence travels along edge direction,
-so a node is exposed through its in-neighbors.  Random draws always happen in
-sorted node order and are never short-circuited, which keeps the stream
-consumption, and therefore whole runs, reproducible for a given seed.
+Steps are synchronous: every transition in one step is decided from the
+states at the start of that step.  Influence travels along edge direction,
+so a node is exposed through its in-neighbors.  ``SirRun``, ``IcRun`` and
+``TippingRun`` keep the frontier of a run (infected and exposed nodes, the
+last step's new infections, the nodes whose adopted in-neighbor count just
+changed) and a step touches only that frontier, looking up a node's
+out-neighbors only when the node changes state.  ``sir_step``, ``ic_step``
+and ``tipping_step`` run one such step from a full state map.  Random draws
+always happen in sorted node order and are never short-circuited, which
+keeps the stream consumption, and therefore whole runs, reproducible for a
+given seed.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import ConfigurationError, UnknownUserError
@@ -84,6 +91,168 @@ class EdgeProbability:
         return self.overrides.get(edge, self.default)
 
 
+class SirRun:
+    """SIR state advanced one synchronous step at a time over its frontier.
+
+    Keeps the infected set and, per susceptible node, its exposure: the
+    number of infected in-neighbors.  A step visits only infected and exposed
+    nodes, in ascending id.  An infected node draws once against gamma; an
+    exposed one draws once per infected in-neighbor against beta, every draw
+    taken even after a hit, and is infected if any draw is below beta.  Every
+    other node would draw nothing in a sweep over the whole graph, so the
+    stream is consumed exactly as such a sweep would.
+    """
+
+    def __init__(self, graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStream):
+        _require_states(graph, states)
+        self.graph = graph
+        self.states = dict(states)
+        self.params = params
+        self._draw = rng.random
+        self.infected = {u for u in graph.nodes if states[u] is EpidemicState.INFECTED}
+        self.exposure = {}
+        for u in self.infected:
+            self._expose_followers(u, 1)
+
+    @property
+    def idle(self) -> bool:
+        """True when no later step can change a state."""
+        return not self.infected
+
+    def step(self) -> list:
+        """Advance one step; returns the [(node, new state)] changes by ascending id."""
+        states, infected, exposure, draw = self.states, self.infected, self.exposure, self._draw
+        beta, gamma = self.params.beta, self.params.gamma
+        delta = []
+        for v in sorted(infected.union(exposure)):
+            if v in infected:
+                if draw() < gamma:
+                    delta.append((v, EpidemicState.RECOVERED))
+            else:
+                hit = False
+                for _ in range(exposure[v]):
+                    if draw() < beta:
+                        hit = True
+                if hit:
+                    delta.append((v, EpidemicState.INFECTED))
+        for v, state in delta:
+            states[v] = state
+            if state is EpidemicState.INFECTED:
+                infected.add(v)
+                del exposure[v]
+            else:
+                infected.remove(v)
+        # exposure is recounted against the states at the end of the step
+        for v, state in delta:
+            self._expose_followers(v, 1 if state is EpidemicState.INFECTED else -1)
+        return delta
+
+    def _expose_followers(self, u, change: int) -> None:
+        states, exposure, susceptible = self.states, self.exposure, EpidemicState.SUSCEPTIBLE
+        for w in self.graph.out_neighbors(u):
+            if states[w] is susceptible:
+                count = exposure.get(w, 0) + change
+                if count:
+                    exposure[w] = count
+                else:
+                    del exposure[w]
+
+
+class IcRun:
+    """Independent-cascade state advanced one step at a time over its frontier.
+
+    Only the nodes infected at the start of a step (the spreaders) act: each,
+    in ascending id, tries its out-edges in ascending target order with one
+    draw per edge, infects a target that was susceptible at the start of the
+    step on success, and recovers at the end of the step.  A node spreads in
+    exactly one step, so a run tries every edge at most once without keeping
+    a record of tried edges.
+    """
+
+    def __init__(self, graph: SocialGraph, states: Mapping, probs: EdgeProbability, rng: RngStream):
+        _require_states(graph, states)
+        self.graph = graph
+        self.states = dict(states)
+        self.probs = probs
+        self._draw = rng.random
+        self.spreaders = sorted(u for u in graph.nodes if states[u] is EpidemicState.INFECTED)
+
+    @property
+    def idle(self) -> bool:
+        """True when no later step can change a state."""
+        return not self.spreaders
+
+    def step(self, targets=None) -> list:
+        """Advance one step; returns the [(node, new state)] changes by ascending id.
+
+        ``targets(node)`` lists the out-neighbors a spreader tries, ascending;
+        the default tries all of them.
+        """
+        targets = targets or self.graph.out_neighbors
+        states, draw, edge_p = self.states, self._draw, self.probs.get
+        hit = set()
+        for node in self.spreaders:
+            for target in targets(node):
+                if draw() < edge_p((node, target)) and states[target] is EpidemicState.SUSCEPTIBLE:
+                    hit.add(target)
+        delta = [(u, EpidemicState.RECOVERED) for u in self.spreaders]
+        delta.extend((u, EpidemicState.INFECTED) for u in hit)
+        delta.sort(key=itemgetter(0))
+        for u, state in delta:
+            states[u] = state
+        self.spreaders = sorted(hit)
+        return delta
+
+
+class TippingRun:
+    """Threshold-adoption state advanced one step at a time over its frontier.
+
+    Keeps, per node not yet adopted, the number of adopted in-neighbors.  A
+    step rechecks only the nodes whose count changed in the previous step (at
+    first, every node with an adopted in-neighbor); any other node would face
+    the same test it already failed.
+    """
+
+    def __init__(self, graph: SocialGraph, states: Mapping, params: TippingParams):
+        _require_states(graph, states)
+        self.graph = graph
+        self.states = dict(states)
+        self.theta = params.theta
+        self.adopted_in = {}
+        self.touched = set()
+        for u in graph.nodes:
+            if states[u] is AdoptionState.ADOPTED:
+                self._notify_followers(u)
+
+    @property
+    def idle(self) -> bool:
+        """True when no later step can change a state."""
+        return not self.touched
+
+    def step(self) -> list:
+        """Advance one step; returns the [(node, new state)] changes by ascending id."""
+        adopted_in, in_degree, theta = self.adopted_in, self.graph.in_degree, self.theta
+        delta = []
+        for v in sorted(self.touched):
+            adopted = adopted_in[v]
+            # the exact ratio test of a full sweep, so rounding cannot differ
+            if adopted >= 1 and adopted / in_degree(v) >= theta:
+                delta.append((v, AdoptionState.ADOPTED))
+        self.touched = set()
+        for v, state in delta:
+            self.states[v] = state
+        for v, _ in delta:
+            self._notify_followers(v)
+        return delta
+
+    def _notify_followers(self, u) -> None:
+        states, adopted_in = self.states, self.adopted_in
+        for w in self.graph.out_neighbors(u):
+            if states[w] is not AdoptionState.ADOPTED:
+                adopted_in[w] = adopted_in.get(w, 0) + 1
+                self.touched.add(w)
+
+
 def sir_step(graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStream) -> dict:
     """One synchronous SIR update; returns the new state map.
 
@@ -92,22 +261,9 @@ def sir_step(graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStr
     so the stream position does not depend on outcomes.  A node infected at
     the start of the step recovers with probability gamma.
     """
-    _require_states(graph, states)
-    new_states = dict(states)
-    for node in sorted(graph.nodes):
-        state = states[node]
-        if state is EpidemicState.SUSCEPTIBLE:
-            hit = False
-            for nb in graph.in_neighbors(node):
-                if states[nb] is EpidemicState.INFECTED:
-                    if rng.random() < params.beta:
-                        hit = True
-            if hit:
-                new_states[node] = EpidemicState.INFECTED
-        elif state is EpidemicState.INFECTED:
-            if rng.random() < params.gamma:
-                new_states[node] = EpidemicState.RECOVERED
-    return new_states
+    run = SirRun(graph, states, params, rng)
+    run.step()
+    return run.states
 
 
 def tipping_step(graph: SocialGraph, states: Mapping, params: TippingParams) -> dict:
@@ -117,18 +273,9 @@ def tipping_step(graph: SocialGraph, states: Mapping, params: TippingParams) -> 
     fraction of all its in-neighbors reaches theta.  Nodes with no
     in-neighbors never adopt.  Adoption is permanent.
     """
-    _require_states(graph, states)
-    new_states = dict(states)
-    for node in sorted(graph.nodes):
-        if states[node] is AdoptionState.ADOPTED:
-            continue
-        sources = graph.in_neighbors(node)
-        if not sources:
-            continue
-        adopted = sum(1 for nb in sources if states[nb] is AdoptionState.ADOPTED)
-        if adopted >= 1 and adopted / len(sources) >= params.theta:
-            new_states[node] = AdoptionState.ADOPTED
-    return new_states
+    run = TippingRun(graph, states, params)
+    run.step()
+    return run.states
 
 
 def ic_step(
@@ -145,24 +292,18 @@ def ic_step(
     and infects a susceptible target.  Attempted edges are consumed forever,
     and attempting nodes recover at the end of the step.
     """
-    _require_states(graph, states)
+    run = IcRun(graph, states, probs, rng)
     if not attempted <= graph.edges:
         raise ConfigurationError("attempted set contains edges not in the graph")
-    new_states = dict(states)
     new_attempted = set(attempted)
-    for node in sorted(graph.nodes):
-        if states[node] is not EpidemicState.INFECTED:
-            continue
-        for target in graph.out_neighbors(node):
-            edge = (node, target)
-            if edge in new_attempted:
-                continue
-            new_attempted.add(edge)
-            success = rng.random() < probs.get(edge)
-            if success and states[target] is EpidemicState.SUSCEPTIBLE:
-                new_states[target] = EpidemicState.INFECTED
-        new_states[node] = EpidemicState.RECOVERED
-    return new_states, new_attempted
+
+    def untried(node):
+        fresh = [t for t in graph.out_neighbors(node) if (node, t) not in new_attempted]
+        new_attempted.update((node, t) for t in fresh)
+        return fresh
+
+    run.step(untried)
+    return run.states, new_attempted
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .errors import ConfigurationError, ParseError
-from .graph import RumorContent, SocialGraph
+from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
+from .graph import RumorContent, SocialGraph, _parse_user_id
 from .similarity import Metric, score
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
@@ -64,7 +64,9 @@ def admission_test(
 
     ``rumor`` of None selects user-user comparison, otherwise the follower j
     is compared against the rumor.  A user without a profile scores 0 and is
-    collected into ``missing``.
+    collected into ``missing``.  A metric that is undefined for the pair
+    (pearson on fewer than two distinct labels) raises
+    UndefinedCorrelationError naming the edge, or the follower and the rumor.
     """
     if gate.decisions is not None:
         table = gate.decisions
@@ -82,7 +84,12 @@ def admission_test(
             if pi is None or pj is None:
                 missing.update(u for u in (i, j) if u not in profiles)
                 return 0.0 >= gate.threshold
-            return score(gate.metric, pi, pj) >= gate.threshold
+            try:
+                return score(gate.metric, pi, pj) >= gate.threshold
+            except UndefinedCorrelationError as exc:
+                raise UndefinedCorrelationError(
+                    f"{gate.metric.value} gate on edge ({i}, {j}): {exc}"
+                ) from exc
 
         return admit
 
@@ -95,7 +102,12 @@ def admission_test(
                 missing.add(j)
                 cache[j] = 0.0
             else:
-                cache[j] = score(gate.metric, pj, rumor)
+                try:
+                    cache[j] = score(gate.metric, pj, rumor)
+                except UndefinedCorrelationError as exc:
+                    raise UndefinedCorrelationError(
+                        f"{gate.metric.value} gate on user {j} against the rumor: {exc}"
+                    ) from exc
         return cache[j] >= gate.threshold
 
     return admit
@@ -108,7 +120,7 @@ def diffuse_user_user(
     gate: SimilarityGate,
 ) -> DiffuserSet:
     """Spread from ``initials``, admitting followers similar to their source."""
-    _check_initials(graph, profiles, initials)
+    _check_initials(graph, initials, profiles)
     missing = set()
     admit = admission_test(profiles, None, gate, missing)
     members, log = _worklist_closure(graph, initials, admit)
@@ -123,7 +135,7 @@ def diffuse_user_content(
     gate: SimilarityGate,
 ) -> DiffuserSet:
     """Spread from ``initials``, admitting followers similar to the rumor."""
-    _check_initials(graph, profiles, initials)
+    _check_initials(graph, initials, profiles)
     missing = set()
     admit = admission_test(profiles, rumor, gate, missing)
     members, log = _worklist_closure(graph, initials, admit)
@@ -146,7 +158,11 @@ def filtered_edge_set(
 
 
 def load_decisions(path) -> dict:
-    """Read a precomputed gate table: from_user_id,to_user_id,pass with 0/1."""
+    """Read a precomputed gate table: from_user_id,to_user_id,pass with 0/1.
+
+    User ids must be integers >= 0.  Repeated rows for one edge collapse when
+    they agree and raise ParseError, with the line number, when they do not.
+    """
     table = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -158,23 +174,23 @@ def load_decisions(path) -> dict:
                 continue
             if len(row) != 3:
                 raise ParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                a, b = int(row[0]), int(row[1])
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer user id in {row!r}") from None
+            edge = (_parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1]))
             if row[2] not in ("0", "1"):
                 raise ParseError(path, line_no, f"pass must be 0 or 1, got {row[2]!r}")
-            table[(a, b)] = row[2] == "1"
+            passed = row[2] == "1"
+            if table.setdefault(edge, passed) is not passed:
+                raise ParseError(path, line_no, f"edge {edge} listed earlier with the other pass value")
     return table
 
 
-def _check_initials(graph: SocialGraph, profiles: Mapping, initials) -> None:
+def _check_initials(graph: SocialGraph, initials, profiles: Mapping | None = None) -> None:
+    """Reject an empty seed list or a seed outside the graph or, if given, the profiles."""
     if not initials:
         raise ConfigurationError("at least one initial diffuser is required")
     for uid in initials:
         if uid not in graph.nodes:
             raise ConfigurationError(f"initial diffuser {uid} is not in the graph")
-        if uid not in profiles:
+        if profiles is not None and uid not in profiles:
             raise ConfigurationError(f"initial diffuser {uid} has no profile")
 
 

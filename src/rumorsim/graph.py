@@ -85,6 +85,12 @@ class SocialGraph:
             raise UnknownUserError(f"unknown user id {u}")
         return list(self._in[u])
 
+    def in_degree(self, u: UserId) -> int:
+        """Number of users u follows, without copying the list."""
+        if u not in self._in:
+            raise UnknownUserError(f"unknown user id {u}")
+        return len(self._in[u])
+
 
 def load_edges(path) -> SocialGraph:
     """Load a directed edge list from CSV with header from_user_id,to_user_id.

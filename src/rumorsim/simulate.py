@@ -7,7 +7,9 @@ evaluated in ascending user id and see activations made earlier in the same
 step.  Under the every-step policy an agent is rechecked only when it wakes
 or when an in-neighbor activates, so the gated scheduler's work follows the
 activations, not the number of steps.  Classical models (sir, tipping, ic)
-ignore created_at and advance the whole graph every tick.
+ignore created_at; each step touches only the run's frontier (infected and
+exposed nodes, last step's new infections, or the nodes whose adopted
+in-neighbor count just changed) and stops once that frontier is empty.
 
 Trial k of a run draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible for a given config.
@@ -29,14 +31,14 @@ from .diffusion import (
     AdoptionState,
     EdgeProbability,
     EpidemicState,
+    IcRun,
     SirParams,
+    SirRun,
     TippingParams,
-    ic_step,
-    sir_step,
-    tipping_step,
+    TippingRun,
 )
 from .errors import ConfigurationError, ParseError
-from .gated import admission_test
+from .gated import _check_initials, admission_test
 from .graph import RumorContent, SocialGraph
 from .rng import RngStream
 
@@ -119,10 +121,7 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
         raise ConfigurationError(f"model {cfg.model.value} requires user profiles")
     if cfg.model is ModelKind.GATED_USER_CONTENT and rumor is None:
         raise ConfigurationError("model gated_user_content requires rumor content")
-    _check_initials(cfg.initials, graph)
-    for uid in cfg.initials:
-        if uid not in profiles:
-            raise ConfigurationError(f"initial diffuser {uid} has no profile")
+    _check_initials(graph, cfg.initials, profiles)
 
     compare_to_rumor = cfg.model is ModelKind.GATED_USER_CONTENT
     missing = set()
@@ -185,51 +184,37 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
 
 
 def _run_classical(cfg, graph, rng) -> DiffusionTrace:
-    _check_initials(cfg.initials, graph)
+    _check_initials(graph, cfg.initials)
     initials = set(cfg.initials)
     if cfg.model is ModelKind.TIPPING:
-        tipping = TippingParams(cfg.model_param("theta"))
         states = {
             u: AdoptionState.ADOPTED if u in initials else AdoptionState.NOT_ADOPTED
             for u in graph.nodes
         }
+        run = TippingRun(graph, states, TippingParams(cfg.model_param("theta")))
     elif cfg.model is ModelKind.SIR:
         sir = SirParams(cfg.model_param("beta"), cfg.model_param("gamma"))
-        states = _seed_epidemic(graph, initials)
+        run = SirRun(graph, _seed_epidemic(graph, initials), sir, rng)
     elif cfg.model is ModelKind.IC:
         probs = EdgeProbability(cfg.model_param("ic_default_p"))
-        states = _seed_epidemic(graph, initials)
-        attempted = set()
+        run = IcRun(graph, _seed_epidemic(graph, initials), probs, rng)
     else:
         raise ConfigurationError(f"model {cfg.model.value} is not a classical model")
 
-    changes = {0: [(u, states[u].value) for u in sorted(initials)]}
-    counts = [_count_active(states)]
+    changes = {0: [(u, run.states[u].value) for u in sorted(initials)]}
+    counts = [len(initials)]
     for t in range(1, cfg.max_time + 1):
-        if cfg.model is ModelKind.TIPPING:
-            new_states = tipping_step(graph, states, tipping)
-        else:
-            # a step without infected nodes cannot change anything
-            if not _any_infected(states):
-                break
-            if cfg.model is ModelKind.SIR:
-                new_states = sir_step(graph, states, sir, rng)
-            else:
-                new_states, attempted = ic_step(graph, states, probs, attempted, rng)
-        delta = [
-            (u, new_states[u].value)
-            for u in sorted(graph.nodes)
-            if new_states[u] is not states[u]
-        ]
-        states = new_states
-        if delta:
-            changes[t] = delta
-        counts.append(_count_active(states))
-        if not delta and cfg.model is ModelKind.TIPPING:
+        # an empty frontier cannot change anything
+        if run.idle:
             break
+        delta = run.step()
+        if delta:
+            changes[t] = [(u, state.value) for u, state in delta]
+        # a recovered node stays on the curve
+        counts.append(counts[-1] + sum(state is not EpidemicState.RECOVERED for _, state in delta))
     _pad_counts(counts, cfg.max_time)
 
-    final_states = {u: states[u].value for u in graph.nodes}
+    final_states = {u: run.states[u].value for u in graph.nodes}
     return DiffusionTrace(
         cfg.model,
         cfg.max_time,
@@ -245,22 +230,6 @@ def _seed_epidemic(graph, initials) -> dict:
         u: EpidemicState.INFECTED if u in initials else EpidemicState.SUSCEPTIBLE
         for u in graph.nodes
     }
-
-
-def _any_infected(states) -> bool:
-    return any(s is EpidemicState.INFECTED for s in states.values())
-
-
-def _count_active(states) -> int:
-    return sum(1 for s in states.values() if s.value in _ACTIVE_LABELS)
-
-
-def _check_initials(initials, graph) -> None:
-    if not initials:
-        raise ConfigurationError("at least one initial diffuser is required")
-    for uid in initials:
-        if uid not in graph.nodes:
-            raise ConfigurationError(f"initial diffuser {uid} is not in the graph")
 
 
 def _pad_counts(counts, max_time) -> None:

@@ -11,7 +11,14 @@ import math
 import random
 from pathlib import Path
 
-from rumorsim import EvaluationPolicy, ModelKind, SocialGraph, UserProfile
+from rumorsim import (
+    AdoptionState,
+    EpidemicState,
+    EvaluationPolicy,
+    ModelKind,
+    SocialGraph,
+    UserProfile,
+)
 from rumorsim.gated import admission_test
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "ten_node"
@@ -161,6 +168,85 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
             changes[t] = delta
         counts.append(len(active))
     return changes, counts, clamped
+
+
+def stepwise_classical_run(cfg, graph, rng):
+    """Classical run by full sweeps: every step revisits every node.
+
+    Each step decides every node from a copy of the previous step's states,
+    in ascending id: a susceptible SIR node draws once per infected
+    in-neighbour, an infected one once against gamma; an infected IC node
+    tries each out-edge it has not tried before; a tipping node recounts its
+    adopted in-neighbours.  SIR and IC stop once nothing is infected, tipping
+    after a step without adoptions.  Returns (changes, counts, final_states)
+    in the shape ``run_simulation`` reports them.
+    """
+    S, I, R = EpidemicState.SUSCEPTIBLE, EpidemicState.INFECTED, EpidemicState.RECOVERED
+    initials = set(cfg.initials)
+    nodes = sorted(graph.nodes)
+    if cfg.model is ModelKind.TIPPING:
+        theta = cfg.theta
+        states = {u: AdoptionState.ADOPTED if u in initials else AdoptionState.NOT_ADOPTED for u in nodes}
+    else:
+        states = {u: I if u in initials else S for u in nodes}
+        attempted = set()
+
+    def sir_sweep(states):
+        new_states = dict(states)
+        for node in nodes:
+            if states[node] is S:
+                hit = False
+                for nb in graph.in_neighbors(node):
+                    if states[nb] is I and rng.random() < cfg.beta:
+                        hit = True
+                if hit:
+                    new_states[node] = I
+            elif states[node] is I and rng.random() < cfg.gamma:
+                new_states[node] = R
+        return new_states
+
+    def ic_sweep(states):
+        new_states = dict(states)
+        for node in nodes:
+            if states[node] is not I:
+                continue
+            for target in graph.out_neighbors(node):
+                if (node, target) in attempted:
+                    continue
+                attempted.add((node, target))
+                if rng.random() < cfg.ic_default_p and states[target] is S:
+                    new_states[target] = I
+            new_states[node] = R
+        return new_states
+
+    def tipping_sweep(states):
+        new_states = dict(states)
+        for node in nodes:
+            sources = graph.in_neighbors(node)
+            if states[node] is AdoptionState.ADOPTED or not sources:
+                continue
+            adopted = sum(1 for nb in sources if states[nb] is AdoptionState.ADOPTED)
+            if adopted >= 1 and adopted / len(sources) >= theta:
+                new_states[node] = AdoptionState.ADOPTED
+        return new_states
+
+    sweep = {ModelKind.SIR: sir_sweep, ModelKind.IC: ic_sweep, ModelKind.TIPPING: tipping_sweep}[cfg.model]
+    active = {"infected", "recovered", "adopted"}
+    changes = {0: [(u, states[u].value) for u in sorted(initials)]}
+    counts = [len(initials)]
+    for t in range(1, cfg.max_time + 1):
+        if cfg.model is not ModelKind.TIPPING and I not in states.values():
+            break
+        new_states = sweep(states)
+        delta = [(u, new_states[u].value) for u in nodes if new_states[u] is not states[u]]
+        states = new_states
+        if delta:
+            changes[t] = delta
+        counts.append(sum(1 for s in states.values() if s.value in active))
+        if not delta and cfg.model is ModelKind.TIPPING:
+            break
+    counts.extend([counts[-1]] * (cfg.max_time + 1 - len(counts)))
+    return changes, counts, {u: s.value for u, s in states.items()}
 
 
 def random_topic_set(rng, max_labels=12, min_labels=0):

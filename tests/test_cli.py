@@ -84,6 +84,14 @@ class TestSimulate:
         )
         assert "mean final diffusers 10 of 10 users" in stdout
 
+    def test_undefined_pearson_names_the_edge(self, tmp_path, capsys):
+        # users 1 and 2 share both their labels: no variance to correlate
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out), "--metric", "pearson")
+        assert code == 1
+        assert "pearson gate on edge (1, 2)" in stderr
+        assert not (out / "trace.csv").exists()
+
 
 class TestEvaluate:
     def test_sweep_order_and_accuracies(self, tmp_path, capsys):

@@ -122,6 +122,25 @@ class TestDecisionsOverride:
         with pytest.raises(ParseError):
             load_decisions(path)
 
+    def test_load_decisions_rejects_negative_user_id(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        path.write_text("from_user_id,to_user_id,pass\n1,2,1\n3,-4,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: user id must be >= 0") as info:
+            load_decisions(path)
+        assert info.value.line_no == 3
+
+    def test_load_decisions_rejects_conflicting_duplicate(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        path.write_text("from_user_id,to_user_id,pass\n1,2,1\n2,3,0\n1,2,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"edge \(1, 2\)") as info:
+            load_decisions(path)
+        assert info.value.line_no == 4
+
+    def test_load_decisions_collapses_identical_duplicates(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        path.write_text("from_user_id,to_user_id,pass\n1,2,1\n2,3,0\n1,2,1\n2,3,0\n", encoding="utf-8")
+        assert load_decisions(path) == {(1, 2): True, (2, 3): False}
+
 
 class TestFilteredEdgeSet:
     def test_matches_manual_filter(self, chain_graph):

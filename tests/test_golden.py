@@ -44,6 +44,12 @@ CONFIGS = {
     "sir": dict(model=ModelKind.SIR, beta=0.4, gamma=0.25, trials=3),
     "ic": dict(model=ModelKind.IC, ic_default_p=0.35, trials=3),
     "tipping": dict(model=ModelKind.TIPPING, theta=0.2),
+    # extreme parameters: certain spread without recovery, no spread at all,
+    # certain edges, unanimous adoption
+    "sir-beta1-gamma0": dict(model=ModelKind.SIR, beta=1.0, gamma=0.0, trials=3),
+    "sir-beta0": dict(model=ModelKind.SIR, beta=0.0, gamma=0.3, trials=3),
+    "ic-p1": dict(model=ModelKind.IC, ic_default_p=1.0, trials=3),
+    "tipping-theta1": dict(model=ModelKind.TIPPING, theta=1.0),
 }
 
 # (trace.csv, curve.csv) SHA-256 per input/config
@@ -76,6 +82,22 @@ GOLDEN = {
         "787a658b41205be63e772029159cb05650d9340483f40fd74fa0f843721bc68e",
         "bb9fb4f88440be2afd000ce138f59b7df554cedaba1507a279dc6fab71261463",
     ),
+    "ten_node/sir-beta1-gamma0": (
+        "9e71d54489a40fc2c0cc813968d9268fbd280d8820f1450f2373ead07a349459",
+        "bb9fb4f88440be2afd000ce138f59b7df554cedaba1507a279dc6fab71261463",
+    ),
+    "ten_node/sir-beta0": (
+        "ca90d2ece8f22755dab99df24dc7b947de3a73c6a91fb442c2df74304fb4aea8",
+        "1a9e48f8db5df714a711114b64f861e23a9161382f80b02cbb7b79d084ff66a9",
+    ),
+    "ten_node/ic-p1": (
+        "30154a268b650f4d1b2bf37ba846e9bdcb45f31e8876252ebd9187faefc05783",
+        "bb9fb4f88440be2afd000ce138f59b7df554cedaba1507a279dc6fab71261463",
+    ),
+    "ten_node/tipping-theta1": (
+        "787a658b41205be63e772029159cb05650d9340483f40fd74fa0f843721bc68e",
+        "bb9fb4f88440be2afd000ce138f59b7df554cedaba1507a279dc6fab71261463",
+    ),
     "corpus1/user_user-once": (
         "f9bc9844b9ae5ba9832af4a4fa0bdfa6c0e543edbf4c09280d478652bd2c722a",
         "5c2ac8edc8b7cd4acfc1202840d043dfed0d128595337c848841e37df8df2158",
@@ -103,6 +125,22 @@ GOLDEN = {
     "corpus1/tipping": (
         "cef614765bea48883ac69d15ef6845aa41eaea7d8aad35778b3a1c3cf2368d7c",
         "e08389f78c3b69b2ef473300458596d28ddd328dae82c436e7c6e21b7482dbd8",
+    ),
+    "corpus1/sir-beta1-gamma0": (
+        "610e00a19173e9b8884219d8c9a9c9a752d24f8bb6fd68393cf7a503047223f8",
+        "e08389f78c3b69b2ef473300458596d28ddd328dae82c436e7c6e21b7482dbd8",
+    ),
+    "corpus1/sir-beta0": (
+        "f5555e90000f9bb69651ebbdbca630043fd47445b53c52b8a85244935711ab47",
+        "39978e69389f2db73589689bb0b236cef2a295b43762e27b3a1dc650a079bc9b",
+    ),
+    "corpus1/ic-p1": (
+        "5098ded59449d72da406ed2ded5efed179ea0f48531da21b4dfb260cc881ebe4",
+        "e08389f78c3b69b2ef473300458596d28ddd328dae82c436e7c6e21b7482dbd8",
+    ),
+    "corpus1/tipping-theta1": (
+        "961ca9213d43d29634d4eb029a1734700bfdc2ab2c3653489bb5260aac2a401b",
+        "61b4463fc7ef3b3cb039c80c707e7f9c374c34e3734f17a3498f61054f54e3e2",
     ),
     "corpus2/user_user-once": (
         "48fc3a4e2748b84f3fd33e065a8fbfcef3d07e62d2db6291f8c18faa24405d61",
@@ -132,6 +170,22 @@ GOLDEN = {
         "d74dc5a92591f7d85dd707cc297cc6d4971ecda8ee0f016117657139e33d984a",
         "86364ce10322080a1bee17c1c2f799f73d50db2562d6a704fa66683600579872",
     ),
+    "corpus2/sir-beta1-gamma0": (
+        "a2c406225e4ca3d18095a3cd9509968f2eeb0573abb70602ba840bf26050eeb3",
+        "86364ce10322080a1bee17c1c2f799f73d50db2562d6a704fa66683600579872",
+    ),
+    "corpus2/sir-beta0": (
+        "afe31c1d25ffe1e62c58fb3d5dcad0d9f1ad89fa20f0fc6a82894cf246e89a4e",
+        "39978e69389f2db73589689bb0b236cef2a295b43762e27b3a1dc650a079bc9b",
+    ),
+    "corpus2/ic-p1": (
+        "ef07e39b3ae499a76faeedea62d3cbbf11a66c707b02800d40b7ac9e0c92d55f",
+        "86364ce10322080a1bee17c1c2f799f73d50db2562d6a704fa66683600579872",
+    ),
+    "corpus2/tipping-theta1": (
+        "d61fb60ef7665b3de0f71c36aeb6fb62dc11bf48f685e8b47ef548efe6ada50a",
+        "39978e69389f2db73589689bb0b236cef2a295b43762e27b3a1dc650a079bc9b",
+    ),
     "corpus3/user_user-once": (
         "46734303d0a7356aef831f20dc3c525181fd796bd61c505bf605bd3f1be53bbe",
         "6349db71ab1943fe8c2669c67174bd59423cff16b3da6ef609d1682e661ea54e",
@@ -159,6 +213,22 @@ GOLDEN = {
     "corpus3/tipping": (
         "bd183a2427c6c1e20b3f5ecb6be9e72803eb0209cd238ac0dd7418178809b024",
         "524176900e9d188baf2c62845216aa880159020bb646e516803ade07608990f5",
+    ),
+    "corpus3/sir-beta1-gamma0": (
+        "a1a8d4d4a6b48918f2c51433984074ef7c64c321fa67988668025d062ec7e81d",
+        "524176900e9d188baf2c62845216aa880159020bb646e516803ade07608990f5",
+    ),
+    "corpus3/sir-beta0": (
+        "d68ca184f1849d9b2237fcaef3efc7585fb9e1d4190ab00e6b09ba227e8f72cc",
+        "3eb2fc46b2c9bc1c946ac315f6361ffaba658f183e5733ffab6f0958459e4941",
+    ),
+    "corpus3/ic-p1": (
+        "665faf762568a6105c4be82ef377fc47fd6f78d0959afe9920ce1252ce2427f0",
+        "524176900e9d188baf2c62845216aa880159020bb646e516803ade07608990f5",
+    ),
+    "corpus3/tipping-theta1": (
+        "607f81b85862cd691fb3fb136f55787882a962a3fe26e48b838f95fce6c4652f",
+        "3eb2fc46b2c9bc1c946ac315f6361ffaba658f183e5733ffab6f0958459e4941",
     ),
 }
 

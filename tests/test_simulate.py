@@ -10,13 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from helpers import oracle_corpus, random_digraph, random_profiles, rescan_gated_run
+from helpers import (
+    oracle_corpus,
+    random_digraph,
+    random_profiles,
+    rescan_gated_run,
+    stepwise_classical_run,
+)
 from rumorsim import (
     ConfigurationError,
     EvaluationPolicy,
     Metric,
     ModelKind,
     ParseError,
+    RngStream,
     RumorContent,
     SimilarityGate,
     SimulationConfig,
@@ -311,6 +318,91 @@ class TestClassicalRuns:
         cfg = gated_config(model=ModelKind.SIR, beta=1.0, gamma=0.0, max_time=5)
         trace = run_simulation(cfg, chain_graph)
         assert trace.counts == [1, 2, 3, 3, 3, 3]
+
+
+class CountingGraph(SocialGraph):
+    """Graph that counts neighbour and degree lookups."""
+
+    def __init__(self, edges, nodes=()):
+        super().__init__(edges, nodes)
+        self.lookups = 0
+
+    def in_neighbors(self, u):
+        self.lookups += 1
+        return super().in_neighbors(u)
+
+    def out_neighbors(self, u):
+        self.lookups += 1
+        return super().out_neighbors(u)
+
+    def in_degree(self, u):
+        self.lookups += 1
+        return super().in_degree(u)
+
+
+class TestEventDrivenClassicalRuns:
+    """The classical runs against the full-sweep reference in helpers."""
+
+    PARAMS = {
+        ModelKind.SIR: [dict(beta=b, gamma=g) for b in (0.0, 0.3, 1.0) for g in (0.0, 0.4, 1.0)],
+        ModelKind.IC: [dict(ic_default_p=p) for p in (0.0, 0.35, 1.0)],
+        ModelKind.TIPPING: [dict(theta=th) for th in (0.0, 0.3, 0.5, 1.0)],
+    }
+
+    def test_matches_full_sweep_reference(self):
+        rng = random.Random(72)
+        cut = idle = 0
+        for case in range(300):
+            # random_digraph keeps isolated users as nodes
+            graph = random_digraph(rng, rng.randint(1, 40), rng.choice([0.02, 0.08, 0.2]))
+            initials = tuple(rng.sample(sorted(graph.nodes), min(len(graph.nodes), rng.randint(1, 3))))
+            model = rng.choice(sorted(self.PARAMS, key=lambda m: m.value))
+            cfg = gated_config(
+                model=model,
+                initials=initials,
+                max_time=rng.randint(1, 30),
+                seed=case,
+                **rng.choice(self.PARAMS[model]),
+            )
+            for k in range(3):
+                ours = RngStream(cfg.seed).derive(k)
+                theirs = RngStream(cfg.seed).derive(k)
+                trace = run_simulation(cfg, graph, rng=ours)
+                expected = stepwise_classical_run(cfg, graph, theirs)
+                assert (trace.changes, trace.counts, trace.final_states) == expected
+                # both consumed the trial's stream up to the same draw
+                assert ours._rng.getstate() == theirs._rng.getstate()
+                last = max(trace.changes)
+                cut += last == cfg.max_time
+                idle += last < cfg.max_time - 1
+        # some runs are cut by the horizon, some go quiet well before it
+        assert cut > 0
+        assert idle > 0
+
+    def test_lookups_track_state_changes_not_graph_size(self):
+        rng = random.Random(73)
+        # the seeds sit at the head of a 40-user chain; 2,000 other users form
+        # a dense component the rumor never reaches
+        chain = [(u, u + 1) for u in range(1, 40)]
+        far = [
+            (a, b)
+            for a in range(100, 2100)
+            for b in rng.sample(range(100, 2100), 5)
+            if a != b
+        ]
+        cases = [
+            dict(model=ModelKind.SIR, beta=1.0, gamma=0.0),
+            dict(model=ModelKind.SIR, beta=0.5, gamma=0.1),
+            dict(model=ModelKind.IC, ic_default_p=1.0),
+            dict(model=ModelKind.TIPPING, theta=1.0),
+        ]
+        for params in cases:
+            graph = CountingGraph(chain + far)
+            cfg = gated_config(initials=(1,), max_time=600, trials=2, **params)
+            traces, _ = run_trials(cfg, graph)
+            state_changes = sum(len(delta) for trace in traces for delta in trace.changes.values())
+            assert traces[0].counts[-1] > 1
+            assert graph.lookups <= 2 * state_changes, params
 
 
 class TestTrials:
