@@ -1,8 +1,8 @@
 """Command-line entry points: simulate, evaluate, similarity, export, validate.
 
-Every command reads the same flat config file; most config keys can be
-overridden with a flag of the same name.  Exit codes: 0 success, 1 for
-configuration or usage problems, 2 for I/O failures.
+Every command reads the same flat config file; in every command but export,
+each config key can be overridden with a flag of the same name.  Exit codes:
+0 success, 1 for configuration or usage problems, 2 for I/O failures.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import GATED_MODELS, load_config
+from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
 from .evaluate import metric_sweep, write_eval_json
 from .gated import load_decisions
@@ -30,28 +30,6 @@ from .simulate import (
 )
 
 SIMS_HEADER = ["from_user_id", "to_user_id", "cosine", "jaccard", "dice", "average"]
-
-_OVERRIDE_KEYS = (
-    "max_time",
-    "trials",
-    "seed",
-    "model",
-    "metric",
-    "threshold",
-    "evaluation_policy",
-    "beta",
-    "gamma",
-    "theta",
-    "ic_default_p",
-    "initials",
-    "edges_path",
-    "users_path",
-    "rumor_path",
-    "decisions_path",
-    "out_dir",
-    "metrics",
-)
-
 
 class _UsageError(Exception):
     def __init__(self, message: str, parser: argparse.ArgumentParser):
@@ -101,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_overrides(sub: argparse.ArgumentParser) -> None:
-    for key in _OVERRIDE_KEYS:
+    for key in CONFIG_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="VALUE")
 
 
 def _overrides(args) -> dict:
-    return {key: getattr(args, key) for key in _OVERRIDE_KEYS if getattr(args, key, None) is not None}
+    return {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
 
 
 def _cmd_simulate(args) -> int:

@@ -7,9 +7,10 @@ bundled dataset can carry its own runnable config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, ParseError
 from .gated import SimilarityGate
@@ -51,14 +52,16 @@ class SimulationConfig:
     metric: Metric = Metric.COSINE
     threshold: float = 0.5
     evaluation_policy: EvaluationPolicy = EvaluationPolicy.ONCE
-    initials: tuple = ()
+    initials: tuple[int, ...] = ()
     beta: float | None = None
     gamma: float | None = None
     theta: float | None = None
     ic_default_p: float | None = None
-    metrics: tuple = _DEFAULT_SWEEP
+    metrics: tuple[Metric, ...] = _DEFAULT_SWEEP
 
     def __post_init__(self):
+        if not self.metrics:
+            raise ConfigurationError("metrics must list at least one metric")
         if self.max_time < 1:
             raise ConfigurationError(f"max_time must be >= 1, got {self.max_time}")
         if self.trials < 1:
@@ -80,26 +83,10 @@ class SimulationConfig:
         return value
 
 
-_CONFIG_KEYS = (
-    "max_time",
-    "trials",
-    "seed",
-    "model",
-    "metric",
-    "threshold",
-    "evaluation_policy",
-    "beta",
-    "gamma",
-    "theta",
-    "ic_default_p",
-    "initials",
-    "edges_path",
-    "users_path",
-    "rumor_path",
-    "decisions_path",
-    "out_dir",
-    "metrics",
-)
+# the dataclass fields are the one list of config keys: the file parser, the
+# CLI flags and the summary echo all derive from it
+CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
+_TYPES = get_type_hints(SimulationConfig)
 
 
 def load_config(path, overrides: dict | None = None) -> SimulationConfig:
@@ -115,60 +102,47 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
                 raise ParseError(path, line_no, f"expected key = value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ParseError(path, line_no, f"unknown config key {key!r}")
             raw[key] = value.strip()
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
         raw[key] = str(value)
     return _build(raw, base_dir=path.parent)
 
 
 def _build(raw: dict, base_dir: Path) -> SimulationConfig:
-    if "edges_path" not in raw:
-        raise ConfigurationError("config is missing required key edges_path")
-    if "users_path" not in raw:
-        raise ConfigurationError("config is missing required key users_path")
-    kwargs = {
-        "edges_path": _resolve(base_dir, raw["edges_path"]),
-        "users_path": _resolve(base_dir, raw["users_path"]),
-    }
-    if "rumor_path" in raw:
-        kwargs["rumor_path"] = _resolve(base_dir, raw["rumor_path"])
-    if "decisions_path" in raw:
-        kwargs["decisions_path"] = _resolve(base_dir, raw["decisions_path"])
-    if "out_dir" in raw:
-        kwargs["out_dir"] = _resolve(base_dir, raw["out_dir"])
-    for key in ("max_time", "trials", "seed"):
-        if key in raw:
-            kwargs[key] = _to_int(key, raw[key])
-    for key in ("threshold", "beta", "gamma", "theta", "ic_default_p"):
-        if key in raw:
-            kwargs[key] = _to_float(key, raw[key])
-    if "model" in raw:
-        kwargs["model"] = _to_enum("model", ModelKind, raw["model"])
-    if "evaluation_policy" in raw:
-        text = raw["evaluation_policy"].strip().lower().replace("_", "-")
-        kwargs["evaluation_policy"] = _to_enum("evaluation_policy", EvaluationPolicy, text)
-    if "metric" in raw:
-        kwargs["metric"] = _to_metric("metric", raw["metric"])
-    if "metrics" in raw:
-        names = [part.strip() for part in raw["metrics"].split(",") if part.strip()]
-        if not names:
-            raise ConfigurationError("metrics must list at least one metric")
-        kwargs["metrics"] = tuple(_to_metric("metrics", name) for name in names)
-    if "initials" in raw:
-        ids = []
-        for part in raw["initials"].split(","):
-            part = part.strip()
-            if not part:
-                continue
-            ids.append(_to_int("initials", part))
-        kwargs["initials"] = tuple(ids)
+    kwargs = {}
+    for f in fields(SimulationConfig):
+        if f.name in raw:
+            kwargs[f.name] = _parse(f.name, _TYPES[f.name], raw[f.name], base_dir)
+        elif f.default is MISSING:
+            raise ConfigurationError(f"config is missing required key {f.name}")
     return SimulationConfig(**kwargs)
+
+
+def _parse(key: str, kind, value: str, base_dir: Path):
+    """Parse one config value by its field's annotated type."""
+    if type(None) in get_args(kind):
+        # X | None: the value, when given, is an X
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        # comma-separated; empty fragments are skipped
+        item = get_args(kind)[0]
+        parts = [part.strip() for part in value.split(",") if part.strip()]
+        return tuple(_parse(key, item, part, base_dir) for part in parts)
+    if kind is Path:
+        return _resolve(base_dir, value)
+    if kind is int:
+        return _to_number(key, int, "an integer", value)
+    if kind is float:
+        return _to_number(key, float, "a number", value)
+    if kind is EvaluationPolicy:
+        value = value.strip().lower().replace("_", "-")
+    return _to_enum(key, kind, value)
 
 
 def _resolve(base_dir: Path, value: str) -> Path:
@@ -176,31 +150,16 @@ def _resolve(base_dir: Path, value: str) -> Path:
     return p if p.is_absolute() else base_dir / p
 
 
-def _to_int(key: str, value: str) -> int:
+def _to_number(key: str, kind: type, noun: str, value: str):
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigurationError(f"config key {key} must be an integer, got {value!r}") from None
-
-
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(f"config key {key} must be a number, got {value!r}") from None
+        raise ConfigurationError(f"config key {key} must be {noun}, got {value!r}") from None
 
 
 def _to_enum(key: str, enum_cls, value: str):
     try:
-        return enum_cls(value.strip().lower())
+        return enum_cls.from_name(value) if enum_cls is Metric else enum_cls(value.strip().lower())
     except ValueError:
         allowed = ", ".join(m.value for m in enum_cls)
-        raise ConfigurationError(f"config key {key} must be one of {allowed}; got {value!r}") from None
-
-
-def _to_metric(key: str, value: str) -> Metric:
-    try:
-        return Metric.from_name(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in Metric)
         raise ConfigurationError(f"config key {key} must be one of {allowed}; got {value!r}") from None

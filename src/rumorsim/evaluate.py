@@ -9,7 +9,7 @@ from typing import Mapping
 from .errors import ConfigurationError, EmptyEvaluationError
 from .gated import DiffuserSet, SimilarityGate, diffuse_user_content, diffuse_user_user
 from .graph import RumorContent, SocialGraph
-from .config import ModelKind
+from .config import GATED_MODELS, ModelKind
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def metric_sweep(
     """
     if not metrics:
         raise ConfigurationError("metric sweep needs at least one metric")
-    if model not in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
+    if model not in GATED_MODELS:
         raise ConfigurationError(f"metric sweep requires a gated model, got {model.value}")
     rows = []
     for metric in metrics:

@@ -120,11 +120,7 @@ def diffuse_user_user(
     gate: SimilarityGate,
 ) -> DiffuserSet:
     """Spread from ``initials``, admitting followers similar to their source."""
-    _check_initials(graph, initials, profiles)
-    missing = set()
-    admit = admission_test(profiles, None, gate, missing)
-    members, log = _worklist_closure(graph, initials, admit)
-    return DiffuserSet(members, log, missing)
+    return _diffuse(graph, profiles, None, initials, gate)
 
 
 def diffuse_user_content(
@@ -135,11 +131,7 @@ def diffuse_user_content(
     gate: SimilarityGate,
 ) -> DiffuserSet:
     """Spread from ``initials``, admitting followers similar to the rumor."""
-    _check_initials(graph, initials, profiles)
-    missing = set()
-    admit = admission_test(profiles, rumor, gate, missing)
-    members, log = _worklist_closure(graph, initials, admit)
-    return DiffuserSet(members, log, missing)
+    return _diffuse(graph, profiles, rumor, initials, gate)
 
 
 def filtered_edge_set(
@@ -194,12 +186,22 @@ def _check_initials(graph: SocialGraph, initials, profiles: Mapping | None = Non
             raise ConfigurationError(f"initial diffuser {uid} has no profile")
 
 
-def _worklist_closure(graph: SocialGraph, initials, admit: Callable) -> tuple:
+def _diffuse(
+    graph: SocialGraph,
+    profiles: Mapping,
+    rumor: RumorContent | None,
+    initials,
+    gate: SimilarityGate,
+) -> DiffuserSet:
     """Breadth-first worklist from the initials, canonical ascending order.
 
-    The final member set does not depend on processing order; the fixed
-    order just makes the insertion log reproducible.
+    ``rumor`` of None compares each follower with its source.  The final
+    member set does not depend on processing order; the fixed order just
+    makes the insertion log reproducible.
     """
+    _check_initials(graph, initials, profiles)
+    missing = set()
+    admit = admission_test(profiles, rumor, gate, missing)
     log = sorted(set(initials))
     members = set(log)
     queue = deque(log)
@@ -212,4 +214,4 @@ def _worklist_closure(graph: SocialGraph, initials, admit: Callable) -> tuple:
                 members.add(j)
                 log.append(j)
                 queue.append(j)
-    return members, log
+    return DiffuserSet(members, log, missing)

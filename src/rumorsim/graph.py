@@ -52,22 +52,20 @@ class SocialGraph:
     """Directed graph, immutable after construction, with sorted adjacency."""
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
-        edge_set = set()
+        self.edges = frozenset(edges)
         node_set = set(nodes)
-        for a, b in edges:
+        for a, b in self.edges:
             if a == b:
                 raise ConfigurationError(f"self-loop on user {a}")
-            edge_set.add((a, b))
             node_set.add(a)
             node_set.add(b)
         self.nodes = frozenset(node_set)
-        self.edges = frozenset(edge_set)
         out = {u: [] for u in node_set}
         inc = {u: [] for u in node_set}
-        # iterating edges in sorted order leaves every adjacency list sorted
-        for a, b in sorted(edge_set):
+        # in (a, b) order every out-list fills by ascending b and every
+        # in-list by ascending a, so one sort leaves all of them sorted
+        for a, b in sorted(self.edges):
             out[a].append(b)
-        for a, b in sorted(edge_set, key=lambda e: (e[1], e[0])):
             inc[b].append(a)
         self._out = out
         self._in = inc

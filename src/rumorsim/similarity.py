@@ -22,6 +22,7 @@ class Metric(Enum):
     COSINE = "cosine"
     PEARSON = "pearson"
     JACCARD_SET = "jaccard"
+    # Tanimoto on binary term vectors: the same number as JACCARD_SET
     JACCARD_VECTOR = "jaccard_vector"
     DICE = "dice"
     LEVENSHTEIN = "levenshtein"
@@ -105,19 +106,15 @@ def pearson(v1: Sequence[float], v2: Sequence[float]) -> float:
 def jaccard(a: TopicSet, b: TopicSet, variant: str = "set") -> float:
     """Jaccard similarity of two label sets; 0.0 when both are empty.
 
-    variant="set" is intersection over union.  variant="vector" is the
-    Tanimoto form dot / (|v1|^2 + |v2|^2 - dot) on binary term vectors, which
-    agrees with the set form whenever the weights are binary.
+    variant="set" is intersection over union.  variant="vector" names the
+    Tanimoto form dot / (|v1|^2 + |v2|^2 - dot) on binary term vectors; with
+    binary weights every term is an integer count, so it is the same number
+    and shares the set formula.
     """
-    if variant == "set":
-        union = len(a | b)
-        return len(a & b) / union if union else 0.0
-    if variant == "vector":
-        _, va, vb = binary_vectors(a, b)
-        dot = sum(x * y for x, y in zip(va, vb))
-        denom = sum(x * x for x in va) + sum(y * y for y in vb) - dot
-        return dot / denom if denom else 0.0
-    raise ValueError(f"unknown jaccard variant: {variant!r}")
+    if variant not in ("set", "vector"):
+        raise ValueError(f"unknown jaccard variant: {variant!r}")
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
 
 
 def dice(a: TopicSet, b: TopicSet) -> float:
@@ -156,10 +153,8 @@ def score(metric: Metric, a, b) -> float:
     ta, tb = a.topics, b.topics
     if metric is Metric.COSINE:
         return cosine(ta, tb)
-    if metric is Metric.JACCARD_SET:
-        return jaccard(ta, tb, "set")
-    if metric is Metric.JACCARD_VECTOR:
-        return jaccard(ta, tb, "vector")
+    if metric is Metric.JACCARD_SET or metric is Metric.JACCARD_VECTOR:
+        return jaccard(ta, tb)
     if metric is Metric.DICE:
         return dice(ta, tb)
     if metric is Metric.AVERAGE:

@@ -21,7 +21,8 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
@@ -276,7 +277,16 @@ def read_trace_csv(path, trial: int) -> dict:
 
 
 def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> DiffusionTrace:
-    """Reconstruct the full per-step view of one trial from its deltas."""
+    """Reconstruct the full per-step view of one trial from its deltas.
+
+    A change outside steps 0..cfg.max_time raises ConfigurationError: the
+    trace was run with a longer horizon than this config.
+    """
+    outside = [t for t in changes if not 0 <= t <= cfg.max_time]
+    if outside:
+        raise ConfigurationError(
+            f"trace has a change at step {min(outside)}, outside 0..max_time (max_time = {cfg.max_time})"
+        )
     default = _DEFAULT_LABELS[cfg.model]
     states = {u: default for u in graph.nodes}
     active = set()
@@ -332,27 +342,18 @@ def write_curve_csv(series, path) -> None:
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
-    """JSON-friendly dump of the effective configuration."""
-    return {
-        "edges_path": str(cfg.edges_path),
-        "users_path": str(cfg.users_path),
-        "rumor_path": str(cfg.rumor_path) if cfg.rumor_path else None,
-        "decisions_path": str(cfg.decisions_path) if cfg.decisions_path else None,
-        "out_dir": str(cfg.out_dir),
-        "max_time": cfg.max_time,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "model": cfg.model.value,
-        "metric": cfg.metric.value,
-        "threshold": cfg.threshold,
-        "evaluation_policy": cfg.evaluation_policy.value,
-        "initials": list(cfg.initials),
-        "beta": cfg.beta,
-        "gamma": cfg.gamma,
-        "theta": cfg.theta,
-        "ic_default_p": cfg.ic_default_p,
-        "metrics": [m.value for m in cfg.metrics],
-    }
+    """JSON-friendly dump of the effective configuration, one entry per field."""
+    return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _jsonable(value):
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(item) for item in value]
+    return value
 
 
 def write_summary_json(cfg, traces, aggregate, runtime_seconds, path) -> None:

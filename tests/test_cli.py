@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import re
 import sys
 
 import pytest
 
 from helpers import FIXTURE_DIR
-from rumorsim import run_cli
-from rumorsim.cli import main
+from rumorsim import SimulationConfig, run_cli
+from rumorsim.cli import build_parser, main
 
 CFG = str(FIXTURE_DIR / "sim.cfg")
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(SimulationConfig))
 
 
 def run(capsys, *argv):
@@ -178,6 +181,49 @@ class TestExport:
         )
         assert code == 1
         assert "trial" in stderr
+
+    def test_steps_past_the_configured_horizon_are_rejected(self, tmp_path, capsys):
+        # a 60-step SIR run replayed against the fixture's max_time = 20
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "simulate", CFG, "--out-dir", str(out), "--model", "sir",
+            "--beta", "0.3", "--gamma", "0.05", "--max-time", "60",
+        )
+        assert code == 0
+        frames_dir = tmp_path / "frames"
+        code, _, stderr = run(
+            capsys, "export", str(out / "trace.csv"), str(frames_dir), "--config", CFG
+        )
+        assert code == 1
+        assert "step 23" in stderr
+        assert "max_time = 20" in stderr
+        assert not frames_dir.exists()
+
+
+class TestConfigKeys:
+    """The SimulationConfig fields are the one list of config keys."""
+
+    def test_readme_table_lists_exactly_the_config_fields(self):
+        readme = (FIXTURE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert sorted(keys) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "validate"])
+    def test_every_config_key_is_a_flag(self, command):
+        argv = [command, CFG]
+        for key in CONFIG_KEYS:
+            argv += ["--" + key.replace("_", "-"), f"value-of-{key}"]
+        args = build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in CONFIG_KEYS} == {
+            key: f"value-of-{key}" for key in CONFIG_KEYS
+        }
+
+    def test_summary_echoes_exactly_the_config_fields(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run(capsys, "simulate", CFG, "--out-dir", str(out))
+        data = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert sorted(data["config"]) == CONFIG_KEYS
 
 
 class TestValidate:

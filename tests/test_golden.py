@@ -1,16 +1,21 @@
-"""Golden output digests: byte-identical trace.csv and curve.csv per config.
+"""Golden output digests: byte-identical outputs per config.
 
 Each case runs ``run_trials`` on a small input, writes the two files the
 ``simulate`` command writes, and compares their SHA-256 digests with the
-values recorded below.  A refactor of the scheduler or the diffusion steps
-must leave every digest unchanged; an intended output change updates the
-table and says why.
+values recorded below.  A second table pins the command-line outputs
+(``summary.json`` with every config key set, ``sims.csv`` and ``eval.json``)
+so that a refactor of config parsing, the config echo or the similarity
+kernels shows up as a changed digest.  A refactor must leave every digest
+unchanged; an intended output change updates the table and says why.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -25,10 +30,14 @@ from rumorsim import (
     load_edges,
     load_rumor,
     load_users,
+    run_cli,
     run_trials,
+    save_edges,
     write_curve_csv,
     write_trace_csv,
 )
+from rumorsim.graph import USERS_HEADER
+from rumorsim.simulate import config_echo
 
 CORPUS_RUMOR = RumorContent(frozenset(VOCAB[:10]))
 
@@ -280,3 +289,102 @@ def test_outputs_match_golden_digests(key, tmp_path):
 def test_golden_table_covers_every_input_and_config():
     inputs = ("ten_node", "corpus1", "corpus2", "corpus3")
     assert sorted(GOLDEN) == sorted(f"{i}/{c}" for i in inputs for c in CONFIGS)
+
+
+# SHA-256 of the CLI outputs per input: summary.json without its
+# runtime_seconds field, from a simulate run that sets every config key to a
+# non-default value (some in the file, some as flags); sims.csv from
+# similarity; eval.json from an evaluate sweep over six metrics
+CLI_GOLDEN = {
+    "ten_node": {
+        "summary.json": "e82d63e61eb98699d5fdf3aa5de92ba0a227001ab0e9bad34373600dc6a441a7",
+        "sims.csv": "298dfed990f0e65ba238a3cbc7ed0c1f2ba6f774449b76684fc02ebcaac7a42b",
+        "eval.json": "f0a422c952235f0a7cadbcc2197f3edaca852583e5bf2d43754d342714d0a3d0",
+    },
+    "corpus1": {
+        "summary.json": "552c2eddbbe617a5b43f6aaaec658e422674fff902b982a09e28c198dff2eb0b",
+        "sims.csv": "6f9b283c99e4e433cf0cde1fb724fbe68787562de588809039a27bcd47a32044",
+        "eval.json": "9cf09bfdf5af63d3b36dc9de8671080adda41cdabafe69bd18ffeb8bbd1313f4",
+    },
+}
+
+
+def _write_cli_inputs(input_name, root):
+    """Write one named input as the files the CLI reads; returns its config."""
+    cfg, graph, profiles, rumor = _inputs(input_name)
+    if input_name == "ten_node":
+        for name in ("edges.csv", "users.csv", "rumor.txt"):
+            shutil.copy(FIXTURE_DIR / name, root / name)
+    else:
+        save_edges(graph, root / "edges.csv")
+        with open(root / "users.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(USERS_HEADER)
+            for uid, p in sorted(profiles.items()):
+                # corpus profiles carry no labels; give every third user one
+                writer.writerow([uid, ",".join(sorted(p.topics)), p.created_at, int(uid % 3 == 0)])
+        (root / "rumor.txt").write_text("".join(f"{t}\n" for t in sorted(rumor.topics)), encoding="utf-8")
+    with open(root / "decisions.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["from_user_id", "to_user_id", "pass"])
+        writer.writerows([a, b, int((7 * a + b) % 3 != 0)] for a, b in sorted(graph.edges))
+    return cfg
+
+
+def cli_digests(input_name, root):
+    cfg = _write_cli_inputs(input_name, root)
+    initials = ", ".join(str(u) for u in cfg.initials)
+    base = (
+        "edges_path = edges.csv\n"
+        "users_path = users.csv\n"
+        "rumor_path = rumor.txt\n"
+        f"initials = {initials}\n"
+    )
+    (root / "base.cfg").write_text(base, encoding="utf-8")
+    (root / "all.cfg").write_text(
+        base
+        + "model = gated_user_content\n"
+        "threshold = 0.4\n"
+        "max_time = 5\n"
+        "trials = 3\n"
+        "beta = 0.25\n"
+        "gamma = 0.125\n"
+        "metrics = jaccard_set, levenshtein\n",
+        encoding="utf-8",
+    )
+    # relative paths: the echoed config then names no temporary directory
+    commands = [
+        ["simulate", "all.cfg", "--out-dir", "sim", "--decisions-path", "decisions.csv",
+         "--seed", "7", "--metric", "dice", "--evaluation-policy", "every_step",
+         "--theta", "0.75", "--ic-default-p", "0.5"],
+        ["similarity", "base.cfg", "--out-dir", "sims"],
+        ["evaluate", "base.cfg", "--out-dir", "eval", "--threshold", str(cfg.threshold),
+         "--metrics", "cosine, jaccard_vector, average, jaccard, dice, levenshtein"],
+    ]
+    for argv in commands:
+        assert run_cli(argv) == 0, argv
+    summary = json.loads((root / "sim" / "summary.json").read_text(encoding="utf-8"))
+    del summary["runtime_seconds"]
+    blobs = {
+        "summary.json": json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"),
+        "sims.csv": (root / "sims" / "sims.csv").read_bytes(),
+        "eval.json": (root / "eval" / "eval.json").read_bytes(),
+    }
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+
+
+@pytest.mark.parametrize("input_name", sorted(CLI_GOLDEN))
+def test_cli_outputs_match_golden_digests(input_name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests(input_name, Path(".")) == CLI_GOLDEN[input_name]
+    capsys.readouterr()
+
+
+def test_cli_golden_run_sets_every_config_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cli_digests("ten_node", Path("."))
+    capsys.readouterr()
+    echo = json.loads(Path("sim/summary.json").read_text(encoding="utf-8"))["config"]
+    defaults = config_echo(SimulationConfig(edges_path=Path("e"), users_path=Path("u")))
+    assert sorted(echo) == sorted(defaults)
+    assert [key for key in echo if echo[key] == defaults[key]] == []

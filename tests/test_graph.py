@@ -32,6 +32,19 @@ class TestSocialGraph:
         assert g.out_neighbors(5) == [1, 3, 9]
         assert g.in_neighbors(1) == [2, 5, 7]
 
+    def test_adjacency_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(431)
+        for _ in range(50):
+            n = rng.randint(2, 30)
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 80))]
+            pairs = [(a, b) for a, b in pairs if a != b]
+            # repeated pairs collapse
+            g = SocialGraph(pairs + pairs[: len(pairs) // 2])
+            assert g.edges == set(pairs)
+            for u in g.nodes:
+                assert g.out_neighbors(u) == sorted({b for a, b in pairs if a == u})
+                assert g.in_neighbors(u) == sorted({a for a, b in pairs if b == u})
+
     def test_out_neighbors_unknown_user(self):
         g = SocialGraph([(1, 2)])
         with pytest.raises(UnknownUserError):
@@ -44,6 +57,9 @@ class TestSocialGraph:
         first = g.out_neighbors(1)
         first.append(42)  # caller-side mutation must not leak back
         assert g.out_neighbors(1) == [2, 3]
+        sources = g.in_neighbors(3)
+        sources.append(42)
+        assert g.in_neighbors(3) == [1]
 
     def test_constructor_rejects_self_loop(self):
         with pytest.raises(ConfigurationError):

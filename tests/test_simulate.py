@@ -574,6 +574,49 @@ class TestConfigFile:
             with pytest.raises(ConfigurationError):
                 load_config(self.write(tmp_path, self.base_text() + line))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_time = soon", "config key max_time must be an integer, got 'soon'"),
+            ("threshold = high", "config key threshold must be a number, got 'high'"),
+            ("beta = lots", "config key beta must be a number, got 'lots'"),
+            ("initials = 1, x", "config key initials must be an integer, got 'x'"),
+            ("model = telepathy", "config key model must be one of gated_user_user, "
+             "gated_user_content, sir, tipping, ic; got 'telepathy'"),
+            ("metric = vibes", "config key metric must be one of cosine, pearson, jaccard, "
+             "jaccard_vector, dice, levenshtein, average; got 'vibes'"),
+            ("metrics = cosine, vibes", "config key metrics must be one of cosine, pearson, "
+             "jaccard, jaccard_vector, dice, levenshtein, average; got 'vibes'"),
+            ("metrics = , ,", "metrics must list at least one metric"),
+            # the policy is reported as normalised: lowercased, '_' -> '-'
+            ("evaluation_policy = Every_Sometimes", "config key evaluation_policy must be one "
+             "of once, every-step; got 'every-sometimes'"),
+        ],
+    )
+    def test_bad_value_messages(self, tmp_path, line, message):
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(self.write(tmp_path, self.base_text() + line + "\n"))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("present", ["edges_path", "users_path"])
+    def test_missing_required_key_is_named(self, tmp_path, present):
+        missing = ({"edges_path", "users_path"} - {present}).pop()
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(self.write(tmp_path, f"{present} = x.csv\n"))
+        assert str(exc.value) == f"config is missing required key {missing}"
+
+    def test_aliases_and_blank_list_items(self, tmp_path):
+        text = self.base_text() + (
+            "metric = Jaccard_Set\nevaluation_policy = EVERY_STEP\ninitials = 3,,1\n"
+            "rumor_path = /abs/rumor.txt\n"
+        )
+        cfg = load_config(self.write(tmp_path, text))
+        assert cfg.metric is Metric.JACCARD_SET
+        assert cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
+        assert cfg.initials == (3, 1)
+        assert cfg.rumor_path == Path("/abs/rumor.txt")
+        assert cfg.decisions_path is None
+
     def test_user_content_requires_rumor_path(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(self.write(tmp_path, self.base_text() + "model = gated_user_content\n"))
