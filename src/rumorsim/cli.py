@@ -211,3 +211,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,9 @@
 """Run configuration: a flat key = value text file shared by all CLI commands.
 
 Lines are `key = value`; blank lines and lines starting with '#' are ignored.
-Relative paths resolve against the directory containing the config file, so a
-bundled dataset can carry its own runnable config.
+Relative paths in the file resolve against the directory containing the config
+file, so a bundled dataset can carry its own runnable config; relative paths
+given as overrides (CLI flags) resolve against the working directory.
 """
 
 from __future__ import annotations
@@ -90,7 +91,11 @@ _TYPES = get_type_hints(SimulationConfig)
 
 
 def load_config(path, overrides: dict | None = None) -> SimulationConfig:
-    """Parse a config file, then apply string-valued overrides (CLI flags win)."""
+    """Parse a config file, then apply string-valued overrides (CLI flags win).
+
+    Each raw value keeps the directory its relative paths resolve against: the
+    config file's for values from the file, the working directory for overrides.
+    """
     raw = {}
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -104,21 +109,22 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ParseError(path, line_no, f"unknown config key {key!r}")
-            raw[key] = value.strip()
+            raw[key] = (value.strip(), path.parent)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        raw[key] = str(value)
-    return _build(raw, base_dir=path.parent)
+        raw[key] = (str(value), Path())
+    return _build(raw)
 
 
-def _build(raw: dict, base_dir: Path) -> SimulationConfig:
+def _build(raw: dict) -> SimulationConfig:
     kwargs = {}
     for f in fields(SimulationConfig):
         if f.name in raw:
-            kwargs[f.name] = _parse(f.name, _TYPES[f.name], raw[f.name], base_dir)
+            value, base_dir = raw[f.name]
+            kwargs[f.name] = _parse(f.name, _TYPES[f.name], value, base_dir)
         elif f.default is MISSING:
             raise ConfigurationError(f"config is missing required key {f.name}")
     return SimulationConfig(**kwargs)

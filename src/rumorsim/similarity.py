@@ -5,6 +5,13 @@ equivalent to their binary term-vector forms on the union vocabulary.
 Pearson works on numeric vectors, levenshtein on strings.  ``score`` gives a
 single dispatch point over profile / rumor topic sets.  All metrics are
 symmetric in their two arguments.
+
+Levenshtein is the exact edit distance, computed with Myers' bit-vector
+algorithm (Myers 1999) in Hyyrö's edit-distance form (Hyyrö 2003).  For
+lengths m >= n a pair costs O(ceil(m/w) * n) operations on w-bit words; on
+Python ints each bit-vector operation is one big-int operation, about a dozen
+per character of the shorter string.  The distance is an exact integer, so
+the similarity is the same float the full-matrix DP gives.
 """
 
 from __future__ import annotations
@@ -128,18 +135,45 @@ def levenshtein(s1: str, s2: str) -> tuple[int, float]:
 
     Substituting identical characters costs nothing.  The similarity is
     1 - distance / max(len), and 1.0 when both strings are empty.
+
+    Myers' bit-vector algorithm in Hyyrö's edit-distance form: the longer
+    string is the pattern, bit i of the vectors is row i + 1 of the DP
+    matrix, and each character of the shorter string advances one column.
+    Pv/Mv hold the +1/-1 vertical deltas of the current column, Ph/Mh the
+    horizontal ones, and the top bit's horizontal delta moves the bottom-row
+    score.  O(ceil(m/w) * n) word operations; the distance is exact.
     """
-    m, n = len(s1), len(s2)
-    prev = list(range(n + 1))
-    for i, ch1 in enumerate(s1, start=1):
-        cur = [i] + [0] * n
-        for j, ch2 in enumerate(s2, start=1):
-            cost = 0 if ch1 == ch2 else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    distance = prev[n]
-    longest = max(m, n)
-    similarity = 1.0 if longest == 0 else 1.0 - distance / longest
+    if len(s1) < len(s2):
+        s1, s2 = s2, s1
+    m = len(s1)
+    distance = m
+    if s2:
+        # one bitmask per distinct character: where it occurs in the pattern
+        peq = {}
+        bit = 1
+        for ch in s1:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        mask = bit - 1
+        top = bit >> 1
+        pv, mv = mask, 0
+        for ch in s2:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & top:
+                distance += 1
+            elif mh & top:
+                distance -= 1
+            # the carry-in 1: row 0 of the matrix grows by one per column
+            ph = (ph << 1) | 1
+            # carries only move up, so bits m and above never reach the low m
+            # bits; the mask only stops the ints from growing
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+    similarity = 1.0 if m == 0 else 1.0 - distance / m
     return distance, similarity
 
 

@@ -76,6 +76,12 @@ def dp_levenshtein(s1, s2):
     return d[m][n]
 
 
+def dp_levenshtein_similarity(s1, s2):
+    """1 - edit distance / the longer length; 1.0 for two empty strings."""
+    longest = max(len(s1), len(s2))
+    return 1.0 if longest == 0 else 1.0 - dp_levenshtein(s1, s2) / longest
+
+
 def bfs_reachable(initials, edges):
     adjacency = {}
     for a, b in edges:

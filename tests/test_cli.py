@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,59 @@ class TestFailureModes:
             main()
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def python_m(self, *argv):
+        src = str(FIXTURE_DIR.parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+
+    def test_python_m_rumorsim_runs_the_cli(self):
+        proc = self.python_m("rumorsim", "validate", CFG)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("10 users, 10 edges")
+
+    def test_python_m_rumorsim_without_config_is_exit_1(self):
+        proc = self.python_m("rumorsim", "simulate")
+        assert proc.returncode == 1
+        assert "usage:" in proc.stderr
+
+    def test_python_m_rumorsim_cli_runs_the_cli(self):
+        proc = self.python_m("rumorsim.cli", "validate", CFG)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("10 users, 10 edges")
+
+
+class TestRelativePaths:
+    @pytest.fixture
+    def layout(self, tmp_path, monkeypatch):
+        # the config and its inputs in a subdirectory, users.csv only in the cwd
+        shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")
+        (tmp_path / "cfg" / "users.csv").rename(tmp_path / "users.csv")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_flag_paths_resolve_against_the_working_directory(self, layout, capsys):
+        code, stdout, stderr = run(
+            capsys, "simulate", "cfg/sim.cfg", "--out-dir", "run", "--users-path", "users.csv"
+        )
+        assert code == 0, stderr
+        assert "mean final diffusers 6 of 10 users" in stdout
+        assert (layout / "run" / "trace.csv").exists()
+        assert not (layout / "cfg" / "run").exists()
+
+    def test_file_paths_resolve_against_the_config_directory(self, layout, capsys):
+        code, _, stderr = run(capsys, "simulate", "cfg/sim.cfg")
+        assert code == 2
+        assert str(Path("cfg") / "users.csv") in stderr
+        shutil.copy(layout / "users.csv", layout / "cfg" / "users.csv")
+        code, _, stderr = run(capsys, "simulate", "cfg/sim.cfg")
+        assert code == 0, stderr
+        assert (layout / "cfg" / "out" / "trace.csv").exists()

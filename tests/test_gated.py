@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     brute_cosine,
     bfs_reachable,
+    dp_levenshtein_similarity,
     oracle_corpus,
     random_digraph,
     random_profiles,
@@ -23,6 +24,7 @@ from rumorsim import (
     SimilarityGate,
     SocialGraph,
     UserProfile,
+    canonical_topic_string,
     diffuse_user_content,
     diffuse_user_user,
     filtered_edge_set,
@@ -171,6 +173,25 @@ class TestOracleAgreement:
                     content = diffuse_user_content(graph, profiles, rumor, initials, gate)
                     content_edges = filtered_edge_set(graph, profiles, rumor, gate)
                     assert content.members == bfs_reachable(initials, content_edges)
+
+    def test_levenshtein_gate_decisions_match_full_matrix(self):
+        # on-lattice thresholds: a score equal to tau must still pass
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+
+        def dp_similarity(ta, tb):
+            return dp_levenshtein_similarity(canonical_topic_string(ta), canonical_topic_string(tb))
+
+        for graph, profiles, _ in oracle_corpus(seed=508, count=12, max_nodes=60):
+            user_user = {e: dp_similarity(profiles[e[0]].topics, profiles[e[1]].topics) for e in graph.edges}
+            user_content = {u: dp_similarity(profiles[u].topics, rumor.topics) for u in graph.nodes}
+            for tau in TAU_GRID:
+                gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
+                assert filtered_edge_set(graph, profiles, None, gate) == {
+                    e for e, sim in user_user.items() if sim >= tau
+                }
+                assert filtered_edge_set(graph, profiles, rumor, gate) == {
+                    (a, b) for a, b in graph.edges if user_content[b] >= tau
+                }
 
     def test_fixpoint_equals_fully_independent_oracle(self):
         # off-lattice threshold so float noise cannot flip a gate decision

@@ -7,7 +7,15 @@ import random
 
 import pytest
 
-from helpers import brute_cosine, brute_dice, brute_jaccard, dp_levenshtein, random_topic_set
+from helpers import (
+    brute_cosine,
+    brute_dice,
+    brute_jaccard,
+    dp_levenshtein,
+    dp_levenshtein_similarity,
+    oracle_corpus,
+    random_topic_set,
+)
 from rumorsim import (
     Metric,
     RumorContent,
@@ -25,6 +33,8 @@ from rumorsim import (
 
 ABC = frozenset("abc")
 BCD = frozenset("bcd")
+# around 30 (a CPython int digit) and 64 (a machine word) on both sides
+LEVENSHTEIN_LENGTHS = [0, 1, 29, 30, 31, 32, 63, 64, 65, 100, 200]
 
 
 def topics(*labels):
@@ -123,6 +133,50 @@ class TestOracleEquivalence:
             d32 = levenshtein(s3, s2)[0]
             assert d12 == d21
             assert d12 <= d13 + d32
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abcdefghijklmnopqrstuvwxyz, ", "aé中𝄞\u0301ß "])
+    def test_levenshtein_matches_full_matrix_across_word_boundaries(self, alphabet):
+        rng = random.Random(416)
+        strings = ["".join(rng.choices(alphabet, k=n)) for n in LEVENSHTEIN_LENGTHS]
+        for i, s1 in enumerate(strings):
+            for s2 in strings[i:]:
+                expected = dp_levenshtein(s1, s2)
+                assert levenshtein(s1, s2)[0] == expected, (len(s1), len(s2))
+                assert levenshtein(s2, s1)[0] == expected, (len(s2), len(s1))
+
+    def test_levenshtein_repeated_characters(self):
+        cases = []
+        for n in LEVENSHTEIN_LENGTHS:
+            run = "a" * n
+            cases += [
+                (run, run),
+                (run, "b" * n),
+                (run, "a" * (n + 1)),
+                (run, "ab" * (n // 2)),
+                (run, "b" + run[1:]),
+                (run, run[:-1] + "é"),
+                ("ab" * n, "ba" * n),
+                ("x" * n + "y" * n, "y" * n + "x" * n),
+            ]
+        for s1, s2 in cases:
+            expected = dp_levenshtein(s1, s2)
+            assert levenshtein(s1, s2)[0] == expected, (s1, s2)
+            assert levenshtein(s2, s1)[0] == expected, (s2, s1)
+
+    def test_levenshtein_matches_full_matrix_on_canonical_topic_strings(self):
+        pairs = []
+        for graph, profiles, _ in oracle_corpus(seed=417, count=8, max_nodes=40):
+            for a, b in sorted(graph.edges):
+                pairs.append((profiles[a].topics, profiles[b].topics))
+        # larger topic sets give canonical strings past 64 characters
+        rng = random.Random(418)
+        pairs += [(random_topic_set(rng, 30), random_topic_set(rng, 30)) for _ in range(60)]
+        assert max(len(canonical_topic_string(a)) for a, _ in pairs) > 100
+        for a, b in pairs:
+            s1, s2 = canonical_topic_string(a), canonical_topic_string(b)
+            expected = (dp_levenshtein(s1, s2), dp_levenshtein_similarity(s1, s2))
+            assert levenshtein(s1, s2) == expected
+            assert levenshtein(s2, s1) == expected
 
 
 class TestProperties:
