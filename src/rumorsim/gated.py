@@ -8,13 +8,12 @@ way the set of reached users is a reachability fixpoint over the gated edges.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
-from .graph import RumorContent, SocialGraph, _parse_user_id
+from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
 from .similarity import Metric, score
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
@@ -156,22 +155,13 @@ def load_decisions(path) -> dict:
     they agree and raise ParseError, with the line number, when they do not.
     """
     table = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DECISIONS_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(DECISIONS_HEADER)!r}, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-            edge = (_parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1]))
-            if row[2] not in ("0", "1"):
-                raise ParseError(path, line_no, f"pass must be 0 or 1, got {row[2]!r}")
-            passed = row[2] == "1"
-            if table.setdefault(edge, passed) is not passed:
-                raise ParseError(path, line_no, f"edge {edge} listed earlier with the other pass value")
+    for line_no, row in _read_rows(path, DECISIONS_HEADER):
+        edge = (_parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1]))
+        if row[2] not in ("0", "1"):
+            raise ParseError(path, line_no, f"pass must be 0 or 1, got {row[2]!r}")
+        passed = row[2] == "1"
+        if table.setdefault(edge, passed) is not passed:
+            raise ParseError(path, line_no, f"edge {edge} listed earlier with the other pass value")
     return table
 
 

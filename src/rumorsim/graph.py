@@ -99,26 +99,17 @@ def load_edges(path) -> SocialGraph:
     """
     stats = LoadStats()
     edges = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EDGES_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(EDGES_HEADER)!r}, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-            a = _parse_user_id(path, line_no, row[0])
-            b = _parse_user_id(path, line_no, row[1])
-            stats.rows_read += 1
-            if a == b:
-                stats.self_loops_skipped += 1
-                continue
-            if (a, b) in edges:
-                stats.duplicate_edges += 1
-                continue
-            edges.add((a, b))
+    for line_no, row in _read_rows(path, EDGES_HEADER):
+        a = _parse_user_id(path, line_no, row[0])
+        b = _parse_user_id(path, line_no, row[1])
+        stats.rows_read += 1
+        if a == b:
+            stats.self_loops_skipped += 1
+            continue
+        if (a, b) in edges:
+            stats.duplicate_edges += 1
+            continue
+        edges.add((a, b))
     graph = SocialGraph(edges)
     graph.load_stats = stats
     return graph
@@ -140,30 +131,21 @@ def load_users(path) -> dict:
     ParseError naming the offending line.
     """
     profiles = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != USERS_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(USERS_HEADER)!r}, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(row)}")
-            uid = _parse_user_id(path, line_no, row[0])
-            if uid in profiles:
-                raise ParseError(path, line_no, f"duplicate user id {uid}")
-            topics = tokenize_topics(row[1])
-            try:
-                created_at = int(row[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"created_at is not an integer: {row[2]!r}") from None
-            if created_at < 0:
-                raise ParseError(path, line_no, f"created_at must be >= 0, got {created_at}")
-            flag = _BOOL_VALUES.get(row[3].strip().lower())
-            if flag is None:
-                raise ParseError(path, line_no, f"is_diffuser must be one of 0,1,true,false: {row[3]!r}")
-            profiles[uid] = UserProfile(uid, topics, created_at, flag)
+    for line_no, row in _read_rows(path, USERS_HEADER):
+        uid = _parse_user_id(path, line_no, row[0])
+        if uid in profiles:
+            raise ParseError(path, line_no, f"duplicate user id {uid}")
+        topics = tokenize_topics(row[1])
+        try:
+            created_at = int(row[2])
+        except ValueError:
+            raise ParseError(path, line_no, f"created_at is not an integer: {row[2]!r}") from None
+        if created_at < 0:
+            raise ParseError(path, line_no, f"created_at must be >= 0, got {created_at}")
+        flag = _BOOL_VALUES.get(row[3].strip().lower())
+        if flag is None:
+            raise ParseError(path, line_no, f"is_diffuser must be one of 0,1,true,false: {row[3]!r}")
+        profiles[uid] = UserProfile(uid, topics, created_at, flag)
     return profiles
 
 
@@ -202,6 +184,27 @@ def validate(graph: SocialGraph, profiles: Mapping) -> ValidationReport:
     empty = sorted(uid for uid, p in profiles.items() if not p.topics)
     isolated = sorted((set(profiles) | set(graph.nodes)) - touched)
     return ValidationReport(missing, empty, isolated)
+
+
+def _read_rows(path, header: list):
+    """Yield (line_no, row) for each non-blank row after the expected header.
+
+    ``line_no`` is the physical line the row starts on, so a quoted field
+    spanning lines does not shift the line a later error names.
+    """
+    width = len(header)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(path, 1, f"expected header {','.join(header)!r}, got {found!r}")
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    raise ParseError(path, start, f"expected {width} fields, got {len(row)}")
+                yield start, row
+            start = reader.line_num + 1
 
 
 def _parse_user_id(path, line_no: int, text: str) -> UserId:

@@ -12,7 +12,9 @@ exposed nodes, last step's new infections, or the nodes whose adopted
 in-neighbor count just changed) and stops once that frontier is empty.
 
 Trial k of a run draws from an RngStream derived from (seed, k), so traces
-are byte-for-byte reproducible for a given config.
+are byte-for-byte reproducible for a given config.  A run records only its
+deltas; one replay of those deltas, the same for every model and for a
+trace read back from trace.csv, gives the curve and the final states.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -40,7 +42,7 @@ from .diffusion import (
 )
 from .errors import ConfigurationError, ParseError
 from .gated import _check_initials, admission_test
-from .graph import RumorContent, SocialGraph
+from .graph import RumorContent, SocialGraph, _read_rows
 from .rng import RngStream
 
 TRACE_HEADER = ["trial", "step", "user_id", "new_state"]
@@ -64,8 +66,9 @@ class DiffusionTrace:
     """Result of one trial: per-step state changes plus derived views.
 
     ``changes`` maps step -> [(user_id, new_state_label)] and omits steps
-    where nothing moved; ``counts`` has one entry per step 0..max_time.  The
-    full state at any step reconstructs from the deltas alone.
+    where nothing moved.  ``counts`` (one entry per step 0..max_time) and
+    ``final_states`` are replayed from ``changes`` by one function, for a
+    fresh run and for a trace read back from trace.csv alike.
     """
 
     model: ModelKind
@@ -110,10 +113,8 @@ def run_trials(
         run_simulation(cfg, graph, profiles, rumor, decisions, rng=base.derive(k))
         for k in range(cfg.trials)
     ]
-    aggregate = [
-        math.fsum(trace.counts[t] for trace in traces) / len(traces)
-        for t in range(cfg.max_time + 1)
-    ]
+    per_step = zip(*(trace.counts for trace in traces))
+    aggregate = [math.fsum(column) / len(traces) for column in per_step]
     return traces, aggregate
 
 
@@ -167,21 +168,7 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
                 if k in waiting and admit(j, k):
                     waiting.remove(k)
                     heapq.heappush(events, (t + (k < j), k, True))
-    counts = list(accumulate(len(changes.get(t, ())) for t in range(cfg.max_time + 1)))
-
-    final_states = {
-        u: "diffuser" if u in active else "non_diffuser" for u in graph.nodes
-    }
-    return DiffusionTrace(
-        cfg.model,
-        cfg.max_time,
-        tuple(sorted(set(cfg.initials))),
-        changes,
-        counts,
-        final_states,
-        sorted(missing),
-        clamped,
-    )
+    return _replay(cfg, graph, changes, missing, clamped)
 
 
 def _run_classical(cfg, graph, rng) -> DiffusionTrace:
@@ -203,27 +190,13 @@ def _run_classical(cfg, graph, rng) -> DiffusionTrace:
         raise ConfigurationError(f"model {cfg.model.value} is not a classical model")
 
     changes = {0: [(u, run.states[u].value) for u in sorted(initials)]}
-    counts = [len(initials)]
     for t in range(1, cfg.max_time + 1):
         # an empty frontier cannot change anything
         if run.idle:
             break
-        delta = run.step()
-        if delta:
+        if delta := run.step():
             changes[t] = [(u, state.value) for u, state in delta]
-        # a recovered node stays on the curve
-        counts.append(counts[-1] + sum(state is not EpidemicState.RECOVERED for _, state in delta))
-    _pad_counts(counts, cfg.max_time)
-
-    final_states = {u: run.states[u].value for u in graph.nodes}
-    return DiffusionTrace(
-        cfg.model,
-        cfg.max_time,
-        tuple(sorted(initials)),
-        changes,
-        counts,
-        final_states,
-    )
+    return _replay(cfg, graph, changes)
 
 
 def _seed_epidemic(graph, initials) -> dict:
@@ -233,10 +206,31 @@ def _seed_epidemic(graph, initials) -> dict:
     }
 
 
-def _pad_counts(counts, max_time) -> None:
-    # the loop may stop early once the state is provably stationary
-    while len(counts) < max_time + 1:
-        counts.append(counts[-1])
+def _replay(cfg, graph, changes, missing_profiles=(), clamped_agents=0) -> DiffusionTrace:
+    """The one route from a trial's deltas (steps 0..max_time) to its trace.
+
+    Every user starts in the model's default state; ``counts[t]`` is the
+    number of users that have held an active label by step t, so a recovered
+    user stays on the curve.
+    """
+    states = dict.fromkeys(graph.nodes, _DEFAULT_LABELS[cfg.model])
+    active = set()
+    counts = []
+    for t in sorted(changes):
+        # steps without changes repeat the last count
+        counts.extend(repeat(len(active), t - len(counts)))
+        for uid, label in changes[t]:
+            if uid not in states:
+                raise ConfigurationError(f"trace references unknown user {uid}")
+            states[uid] = label
+            if label in _ACTIVE_LABELS:
+                active.add(uid)
+        counts.append(len(active))
+    counts.extend(repeat(len(active), cfg.max_time + 1 - len(counts)))
+    return DiffusionTrace(
+        cfg.model, cfg.max_time, tuple(sorted(set(cfg.initials))), dict(changes), counts, states,
+        sorted(missing_profiles), clamped_agents,
+    )
 
 
 def write_trace_csv(traces, path) -> None:
@@ -254,23 +248,14 @@ def read_trace_csv(path, trial: int) -> dict:
     """Read back one trial's deltas from a trace.csv written by this module."""
     changes = {}
     seen_trials = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(TRACE_HEADER)!r}, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(row)}")
-            try:
-                k, step, uid = int(row[0]), int(row[1]), int(row[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer field in {row!r}") from None
-            seen_trials.add(k)
-            if k == trial:
-                changes.setdefault(step, []).append((uid, row[3]))
+    for line_no, row in _read_rows(path, TRACE_HEADER):
+        try:
+            k, step, uid = int(row[0]), int(row[1]), int(row[2])
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer field in {row!r}") from None
+        seen_trials.add(k)
+        if k == trial:
+            changes.setdefault(step, []).append((uid, row[3]))
     if trial not in seen_trials:
         raise ConfigurationError(f"trial {trial} not present in {path} (has {sorted(seen_trials)})")
     return changes
@@ -287,20 +272,7 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
         raise ConfigurationError(
             f"trace has a change at step {min(outside)}, outside 0..max_time (max_time = {cfg.max_time})"
         )
-    default = _DEFAULT_LABELS[cfg.model]
-    states = {u: default for u in graph.nodes}
-    active = set()
-    counts = []
-    for t in range(cfg.max_time + 1):
-        for uid, label in changes.get(t, ()):
-            if uid not in states:
-                raise ConfigurationError(f"trace references unknown user {uid}")
-            states[uid] = label
-            if label in _ACTIVE_LABELS:
-                active.add(uid)
-        counts.append(len(active))
-    initials = tuple(uid for uid, _ in changes.get(0, ()))
-    return DiffusionTrace(cfg.model, cfg.max_time, initials, dict(changes), counts, states)
+    return _replay(cfg, graph, changes)
 
 
 def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:

@@ -141,11 +141,13 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     Under ``once`` a user checks its in-neighbours only at its ``created_at``
     step; under ``every-step`` every awake user is rescanned each step until
     it activates.  Users are visited in ascending id and see activations made
-    earlier in the same step.  Returns (changes, counts, clamped_agents) in
-    the shape ``run_simulation`` reports them.
+    earlier in the same step.  Returns (changes, counts, clamped_agents,
+    final active set, sorted missing profiles) in the shape
+    ``run_simulation`` reports them.
     """
     content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
-    admit = admission_test(profiles, content, cfg.gate(decisions), set())
+    missing = set()
+    admit = admission_test(profiles, content, cfg.gate(decisions), missing)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
     active = set(cfg.initials)
     schedule = []
@@ -173,7 +175,7 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
         if delta:
             changes[t] = delta
         counts.append(len(active))
-    return changes, counts, clamped
+    return changes, counts, clamped, active, sorted(missing)
 
 
 def stepwise_classical_run(cfg, graph, rng):

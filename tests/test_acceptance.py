@@ -400,7 +400,8 @@ def test_criterion_8_end_to_end_smoke(tmp_path):
     for artifact in ("trace.csv", "curve.csv", "summary.json", "eval.json"):
         if not (out / artifact).exists():
             failures.append(f"{artifact} missing")
-    rows = list(csv.reader((out / "curve.csv").open(encoding="utf-8")))
+    with (out / "curve.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
     values = [float(v) for _, v in rows[1:]]
     if len(values) != 21:
         failures.append(f"curve has {len(values)} steps, wanted max_time+1 = 21")

@@ -42,7 +42,8 @@ class TestSimulate:
     def test_curve_has_a_row_per_step_and_never_decreases(self, tmp_path, capsys):
         out = tmp_path / "out"
         run(capsys, "simulate", CFG, "--out-dir", str(out))
-        rows = list(csv.reader((out / "curve.csv").open(encoding="utf-8")))
+        with (out / "curve.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["step", "diffusers"]
         assert len(rows) == 1 + 21
         values = [float(v) for _, v in rows[1:]]
@@ -132,7 +133,8 @@ class TestSimilarity:
         code, stdout, _ = run(capsys, "similarity", CFG, "--out-dir", str(out))
         assert code == 0
         assert "10 edge scores" in stdout
-        rows = list(csv.reader((out / "sims.csv").open(encoding="utf-8")))
+        with (out / "sims.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["from_user_id", "to_user_id", "cosine", "jaccard", "dice", "average"]
         assert len(rows) == 11
         by_edge = {(r[0], r[1]): r for r in rows[1:]}
@@ -326,6 +328,59 @@ class TestModuleEntryPoint:
         proc = self.python_m("rumorsim.cli", "validate", CFG)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("10 users, 10 edges")
+
+
+class TestHashSeed:
+    COMMANDS = {
+        "gated": ["simulate"],
+        "sir": ["simulate", "--model", "sir", "--beta", "0.3", "--gamma", "0.2"],
+        "evaluate": ["evaluate", "--metrics", "cosine,jaccard,dice,average,levenshtein"],
+        "similarity": ["similarity"],
+    }
+
+    def run_all(self, tmp_path, hash_seed):
+        """Run every command under one PYTHONHASHSEED; returns {relative path: bytes}.
+
+        Both seeds write to the same directories, since summary.json echoes
+        the out_dir.
+        """
+        src = str(FIXTURE_DIR.parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        root = tmp_path / "out"
+        shutil.rmtree(root, ignore_errors=True)
+        for name, argv in self.COMMANDS.items():
+            command, *flags = argv
+            proc = subprocess.run(
+                [sys.executable, "-m", "rumorsim", command, CFG, *flags, "--out-dir", str(root / name)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        first = self.run_all(tmp_path, "0")
+        second = self.run_all(tmp_path, "1")
+        assert sorted(first) == [
+            "evaluate/eval.json",
+            "gated/curve.csv",
+            "gated/summary.json",
+            "gated/trace.csv",
+            "similarity/sims.csv",
+            "sir/curve.csv",
+            "sir/summary.json",
+            "sir/trace.csv",
+        ]
+        for name, blob in first.items():
+            if name.endswith("summary.json"):
+                ours, theirs = json.loads(blob), json.loads(second[name])
+                del ours["runtime_seconds"], theirs["runtime_seconds"]
+                assert ours == theirs, name
+            else:
+                assert blob == second[name], name
 
 
 class TestRelativePaths:

@@ -13,9 +13,11 @@ from rumorsim import (
     SocialGraph,
     UnknownUserError,
     UserProfile,
+    load_decisions,
     load_edges,
     load_rumor,
     load_users,
+    read_trace_csv,
     save_edges,
     validate,
 )
@@ -183,6 +185,47 @@ class TestLoadUsers:
         path = write(tmp_path / "users.csv", "id,topics,created_at,is_diffuser\n1,a,0,1\n")
         with pytest.raises(ParseError):
             load_users(path)
+
+
+# each file has a quoted field spanning lines 2-3 and a bad row on line 4
+MULTILINE_CASES = [
+    pytest.param(load_edges, 'from_user_id,to_user_id\n"1\n",2\nx,3\n', id="load_edges"),
+    pytest.param(
+        load_users,
+        'user_id,topics,created_at,is_diffuser\n1,"a,\nb",0,0\n2,c,soon,0\n',
+        id="load_users",
+    ),
+    pytest.param(
+        load_decisions, 'from_user_id,to_user_id,pass\n"1\n",2,1\n1,3,maybe\n', id="load_decisions"
+    ),
+    pytest.param(
+        lambda path: read_trace_csv(path, 0),
+        'trial,step,user_id,new_state\n0,0,1,"diff\nuser"\n0,x,2,diffuser\n',
+        id="read_trace_csv",
+    ),
+]
+
+
+class TestRowLineNumbers:
+    @pytest.mark.parametrize("reader, text", MULTILINE_CASES)
+    def test_error_after_a_multiline_field_names_its_own_line(self, tmp_path, reader, text):
+        path = write(tmp_path / "input.csv", text)
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.line_no == 4
+        assert ":4:" in str(err.value)
+
+    def test_a_multiline_row_is_named_by_its_first_line(self, tmp_path):
+        # a blank line 3, then a three-field row on lines 4-5
+        path = write(tmp_path / "edges.csv", 'from_user_id,to_user_id\n1,2\n\n"3\n",4,5\n')
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert str(err.value).endswith(":4: expected 2 fields, got 3")
+        # a bad created_at on a row that spans lines 2-3
+        path = write(tmp_path / "users.csv", 'user_id,topics,created_at,is_diffuser\n1,"a,\nb",soon,0\n')
+        with pytest.raises(ParseError) as err:
+            load_users(path)
+        assert str(err.value).endswith(":2: created_at is not an integer: 'soon'")
 
 
 class TestLoadRumor:

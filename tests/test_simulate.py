@@ -244,8 +244,15 @@ class TestEventDrivenScheduler:
                             rumor_path=Path("r.txt"),
                         )
                         trace = run_simulation(cfg, graph, profiles, rumor, table)
-                        expected = rescan_gated_run(cfg, graph, profiles, rumor, table)
-                        assert (trace.changes, trace.counts, trace.clamped_agents) == expected
+                        changes, counts, clamped, active, missing = rescan_gated_run(
+                            cfg, graph, profiles, rumor, table
+                        )
+                        assert (trace.changes, trace.counts) == (changes, counts)
+                        assert trace.clamped_agents == clamped
+                        assert trace.final_states == {
+                            u: "diffuser" if u in active else "non_diffuser" for u in graph.nodes
+                        }
+                        assert trace.missing_profiles == missing
                         if policy is EvaluationPolicy.EVERY_STEP and table is decisions:
                             wakes = [p.created_at for p in profiles.values() if 0 <= p.created_at <= horizon]
                             last_wake = max(wakes, default=0)
@@ -460,15 +467,38 @@ class TestTraceSerialization:
         with pytest.raises(ConfigurationError):
             read_trace_csv(path, 5)
 
-    def test_rebuild_reconstructs_counts_and_final_state(self):
+    def test_rebuild_rejects_an_unknown_user(self, chain_graph):
+        with pytest.raises(ConfigurationError, match="trace references unknown user 99"):
+            rebuild_trace(gated_config(), chain_graph, {0: [(1, "diffuser")], 3: [(99, "diffuser")]})
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(dict(threshold=0.1), id="gated"),
+            pytest.param(dict(model=ModelKind.SIR, beta=0.4, gamma=0.3), id="sir"),
+            pytest.param(dict(model=ModelKind.IC, ic_default_p=0.4), id="ic"),
+            pytest.param(dict(model=ModelKind.TIPPING, theta=0.2), id="tipping"),
+        ],
+    )
+    def test_rebuild_reconstructs_counts_and_final_state(self, tmp_path, params):
         rng = random.Random(68)
         g = random_digraph(rng, 40, 0.08)
         profiles = random_profiles(rng, g.nodes, max_created=5)
-        cfg = gated_config(initials=(1, 2), max_time=12, threshold=0.3)
-        trace = run_simulation(cfg, g, profiles)
-        rebuilt = rebuild_trace(cfg, g, trace.changes)
-        assert rebuilt.counts == trace.counts
-        assert rebuilt.final_states == trace.final_states
+        cfg = gated_config(initials=(1, 2), max_time=12, trials=3, **params)
+        traces, _ = run_trials(cfg, g, profiles)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(traces, path)
+        for k, trace in enumerate(traces):
+            rebuilt = rebuild_trace(cfg, g, read_trace_csv(path, k))
+            assert rebuilt.changes == trace.changes
+            assert rebuilt.counts == trace.counts
+            assert rebuilt.final_states == trace.final_states
+            # a recovered user stays on the curve
+            assert rebuilt.counts[-1] == len(rebuilt.final_active())
+        # every model spreads past its two seeds in some trial
+        assert max(trace.counts[-1] for trace in traces) > 2
+        if cfg.model is ModelKind.SIR:
+            assert any("recovered" in trace.final_states.values() for trace in traces)
 
 
 class TestExportFrames:
