@@ -139,7 +139,7 @@ def _cmd_similarity(args) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SIMS_HEADER)
-        for a, b in sorted(graph.edges):
+        for a, b in graph.sorted_edges:
             pa = profiles.get(a)
             pb = profiles.get(b)
             if pa is None or pb is None:

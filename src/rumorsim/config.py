@@ -15,6 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, ParseError
 from .gated import SimilarityGate
+from .graph import _open_input
 from .similarity import Metric
 
 
@@ -98,7 +99,7 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
     """
     raw = {}
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -375,7 +375,7 @@ def run_belief_process(
     for node in graph.nodes:
         if node not in init.beliefs:
             raise ConfigurationError(f"no belief for user {node}")
-    edges = sorted(graph.edges)
+    edges = graph.sorted_edges
     state = init
     trace = [_mean_belief(state)]
     for _ in range(iterations):

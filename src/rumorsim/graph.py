@@ -8,7 +8,10 @@ they are contiguous or start at any particular value.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, compress, starmap
+from operator import ne
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
@@ -20,6 +23,7 @@ EDGES_HEADER = ["from_user_id", "to_user_id"]
 USERS_HEADER = ["user_id", "topics", "created_at", "is_diffuser"]
 
 _BOOL_VALUES = {"0": False, "1": True, "false": False, "true": True}
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 
 
 @dataclass(frozen=True)
@@ -49,22 +53,35 @@ class LoadStats:
 
 
 class SocialGraph:
-    """Directed graph, immutable after construction, with sorted adjacency."""
+    """Directed graph, immutable after construction, with sorted adjacency.
+
+    ``sorted_edges`` is the edge set as a tuple in ascending (a, b) order,
+    for callers that walk every edge in a reproducible order.
+    """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
-        self.edges = frozenset(edges)
-        node_set = set(nodes)
-        for a, b in self.edges:
+        edges = sorted(frozenset(edges))
+        for a, b in edges:
             if a == b:
                 raise ConfigurationError(f"self-loop on user {a}")
-            node_set.add(a)
-            node_set.add(b)
-        self.nodes = frozenset(node_set)
-        out = {u: [] for u in node_set}
-        inc = {u: [] for u in node_set}
+        self._fill(edges, nodes)
+
+    @classmethod
+    def _from_sorted(cls, edges: list) -> SocialGraph:
+        """Build from edges already deduplicated, free of self-loops and sorted."""
+        graph = cls.__new__(cls)
+        graph._fill(edges, ())
+        return graph
+
+    def _fill(self, edges: list, nodes: Iterable) -> None:
+        self.sorted_edges = tuple(edges)
+        self.edges = frozenset(self.sorted_edges)
+        self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
+        out = {u: [] for u in self.nodes}
+        inc = {u: [] for u in self.nodes}
         # in (a, b) order every out-list fills by ascending b and every
-        # in-list by ascending a, so one sort leaves all of them sorted
-        for a, b in sorted(self.edges):
+        # in-list by ascending a
+        for a, b in self.sorted_edges:
             out[a].append(b)
             inc[b].append(a)
         self._out = out
@@ -93,26 +110,70 @@ class SocialGraph:
 def load_edges(path) -> SocialGraph:
     """Load a directed edge list from CSV with header from_user_id,to_user_id.
 
-    Duplicate rows collapse and self-loops are skipped; both are counted in
-    the returned graph's ``load_stats``.  A malformed row raises ParseError
-    with its line number.
+    Rows may come in any order.  Duplicate rows collapse and self-loops are
+    skipped; both are counted in the returned graph's ``load_stats``.  A
+    malformed row raises ParseError with its line number.
     """
-    stats = LoadStats()
-    edges = set()
-    for line_no, row in _read_rows(path, EDGES_HEADER):
-        a = _parse_user_id(path, line_no, row[0])
-        b = _parse_user_id(path, line_no, row[1])
-        stats.rows_read += 1
-        if a == b:
-            stats.self_loops_skipped += 1
-            continue
-        if (a, b) in edges:
-            stats.duplicate_edges += 1
-            continue
-        edges.add((a, b))
-    graph = SocialGraph(edges)
+    rows = _bulk_edge_rows(path)
+    if rows is None:
+        rows = [
+            (_parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1]))
+            for line_no, row in _read_rows(path, EDGES_HEADER)
+        ]
+    stats = LoadStats(rows_read=len(rows))
+    rows = list(compress(rows, starmap(ne, rows)))
+    stats.self_loops_skipped = stats.rows_read - len(rows)
+    # dedup in file order, then sort: timsort runs through a file that is
+    # already sorted in one pass
+    edges = list(dict.fromkeys(rows))
+    stats.duplicate_edges = len(rows) - len(edges)
+    del rows  # freed before the build allocates
+    edges.sort()
+    graph = SocialGraph._from_sorted(edges)
     graph.load_stats = stats
     return graph
+
+
+def _bulk_edge_rows(path) -> list | None:
+    """All (from, to) rows of a plain edges file, parsed in bulk.
+
+    Returns None, raising no ParseError, when the file is anything but a
+    header and lines of two comma-separated integers >= 0, blank lines
+    allowed; ``load_edges`` then reads it row by row, which names the line at
+    fault.
+    """
+    header = ",".join(EDGES_HEADER)
+    limit = csv.field_size_limit()
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\r\n") != header:
+                return None
+            while batch := fh.readlines(1 << 16):
+                if not _BLANK_LINES.isdisjoint(batch):
+                    batch = [line for line in batch if line not in _BLANK_LINES]
+                    if not batch:
+                        continue
+                fields = ",".join(batch).split(",")
+                # a line with one comma gives two fields, its line end in the
+                # second; any other comma count moves some line end into an
+                # even position or changes the number of fields
+                firsts = "".join(fields[::2])
+                if (
+                    len(fields) != 2 * len(batch)
+                    or "\n" in firsts
+                    or "\r" in firsts
+                    # int() ignores padding the CSV reader rejects as too long
+                    or max(map(len, batch)) > limit
+                ):
+                    return None
+                ids = list(map(int, fields))
+                if min(ids) < 0:
+                    return None
+                rows += zip(ids[::2], ids[1::2])
+    except ValueError:
+        return None
+    return rows
 
 
 def save_edges(graph: SocialGraph, path) -> None:
@@ -120,7 +181,7 @@ def save_edges(graph: SocialGraph, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EDGES_HEADER)
-        writer.writerows(sorted(graph.edges))
+        writer.writerows(graph.sorted_edges)
 
 
 def load_users(path) -> dict:
@@ -151,7 +212,7 @@ def load_users(path) -> dict:
 
 def load_rumor(path) -> RumorContent:
     """Read rumor topics, one label per line; labels are normalized and deduped."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         labels = frozenset(label for line in fh if (label := line.strip().lower()))
     return RumorContent(labels)
 
@@ -186,25 +247,51 @@ def validate(graph: SocialGraph, profiles: Mapping) -> ValidationReport:
     return ValidationReport(missing, empty, isolated)
 
 
+@contextmanager
+def _open_input(path, newline=None):
+    """Open a UTF-8 input file for reading.
+
+    An undecodable byte met while reading raises ParseError naming the line
+    it is on, counting LF, CRLF and a lone CR as line ends.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ParseError(path, line_no, f"not valid UTF-8 ({exc.reason})") from None
+        raise
+
+
 def _read_rows(path, header: list):
     """Yield (line_no, row) for each non-blank row after the expected header.
 
     ``line_no`` is the physical line the row starts on, so a quoted field
-    spanning lines does not shift the line a later error names.
+    spanning lines does not shift the line a later error names.  Text the
+    CSV reader rejects raises ParseError naming the line it was reading.
     """
     width = len(header)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ParseError(path, 1, f"expected header {','.join(header)!r}, got {found!r}")
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != width:
-                    raise ParseError(path, start, f"expected {width} fields, got {len(row)}")
-                yield start, row
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ParseError(path, 1, f"expected header {','.join(header)!r}, got {found!r}")
             start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise ParseError(path, start, f"expected {width} fields, got {len(row)}")
+                    yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
 def _parse_user_id(path, line_no: int, text: str) -> UserId:

@@ -284,7 +284,6 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     nodes_sorted = sorted(graph.nodes)
-    edges_sorted = sorted(graph.edges)
     active = set()
     paths = []
     for t in range(trace.max_time + 1):
@@ -295,7 +294,7 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
         lines.extend(
             f"  {u} [color={'red' if u in active else 'blue'}];" for u in nodes_sorted
         )
-        lines.extend(f"  {a} -> {b};" for a, b in edges_sorted)
+        lines.extend(f"  {a} -> {b};" for a, b in graph.sorted_edges)
         lines.append("}")
         frame_path = out / f"frame_{t:04d}.dot"
         frame_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -20,6 +20,7 @@ from rumorsim import (
     UserProfile,
 )
 from rumorsim.gated import admission_test
+from rumorsim.graph import EDGES_HEADER, LoadStats, _parse_user_id, _read_rows
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "ten_node"
 
@@ -255,6 +256,26 @@ def stepwise_classical_run(cfg, graph, rng):
             break
     counts.extend([counts[-1]] * (cfg.max_time + 1 - len(counts)))
     return changes, counts, {u: s.value for u, s in states.items()}
+
+
+def rowwise_load_edges(path):
+    """The row-by-row edge loader: parse each row, drop self-loops, dedup in a set."""
+    stats = LoadStats()
+    edges = set()
+    for line_no, row in _read_rows(path, EDGES_HEADER):
+        a = _parse_user_id(path, line_no, row[0])
+        b = _parse_user_id(path, line_no, row[1])
+        stats.rows_read += 1
+        if a == b:
+            stats.self_loops_skipped += 1
+            continue
+        if (a, b) in edges:
+            stats.duplicate_edges += 1
+            continue
+        edges.add((a, b))
+    graph = SocialGraph(edges)
+    graph.load_stats = stats
+    return graph
 
 
 def random_topic_set(rng, max_labels=12, min_labels=0):

@@ -294,6 +294,17 @@ class TestFailureModes:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("name", ["sim.cfg", "rumor.txt", "users.csv", "edges.csv"])
+    def test_undecodable_input_is_exit_1_naming_the_line(self, tmp_path, capsys, name):
+        shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")
+        path = tmp_path / "cfg" / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        code, _, stderr = run(
+            capsys, "simulate", str(tmp_path / "cfg" / "sim.cfg"), "--out-dir", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert stderr == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
+
     def test_main_raises_systemexit_with_cli_code(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["rumorsim", "validate", CFG])
         with pytest.raises(SystemExit) as exc:

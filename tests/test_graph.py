@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import random
 
 import pytest
 
-from helpers import random_digraph
+from helpers import random_digraph, rowwise_load_edges
 from rumorsim import (
     ConfigurationError,
     ParseError,
     SocialGraph,
     UnknownUserError,
     UserProfile,
+    load_config,
     load_decisions,
     load_edges,
     load_rumor,
@@ -21,6 +23,7 @@ from rumorsim import (
     save_edges,
     validate,
 )
+from rumorsim.graph import LoadStats, _bulk_edge_rows
 
 
 def write(path, text):
@@ -226,6 +229,196 @@ class TestRowLineNumbers:
         with pytest.raises(ParseError) as err:
             load_users(path)
         assert str(err.value).endswith(":2: created_at is not an integer: 'soon'")
+
+
+def graph_attrs(g):
+    return g.sorted_edges, g.edges, g.nodes, g._out, g._in
+
+
+def load_outcome(loader, path):
+    try:
+        g = loader(path)
+    except Exception as exc:  # the outcome under test is which error, if any
+        return type(exc), str(exc)
+    return graph_attrs(g), g.load_stats
+
+
+# field texts: plain ids (small, so duplicates and self-loops are common)
+# and what int() or the CSV reader treats specially
+PLAIN_FIELDS = ["0", "1", "2", "3", "4", "12", "123456789012345678901"]
+ODD_FIELDS = [
+    " 3", "4 ", "\x0c5", "+2", "1_0", "1__0", "\u0663", '"4"', '"1,2"', "-1", "-0",
+    "x", "", "1\x00", "1.0", "0x1",
+]
+# "\xff" stands for an undecodable byte
+ODD_LINES = ["", " ", "\t", "1", "1,2,3", ",", '"1\n",2', "5;6", "1,\xff"]
+HEADERS = ["from_user_id,to_user_id"] * 12 + [
+    "source,target",
+    '"from_user_id","to_user_id"',
+    "\ufefffrom_user_id,to_user_id",
+    "from_user_id, to_user_id",
+    "",
+]
+LINE_ENDS = ["\n"] * 6 + ["\r\n"] * 3 + ["\r"]
+
+
+def random_edges_file(rng) -> bytes:
+    """A small edges.csv, mostly well formed, with the anomalies a loader must agree on."""
+    lines = [rng.choice(HEADERS)]
+    odd = rng.random() < 0.5
+    for _ in range(rng.randint(0, 12)):
+        if odd and rng.random() < 0.08:
+            lines.append(rng.choice(ODD_LINES))
+            continue
+        fields = [rng.choice(PLAIN_FIELDS[:5]) if rng.random() < 0.9 else rng.choice(PLAIN_FIELDS)]
+        fields.append(rng.choice(PLAIN_FIELDS[:5]))
+        if odd and rng.random() < 0.1:
+            fields[rng.randrange(2)] = rng.choice(ODD_FIELDS)
+        lines.append(",".join(fields))
+    if odd and rng.random() < 0.2:
+        lines.append("")
+    ends = [rng.choice(LINE_ENDS) if odd else "\n" for _ in lines]
+    if rng.random() < 0.3:
+        ends[-1] = ""
+    data = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if odd and rng.random() < 0.05:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data.replace("\xff".encode("utf-8"), b"\xff")
+
+
+class TestLoaderDifferential:
+    def test_matches_the_row_by_row_reference(self, tmp_path):
+        rng = random.Random(2718)
+        path = tmp_path / "edges.csv"
+        tally = {"bulk": 0, "fallback_ok": 0, "fallback_error": 0}
+        for _ in range(1500):
+            path.write_bytes(random_edges_file(rng))
+            expected = load_outcome(rowwise_load_edges, path)
+            assert load_outcome(load_edges, path) == expected, path.read_bytes()
+            if _bulk_edge_rows(path) is not None:
+                tally["bulk"] += 1
+            else:
+                tally["fallback_ok" if isinstance(expected[1], LoadStats) else "fallback_error"] += 1
+        # every route is exercised, not just the clean one
+        assert min(tally.values()) >= 50, tally
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a line without a comma and one with two keep the field count
+            "from_user_id,to_user_id\n1\n2,3,4\n",
+            "from_user_id,to_user_id\n1,2,3\n4\n",
+            "from_user_id,to_user_id\n1\r2,3,4\n",
+            "from_user_id,to_user_id\r\n1,2\r\n3\r\n4,5,6",
+            # lone CR line ends throughout, then mixed with blank lines
+            "from_user_id,to_user_id\r1,2\r3,4\r",
+            "from_user_id,to_user_id\n1,2\r\r\n\n3,1\r3,3\n",
+        ],
+    )
+    def test_matches_the_reference_on_shifted_line_ends(self, tmp_path, text):
+        path = write(tmp_path / "edges.csv", text)
+        assert load_outcome(load_edges, path) == load_outcome(rowwise_load_edges, path)
+
+    def test_blank_lines_stay_on_the_bulk_path(self, tmp_path):
+        path = write(tmp_path / "edges.csv", "from_user_id,to_user_id\n\n1,2\r\n\r\n\r3,4")
+        assert _bulk_edge_rows(path) == [(1, 2), (3, 4)]
+        path = write(tmp_path / "edges.csv", "from_user_id,to_user_id\r\n\n\r\n")
+        assert _bulk_edge_rows(path) == []
+        assert load_edges(path).load_stats == LoadStats()
+
+    def test_overlong_field_falls_back_to_the_reader_error(self, tmp_path):
+        # int() ignores the padding, the CSV reader rejects the field length
+        limit = csv.field_size_limit()
+        path = write(tmp_path / "edges.csv", "from_user_id,to_user_id\n1,2\n3" + " " * limit + ",4\n")
+        assert _bulk_edge_rows(path) is None
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert err.value.line_no == 3
+        assert load_outcome(load_edges, path) == load_outcome(rowwise_load_edges, path)
+
+
+class TestInputOrder:
+    @pytest.fixture
+    def rows(self):
+        rng = random.Random(58)
+        pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(300)]
+        return sorted(pairs + pairs[:50])
+
+    @staticmethod
+    def write_rows(path, rows, end="\n"):
+        text = end.join(["from_user_id,to_user_id"] + [f"{a},{b}" for a, b in rows]) + end
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    def test_shuffled_and_crlf_copies_load_the_same_graph(self, tmp_path, rows):
+        original = load_edges(self.write_rows(tmp_path / "sorted.csv", rows))
+        stats = original.load_stats
+        assert stats.duplicate_edges > 0 and stats.self_loops_skipped > 0
+        assert list(original.sorted_edges) == sorted(original.edges)
+        shuffled = rows[:]
+        random.Random(59).shuffle(shuffled)
+        copies = [
+            self.write_rows(tmp_path / "shuffled.csv", shuffled),
+            self.write_rows(tmp_path / "crlf.csv", rows, "\r\n"),
+            self.write_rows(tmp_path / "shuffled_crlf.csv", shuffled, "\r\n"),
+        ]
+        for path in copies:
+            g = load_edges(path)
+            assert graph_attrs(g) == graph_attrs(original)
+            assert g.load_stats == stats
+
+    def test_constructor_matches_the_loader(self, tmp_path, rows):
+        loaded = load_edges(self.write_rows(tmp_path / "edges.csv", rows))
+        built = SocialGraph([(a, b) for a, b in reversed(rows) if a != b])
+        assert graph_attrs(built) == graph_attrs(loaded)
+        assert built.load_stats is None
+
+
+BAD_BYTE_CASES = [
+    pytest.param(load_config, "seed = 1\r\nmodel = sir\rtrials = 2\xff\n", id="load_config"),
+    pytest.param(load_rumor, "news\r\npolitics\r\xffsports\n", id="load_rumor"),
+    pytest.param(load_edges, "from_user_id,to_user_id\r\n1,2\r3,\xff4\n", id="load_edges"),
+    pytest.param(load_users, "user_id,topics,created_at,is_diffuser\r\n1,a,0,0\r2,\xff,0,0\n", id="load_users"),
+    pytest.param(load_decisions, "from_user_id,to_user_id,pass\r\n1,2,1\r1,3,\xff\n", id="load_decisions"),
+    pytest.param(
+        lambda path: read_trace_csv(path, 0),
+        "trial,step,user_id,new_state\r\n0,0,1,diffuser\r0,1,2,\xff\n",
+        id="read_trace_csv",
+    ),
+]
+
+# a field one character over the CSV reader's limit on line 3
+OVERLONG_CASES = [
+    pytest.param(load_edges, "from_user_id,to_user_id\n1,2\n{},4\n", id="load_edges"),
+    pytest.param(load_users, "user_id,topics,created_at,is_diffuser\n1,a,0,0\n2,{},0,0\n", id="load_users"),
+    pytest.param(load_decisions, "from_user_id,to_user_id,pass\n1,2,1\n1,3,{}\n", id="load_decisions"),
+    pytest.param(
+        lambda path: read_trace_csv(path, 0),
+        "trial,step,user_id,new_state\n0,0,1,diffuser\n0,1,2,{}\n",
+        id="read_trace_csv",
+    ),
+]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("reader, text", BAD_BYTE_CASES)
+    def test_undecodable_byte_names_its_line(self, tmp_path, reader, text):
+        path = tmp_path / "input"
+        path.write_bytes(text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff"))
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.line_no == 3
+        assert str(err.value) == f"{path}:3: not valid UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("reader, text", OVERLONG_CASES)
+    def test_csv_reader_error_names_its_line(self, tmp_path, reader, text):
+        field = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+        path = write(tmp_path / "input.csv", text.format(field))
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.line_no == 3
+        assert str(err.value).startswith(f"{path}:3: malformed CSV: field larger than field limit")
 
 
 class TestLoadRumor:
