@@ -18,7 +18,7 @@ from .errors import ConfigurationError, RumorSimError
 from .evaluate import metric_sweep, write_eval_json
 from .gated import load_decisions
 from .graph import load_edges, load_rumor, load_users, validate
-from .similarity import cosine, dice, jaccard
+from .similarity import overlap_scores
 from .simulate import (
     export_frames,
     read_trace_csv,
@@ -140,16 +140,10 @@ def _cmd_similarity(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SIMS_HEADER)
         for a, b in graph.sorted_edges:
-            pa = profiles.get(a)
-            pb = profiles.get(b)
-            if pa is None or pb is None:
-                c = j = d = avg = 0.0
-            else:
-                c = cosine(pa.topics, pb.topics)
-                j = jaccard(pa.topics, pb.topics)
-                d = dice(pa.topics, pb.topics)
-                avg = (c + j + d) / 3.0
-            writer.writerow([a, b, c, j, d, avg])
+            pa, pb = profiles.get(a), profiles.get(b)
+            # an endpoint without a profile scores 0.0, as in the gate
+            scores = (0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics)
+            writer.writerow((a, b, *scores))
     print(f"wrote {len(graph.edges)} edge scores to {path}")
     return 0
 

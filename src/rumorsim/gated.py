@@ -75,41 +75,33 @@ def admission_test(
 
         return admit
 
-    if rumor is None:
-
-        def admit(i, j):
-            pi = profiles.get(i)
-            pj = profiles.get(j)
-            if pi is None or pj is None:
-                missing.update(u for u in (i, j) if u not in profiles)
-                return 0.0 >= gate.threshold
-            try:
-                return score(gate.metric, pi, pj) >= gate.threshold
-            except UndefinedCorrelationError as exc:
-                raise UndefinedCorrelationError(
-                    f"{gate.metric.value} gate on edge ({i}, {j}): {exc}"
-                ) from exc
-
-        return admit
-
-    cache = {}
+    metric, threshold = gate.metric, gate.threshold
 
     def admit(i, j):
-        if j not in cache:
-            pj = profiles.get(j)
-            if pj is None:
-                missing.add(j)
-                cache[j] = 0.0
-            else:
-                try:
-                    cache[j] = score(gate.metric, pj, rumor)
-                except UndefinedCorrelationError as exc:
-                    raise UndefinedCorrelationError(
-                        f"{gate.metric.value} gate on user {j} against the rumor: {exc}"
-                    ) from exc
-        return cache[j] >= gate.threshold
+        # the follower j against its source i, or against the rumor
+        pi = profiles.get(i) if rumor is None else rumor
+        pj = profiles.get(j)
+        if pi is None or pj is None:
+            missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
+            return 0.0 >= threshold
+        try:
+            return score(metric, pi, pj) >= threshold
+        except UndefinedCorrelationError as exc:
+            where = f"edge ({i}, {j})" if rumor is None else f"user {j} against the rumor"
+            raise UndefinedCorrelationError(f"{metric.value} gate on {where}: {exc}") from exc
 
-    return admit
+    if rumor is None:
+        return admit
+
+    # against the rumor, a follower gets the same decision from every source
+    decided = {}
+
+    def admit_follower(i, j):
+        if j not in decided:
+            decided[j] = admit(i, j)
+        return decided[j]
+
+    return admit_follower
 
 
 def diffuse_user_user(
@@ -142,10 +134,11 @@ def filtered_edge_set(
     """Materialize the gate: every edge whose admission test passes.
 
     Reachability from the initials over this edge set equals the worklist
-    result, which is what the DOT export and the oracle checks lean on.
+    result.  Edges are tested in ascending order, so an undefined metric
+    names the smallest edge it fails on.
     """
     admit = admission_test(profiles, rumor, gate, set())
-    return {(a, b) for a, b in graph.edges if admit(a, b)}
+    return {(a, b) for a, b in graph.sorted_edges if admit(a, b)}
 
 
 def load_decisions(path) -> dict:

@@ -30,14 +30,9 @@ class RngStream:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
-
-    def random(self) -> float:
-        """Next uniform draw in [0.0, 1.0)."""
-        return self._rng.random()
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return self._rng.randrange(n)
+        # bound methods of the generator: a draw costs no extra Python frame
+        self.random = self._rng.random  # next uniform draw in [0.0, 1.0)
+        self.randrange = self._rng.randrange  # randrange(n): uniform int in [0, n)
 
     def derive(self, index: int) -> "RngStream":
         """Child stream number ``index``; deterministic in (seed, index) only."""

@@ -1,10 +1,11 @@
 """Topic tokenization and the similarity metrics used to gate diffusion.
 
 Set metrics (cosine, jaccard, dice) take normalized topic-label sets and are
-equivalent to their binary term-vector forms on the union vocabulary.
-Pearson works on numeric vectors, levenshtein on strings.  ``score`` gives a
-single dispatch point over profile / rumor topic sets.  All metrics are
-symmetric in their two arguments.
+equivalent to their binary term-vector forms on the union vocabulary; each is
+one formula of |a & b|, |a| and |b|, and ``overlap_scores`` gives all three
+and their average from one intersection.  Pearson works on numeric vectors,
+levenshtein on strings.  ``score`` looks the metric up in one table of
+functions of two topic sets.  All metrics are symmetric in their arguments.
 
 Levenshtein is the exact edit distance, computed with Myers' bit-vector
 algorithm (Myers 1999) in Hyyrö's edit-distance form (Hyyrö 2003).  For
@@ -61,12 +62,17 @@ def canonical_topic_string(topics: TopicSet) -> str:
     return ", ".join(sorted(topics))
 
 
-def binary_vectors(a: TopicSet, b: TopicSet) -> tuple[list, list, list]:
-    """Binary term vectors for two label sets on their sorted union vocabulary."""
-    vocab = sorted(a | b)
-    va = [1.0 if t in a else 0.0 for t in vocab]
-    vb = [1.0 if t in b else 0.0 for t in vocab]
-    return vocab, va, vb
+def _cosine(k: int, na: int, nb: int) -> float:
+    return k / math.sqrt(na * nb) if na and nb else 0.0
+
+
+def _jaccard(k: int, na: int, nb: int) -> float:
+    # |a | b| = |a| + |b| - |a & b|, zero only when both sets are empty
+    return k / (na + nb - k) if na or nb else 0.0
+
+
+def _dice(k: int, na: int, nb: int) -> float:
+    return 2.0 * k / (na + nb) if na or nb else 0.0
 
 
 def cosine(a: TopicSet, b: TopicSet) -> float:
@@ -74,9 +80,7 @@ def cosine(a: TopicSet, b: TopicSet) -> float:
 
     Equals the dot product of the binary term vectors over their norms.
     """
-    if not a or not b:
-        return 0.0
-    return len(a & b) / math.sqrt(len(a) * len(b))
+    return _cosine(len(a & b), len(a), len(b))
 
 
 def vector_cosine(v1: Sequence[float], v2: Sequence[float]) -> float:
@@ -110,24 +114,30 @@ def pearson(v1: Sequence[float], v2: Sequence[float]) -> float:
     return vector_cosine([x - m1 for x in v1], [y - m2 for y in v2])
 
 
-def jaccard(a: TopicSet, b: TopicSet, variant: str = "set") -> float:
+def jaccard(a: TopicSet, b: TopicSet) -> float:
     """Jaccard similarity of two label sets; 0.0 when both are empty.
 
-    variant="set" is intersection over union.  variant="vector" names the
-    Tanimoto form dot / (|v1|^2 + |v2|^2 - dot) on binary term vectors; with
-    binary weights every term is an integer count, so it is the same number
-    and shares the set formula.
+    Intersection over union.  The Tanimoto form dot / (|v1|^2 + |v2|^2 - dot)
+    on binary term vectors (``Metric.JACCARD_VECTOR``) is the same number:
+    with binary weights every term is an integer count.
     """
-    if variant not in ("set", "vector"):
-        raise ValueError(f"unknown jaccard variant: {variant!r}")
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    return _jaccard(len(a & b), len(a), len(b))
 
 
 def dice(a: TopicSet, b: TopicSet) -> float:
     """Dice coefficient 2|a&b| / (|a|+|b|); 0.0 when both sets are empty."""
-    total = len(a) + len(b)
-    return 2.0 * len(a & b) / total if total else 0.0
+    return _dice(len(a & b), len(a), len(b))
+
+
+def overlap_scores(a: TopicSet, b: TopicSet) -> tuple[float, float, float, float]:
+    """(cosine, jaccard, dice, average) of two label sets from one intersection.
+
+    Each value is the same float the single-metric function gives; the
+    average is the arithmetic mean of the first three.
+    """
+    k, na, nb = len(a & b), len(a), len(b)
+    c, j, d = _cosine(k, na, nb), _jaccard(k, na, nb), _dice(k, na, nb)
+    return c, j, d, (c + j + d) / 3.0
 
 
 def levenshtein(s1: str, s2: str) -> tuple[int, float]:
@@ -177,6 +187,29 @@ def levenshtein(s1: str, s2: str) -> tuple[int, float]:
     return distance, similarity
 
 
+def _pearson_topics(a: TopicSet, b: TopicSet) -> float:
+    # binary term vectors on the sorted union vocabulary
+    vocab = sorted(a | b)
+    if len(vocab) < 2:
+        raise UndefinedCorrelationError("pearson needs at least two distinct labels across both topic sets")
+    return pearson([1.0 if t in a else 0.0 for t in vocab], [1.0 if t in b else 0.0 for t in vocab])
+
+
+def _levenshtein_topics(a: TopicSet, b: TopicSet) -> float:
+    return levenshtein(canonical_topic_string(a), canonical_topic_string(b))[1]
+
+
+_TOPIC_SCORES = {
+    Metric.COSINE: cosine,
+    Metric.PEARSON: _pearson_topics,
+    Metric.JACCARD_SET: jaccard,
+    Metric.JACCARD_VECTOR: jaccard,
+    Metric.DICE: dice,
+    Metric.LEVENSHTEIN: _levenshtein_topics,
+    Metric.AVERAGE: lambda a, b: overlap_scores(a, b)[3],
+}
+
+
 def score(metric: Metric, a, b) -> float:
     """Similarity between two topic carriers (user profiles or rumor content).
 
@@ -184,22 +217,4 @@ def score(metric: Metric, a, b) -> float:
     the canonical serialized strings; pearson correlates the binary term
     vectors and propagates UndefinedCorrelationError on degenerate inputs.
     """
-    ta, tb = a.topics, b.topics
-    if metric is Metric.COSINE:
-        return cosine(ta, tb)
-    if metric is Metric.JACCARD_SET or metric is Metric.JACCARD_VECTOR:
-        return jaccard(ta, tb)
-    if metric is Metric.DICE:
-        return dice(ta, tb)
-    if metric is Metric.AVERAGE:
-        return (cosine(ta, tb) + jaccard(ta, tb, "set") + dice(ta, tb)) / 3.0
-    if metric is Metric.LEVENSHTEIN:
-        return levenshtein(canonical_topic_string(ta), canonical_topic_string(tb))[1]
-    if metric is Metric.PEARSON:
-        vocab, va, vb = binary_vectors(ta, tb)
-        if len(vocab) < 2:
-            raise UndefinedCorrelationError(
-                "pearson needs at least two distinct labels across both topic sets"
-            )
-        return pearson(va, vb)
-    raise ValueError(f"unsupported metric: {metric!r}")
+    return _TOPIC_SCORES[metric](a.topics, b.topics)

@@ -69,6 +69,8 @@ class DiffusionTrace:
     where nothing moved.  ``counts`` (one entry per step 0..max_time) and
     ``final_states`` are replayed from ``changes`` by one function, for a
     fresh run and for a trace read back from trace.csv alike.
+    ``missing_profiles`` stays empty: a gated run only checks users with a
+    profile.  It is kept as the per-trial key of summary.json.
     """
 
     model: ModelKind
@@ -126,8 +128,8 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
     _check_initials(graph, cfg.initials, profiles)
 
     compare_to_rumor = cfg.model is ModelKind.GATED_USER_CONTENT
-    missing = set()
-    admit = admission_test(profiles, rumor if compare_to_rumor else None, cfg.gate(decisions), missing)
+    # seeds and every evented user have a profile: nothing is ever missing
+    admit = admission_test(profiles, rumor if compare_to_rumor else None, cfg.gate(decisions), set())
 
     active = set(cfg.initials)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
@@ -168,7 +170,7 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
                 if k in waiting and admit(j, k):
                     waiting.remove(k)
                     heapq.heappush(events, (t + (k < j), k, True))
-    return _replay(cfg, graph, changes, missing, clamped)
+    return _replay(cfg, graph, changes, clamped)
 
 
 def _run_classical(cfg, graph, rng) -> DiffusionTrace:
@@ -206,7 +208,7 @@ def _seed_epidemic(graph, initials) -> dict:
     }
 
 
-def _replay(cfg, graph, changes, missing_profiles=(), clamped_agents=0) -> DiffusionTrace:
+def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
     """The one route from a trial's deltas (steps 0..max_time) to its trace.
 
     Every user starts in the model's default state; ``counts[t]`` is the
@@ -229,7 +231,7 @@ def _replay(cfg, graph, changes, missing_profiles=(), clamped_agents=0) -> Diffu
     counts.extend(repeat(len(active), cfg.max_time + 1 - len(counts)))
     return DiffusionTrace(
         cfg.model, cfg.max_time, tuple(sorted(set(cfg.initials))), dict(changes), counts, states,
-        sorted(missing_profiles), clamped_agents,
+        clamped_agents=clamped_agents,
     )
 
 

@@ -55,6 +55,30 @@ def brute_jaccard(a, b):
     return inter / union if union else 0.0
 
 
+def brute_tanimoto(a, b):
+    """Jaccard in its vector form: dot / (|va|^2 + |vb|^2 - dot)."""
+    va, vb = brute_vectors(a, b)
+    dot = sum(x * y for x, y in zip(va, vb))
+    denominator = sum(x * x for x in va) + sum(y * y for y in vb) - dot
+    return dot / denominator if denominator else 0.0
+
+
+def brute_pearson(a, b):
+    """Correlation of the binary term vectors; None where it is undefined."""
+    va, vb = brute_vectors(a, b)
+    n = len(va)
+    if n < 2:
+        return None
+    ma = sum(va) / n
+    mb = sum(vb) / n
+    cov = sum((x - ma) * (y - mb) for x, y in zip(va, vb))
+    sa = sum((x - ma) ** 2 for x in va)
+    sb = sum((y - mb) ** 2 for y in vb)
+    if sa == 0.0 or sb == 0.0:
+        return None
+    return cov / math.sqrt(sa * sb)
+
+
 def brute_dice(a, b):
     va, vb = brute_vectors(a, b)
     inter = sum(1 for x, y in zip(va, vb) if x == 1.0 and y == 1.0)

@@ -146,6 +146,24 @@ class TestSimilarity:
         # edges sort numerically, not lexically
         assert [r[0] for r in rows[1:]] == sorted((r[0] for r in rows[1:]), key=int)
 
+    def test_endpoint_without_profile_scores_zero_in_every_column(self, tmp_path, capsys):
+        (tmp_path / "edges.csv").write_text("from_user_id,to_user_id\n1,2\n1,3\n2,3\n", encoding="utf-8")
+        # user 2 has no profile
+        (tmp_path / "users.csv").write_text(
+            "user_id,topics,created_at,is_diffuser\n1,\"news,tech\",0,1\n3,news,0,0\n", encoding="utf-8"
+        )
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("edges_path = edges.csv\nusers_path = users.csv\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "similarity", str(cfg), "--out-dir", str(out))
+        assert code == 0
+        rows = (out / "sims.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1:] == [
+            "1,2,0.0,0.0,0.0,0.0",
+            f"1,3,{1 / 2**0.5!r},0.5,{2 / 3!r},{(1 / 2**0.5 + 0.5 + 2 / 3) / 3!r}",
+            "2,3,0.0,0.0,0.0,0.0",
+        ]
+
 
 class TestExport:
     def test_renders_frames_from_a_saved_trace(self, tmp_path, capsys):

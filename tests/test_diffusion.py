@@ -40,10 +40,13 @@ class CountingRng(RngStream):
     def __init__(self, seed):
         super().__init__(seed)
         self.draws = 0
+        draw = self.random
 
-    def random(self):
-        self.draws += 1
-        return super().random()
+        def counted():
+            self.draws += 1
+            return draw()
+
+        self.random = counted
 
 
 class TestRngStream:

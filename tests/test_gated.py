@@ -23,6 +23,7 @@ from rumorsim import (
     RumorContent,
     SimilarityGate,
     SocialGraph,
+    UndefinedCorrelationError,
     UserProfile,
     canonical_topic_string,
     diffuse_user_content,
@@ -30,7 +31,7 @@ from rumorsim import (
     filtered_edge_set,
     load_decisions,
 )
-from rumorsim.gated import admission_test
+from rumorsim.gated import _diffuse, admission_test
 
 TAU_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -99,6 +100,22 @@ class TestValidation:
         assert result.members == {1}
         assert result.missing_profiles == {2}
 
+    @pytest.mark.parametrize("rumor", [None, RumorContent(frozenset({"news"}))], ids=["user", "content"])
+    def test_zero_threshold_admits_and_reports_a_user_without_profile(self, chain_graph, rumor):
+        # 2 has no profile: it scores 0.0, passes at threshold 0 and then
+        # is the source of the edge (2, 3)
+        profiles = {1: profile(1, "news"), 3: profile(3, "news")}
+        result = _diffuse(chain_graph, profiles, rumor, [1], SimilarityGate(Metric.COSINE, 0.0))
+        assert result.insertion_log == [1, 2, 3]
+        assert result.missing_profiles == {2}
+
+    def test_undefined_metric_against_the_rumor_names_the_user(self, chain_graph, news_profiles):
+        # follower 2's topics equal the rumor's: constant binary vectors
+        rumor = RumorContent(frozenset({"news", "politics"}))
+        gate = SimilarityGate(Metric.PEARSON, 0.5)
+        with pytest.raises(UndefinedCorrelationError, match=r"^pearson gate on user 2 against the rumor: "):
+            diffuse_user_content(chain_graph, news_profiles, rumor, [1], gate)
+
 
 class TestDecisionsOverride:
     def test_table_replaces_live_similarity(self, chain_graph):
@@ -158,6 +175,14 @@ class TestFilteredEdgeSet:
         profiles = {1: profile(1, "cars"), 2: profile(2, "news", "politics"), 3: profile(3, "sports")}
         gate = SimilarityGate(Metric.COSINE, 0.5)
         assert filtered_edge_set(chain_graph, profiles, news_rumor, gate) == {(1, 2)}
+
+    def test_undefined_metric_names_the_smallest_edge(self):
+        graph = SocialGraph([(1, 9), (9, 1), (2, 40), (40, 2), (3, 33), (33, 3)])
+        # one shared label: pearson has a single-label vocabulary on every edge
+        profiles = {u: profile(u, "news") for u in graph.nodes}
+        gate = SimilarityGate(Metric.PEARSON, 0.5)
+        with pytest.raises(UndefinedCorrelationError, match=r"^pearson gate on edge \(1, 9\): "):
+            filtered_edge_set(graph, profiles, None, gate)
 
 
 class TestOracleAgreement:

@@ -11,6 +11,8 @@ from helpers import (
     brute_cosine,
     brute_dice,
     brute_jaccard,
+    brute_pearson,
+    brute_tanimoto,
     dp_levenshtein,
     dp_levenshtein_similarity,
     oracle_corpus,
@@ -25,6 +27,7 @@ from rumorsim import (
     dice,
     jaccard,
     levenshtein,
+    overlap_scores,
     pearson,
     score,
     tokenize_topics,
@@ -81,9 +84,11 @@ class TestEmptyConventions:
         assert cosine(ABC, frozenset()) == 0.0
         assert cosine(frozenset(), frozenset()) == 0.0
 
-    @pytest.mark.parametrize("variant", ["set", "vector"])
-    def test_jaccard_zero_when_both_empty(self, variant):
-        assert jaccard(frozenset(), frozenset(), variant) == 0.0
+    @pytest.mark.parametrize("metric", [Metric.JACCARD_SET, Metric.JACCARD_VECTOR], ids=["set", "vector"])
+    def test_jaccard_zero_when_both_empty(self, metric):
+        assert score(metric, topics(), topics()) == 0.0
+        assert jaccard(frozenset(), frozenset()) == 0.0
+        assert brute_tanimoto(frozenset(), frozenset()) == 0.0
 
     def test_dice_zero_when_both_empty(self):
         assert dice(frozenset(), frozenset()) == 0.0
@@ -106,11 +111,56 @@ class TestOracleEquivalence:
             assert dice(a, b) == pytest.approx(brute_dice(a, b), abs=1e-12)
 
     def test_jaccard_variants_agree_on_binary_vectors(self):
+        # integer counts make the set and the Tanimoto quotient the same float
         rng = random.Random(412)
         for _ in range(500):
             a = random_topic_set(rng)
             b = random_topic_set(rng)
-            assert jaccard(a, b, "set") == jaccard(a, b, "vector")
+            expected = brute_tanimoto(a, b)
+            assert score(Metric.JACCARD_SET, topics(*a), topics(*b)) == expected
+            assert score(Metric.JACCARD_VECTOR, topics(*a), topics(*b)) == expected
+
+    def test_every_metric_through_score_matches_its_oracle(self):
+        oracles = {
+            Metric.COSINE: brute_cosine,
+            Metric.PEARSON: brute_pearson,
+            Metric.JACCARD_SET: brute_jaccard,
+            Metric.JACCARD_VECTOR: brute_tanimoto,
+            Metric.DICE: brute_dice,
+            Metric.LEVENSHTEIN: lambda a, b: dp_levenshtein_similarity(
+                canonical_topic_string(a), canonical_topic_string(b)
+            ),
+            Metric.AVERAGE: lambda a, b: (brute_cosine(a, b) + brute_jaccard(a, b) + brute_dice(a, b)) / 3,
+        }
+        assert set(oracles) == set(Metric)
+        rng = random.Random(419)
+        empty = undefined = 0
+        for _ in range(2000):
+            a = random_topic_set(rng)
+            b = random_topic_set(rng)
+            empty += not a or not b
+            pa, pb = topics(*a), topics(*b)
+            for metric, oracle in oracles.items():
+                expected = oracle(a, b)
+                if expected is None:
+                    undefined += 1
+                    with pytest.raises(UndefinedCorrelationError):
+                        score(metric, pa, pb)
+                    continue
+                value = score(metric, pa, pb)
+                assert value == pytest.approx(expected, abs=1e-12), (metric, a, b)
+                # the gate may put either carrier first
+                assert score(metric, pb, pa) == value
+        assert empty > 50 and undefined > 50
+
+    def test_overlap_scores_equal_the_single_metrics(self):
+        rng = random.Random(420)
+        for _ in range(2000):
+            a = random_topic_set(rng)
+            b = random_topic_set(rng)
+            c, j, d = cosine(a, b), jaccard(a, b), dice(a, b)
+            assert overlap_scores(a, b) == (c, j, d, (c + j + d) / 3)
+            assert score(Metric.AVERAGE, topics(*a), topics(*b)) == (c + j + d) / 3
 
     def test_levenshtein_matches_full_matrix(self):
         rng = random.Random(413)
@@ -242,7 +292,7 @@ class TestScoreDispatch:
         b = topics("b", "c", "d")
         assert score(Metric.COSINE, a, b) == cosine(ABC, BCD)
         assert score(Metric.JACCARD_SET, a, b) == jaccard(ABC, BCD)
-        assert score(Metric.JACCARD_VECTOR, a, b) == jaccard(ABC, BCD, "vector")
+        assert score(Metric.JACCARD_VECTOR, a, b) == jaccard(ABC, BCD) == brute_tanimoto(ABC, BCD)
         assert score(Metric.DICE, a, b) == dice(ABC, BCD)
 
     def test_average_is_mean_of_three(self):
@@ -280,5 +330,8 @@ class TestScoreDispatch:
             Metric.from_name("euclidean")
 
     def test_unknown_jaccard_variant_rejected(self):
+        # the metric name is the one way to pick a jaccard form
         with pytest.raises(ValueError):
-            jaccard(ABC, BCD, "fuzzy")
+            Metric.from_name("jaccard_fuzzy")
+        with pytest.raises(TypeError):
+            jaccard(ABC, BCD, "vector")

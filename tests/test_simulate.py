@@ -130,6 +130,23 @@ class TestGatedRun:
         trace = run_simulation(cfg, chain_graph, profiles, rumor)
         assert trace.final_active() == {1, 2}
 
+    @pytest.mark.parametrize("policy", list(EvaluationPolicy))
+    @pytest.mark.parametrize("model", [ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
+    def test_follower_without_profile_never_activates(self, model, policy):
+        # seed 1's follower 2 has no profile; 4 follows only 2
+        graph = SocialGraph([(1, 2), (1, 3), (2, 4), (3, 2)])
+        profiles = uniform_profiles(graph)
+        del profiles[2]
+        rumor = RumorContent(frozenset({"news"}))
+        for threshold in (0.0, 0.5):
+            cfg = gated_config(
+                model=model, evaluation_policy=policy, threshold=threshold, trials=3, rumor_path=Path("r.txt")
+            )
+            traces, _ = run_trials(cfg, graph, profiles, rumor)
+            for trace in traces:
+                assert trace.final_active() == {1, 3}
+                assert trace.missing_profiles == []
+
     def test_counts_are_monotone_and_absorbing(self):
         rng = random.Random(61)
         g = random_digraph(rng, 50, 0.06)
