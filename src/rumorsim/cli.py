@@ -144,7 +144,7 @@ def _cmd_similarity(args) -> int:
             # an endpoint without a profile scores 0.0, as in the gate
             scores = (0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics)
             writer.writerow((a, b, *scores))
-    print(f"wrote {len(graph.edges)} edge scores to {path}")
+    print(f"wrote {len(graph.sorted_edges)} edge scores to {path}")
     return 0
 
 
@@ -164,7 +164,7 @@ def _cmd_validate(args) -> int:
     profiles = load_users(cfg.users_path)
     report = validate(graph, profiles)
     stats = graph.load_stats
-    print(f"{len(graph.nodes)} users, {len(graph.edges)} edges", end="")
+    print(f"{len(graph.nodes)} users, {len(graph.sorted_edges)} edges", end="")
     if stats is not None:
         print(f" ({stats.duplicate_edges} duplicate rows, {stats.self_loops_skipped} self-loops dropped)")
     else:

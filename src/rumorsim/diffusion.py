@@ -182,14 +182,10 @@ class IcRun:
         """True when no later step can change a state."""
         return not self.spreaders
 
-    def step(self, targets=None) -> list:
-        """Advance one step; returns the [(node, new state)] changes by ascending id.
-
-        ``targets(node)`` lists the out-neighbors a spreader tries, ascending;
-        the default tries all of them.
-        """
-        targets = targets or self.graph.out_neighbors
+    def step(self) -> list:
+        """Advance one step; returns the [(node, new state)] changes by ascending id."""
         states, draw, edge_p = self.states, self._draw, self.probs.get
+        targets = self.graph.out_neighbors
         hit = set()
         for node in self.spreaders:
             for target in targets(node):
@@ -231,12 +227,12 @@ class TippingRun:
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
-        adopted_in, in_degree, theta = self.adopted_in, self.graph.in_degree, self.theta
+        adopted_in, sources, theta = self.adopted_in, self.graph.in_neighbors, self.theta
         delta = []
         for v in sorted(self.touched):
             adopted = adopted_in[v]
             # the exact ratio test of a full sweep, so rounding cannot differ
-            if adopted >= 1 and adopted / in_degree(v) >= theta:
+            if adopted >= 1 and adopted / len(sources(v)) >= theta:
                 delta.append((v, AdoptionState.ADOPTED))
         self.touched = set()
         for v, state in delta:
@@ -292,18 +288,18 @@ def ic_step(
     and infects a susceptible target.  Attempted edges are consumed forever,
     and attempting nodes recover at the end of the step.
     """
-    run = IcRun(graph, states, probs, rng)
+    _require_states(graph, states)
     if not attempted <= graph.edges:
         raise ConfigurationError("attempted set contains edges not in the graph")
-    new_attempted = set(attempted)
-
-    def untried(node):
-        fresh = [t for t in graph.out_neighbors(node) if (node, t) not in new_attempted]
-        new_attempted.update((node, t) for t in fresh)
-        return fresh
-
-    run.step(untried)
-    return run.states, new_attempted
+    # the spreaders and their untried out-edges only: a graph of every
+    # untried edge would cost a whole-graph build per step
+    infected = [u for u in graph.nodes if states[u] is EpidemicState.INFECTED]
+    untried = SocialGraph(
+        [(u, t) for u in infected for t in graph.out_neighbors(u) if (u, t) not in attempted], infected
+    )
+    run = IcRun(untried, states, probs, rng)
+    run.step()
+    return run.states, set(attempted).union(untried.sorted_edges)
 
 
 @dataclass(frozen=True)
@@ -370,7 +366,7 @@ def run_belief_process(
     """
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
-    if iterations > 0 and not graph.edges:
+    if iterations > 0 and not graph.sorted_edges:
         raise ConfigurationError("belief process needs at least one edge")
     for node in graph.nodes:
         if node not in init.beliefs:

@@ -10,6 +10,7 @@ from .errors import ConfigurationError, EmptyEvaluationError
 from .gated import DiffuserSet, SimilarityGate, diffuse_user_content, diffuse_user_user
 from .graph import RumorContent, SocialGraph
 from .config import GATED_MODELS, ModelKind
+from .similarity import _TOPIC_SCORES
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,10 @@ def metric_sweep(
     model: ModelKind = ModelKind.GATED_USER_USER,
     decisions: Mapping | None = None,
 ) -> list:
-    """Run the gated algorithm once per metric and score each result.
+    """Run the gated algorithm once per distinct gate and score each result.
 
+    Metrics that share a scoring function (both Jaccard forms) share one
+    run, and so do all metrics when a ``decisions`` table replaces scoring.
     Returns [(metric, EvalReport), ...] ordered by accuracy descending with
     ties broken on metric name, so the best-performing metric comes first.
     """
@@ -79,13 +82,17 @@ def metric_sweep(
     if model not in GATED_MODELS:
         raise ConfigurationError(f"metric sweep requires a gated model, got {model.value}")
     rows = []
+    reports = {}
     for metric in metrics:
-        gate = SimilarityGate(metric, threshold, decisions)
-        if model is ModelKind.GATED_USER_CONTENT:
-            result = diffuse_user_content(graph, profiles, rumor, initials, gate)
-        else:
-            result = diffuse_user_user(graph, profiles, initials, gate)
-        rows.append((metric, evaluate(result, profiles)))
+        key = None if decisions is not None else _TOPIC_SCORES[metric]
+        if key not in reports:
+            gate = SimilarityGate(metric, threshold, decisions)
+            if model is ModelKind.GATED_USER_CONTENT:
+                result = diffuse_user_content(graph, profiles, rumor, initials, gate)
+            else:
+                result = diffuse_user_user(graph, profiles, initials, gate)
+            reports[key] = evaluate(result, profiles)
+        rows.append((metric, reports[key]))
     rows.sort(key=lambda row: (-row[1].accuracy, row[0].value))
     return rows
 

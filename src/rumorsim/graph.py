@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, starmap
-from operator import ne
+from operator import eq, ne
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
@@ -56,55 +57,55 @@ class SocialGraph:
     """Directed graph, immutable after construction, with sorted adjacency.
 
     ``sorted_edges`` is the edge set as a tuple in ascending (a, b) order,
-    for callers that walk every edge in a reproducible order.
+    for callers that walk every edge in a reproducible order.  Neighbours
+    come back as read-only ascending tuples, shared with the graph, and the
+    frozenset ``edges`` is built on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
-        edges = sorted(frozenset(edges))
-        for a, b in edges:
-            if a == b:
-                raise ConfigurationError(f"self-loop on user {a}")
-        self._fill(edges, nodes)
-
-    @classmethod
-    def _from_sorted(cls, edges: list) -> SocialGraph:
-        """Build from edges already deduplicated, free of self-loops and sorted."""
-        graph = cls.__new__(cls)
-        graph._fill(edges, ())
-        return graph
-
-    def _fill(self, edges: list, nodes: Iterable) -> None:
+        # dedup in input order, then sort: timsort runs through an input
+        # that is already sorted in one pass
+        edges = list(dict.fromkeys(edges))
+        edges.sort()
+        loop = next(compress(edges, starmap(eq, edges)), None)
+        if loop is not None:
+            raise ConfigurationError(f"self-loop on user {loop[0]}")
         self.sorted_edges = tuple(edges)
-        self.edges = frozenset(self.sorted_edges)
+        del edges
         self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
         out = {u: [] for u in self.nodes}
         inc = {u: [] for u in self.nodes}
-        # in (a, b) order every out-list fills by ascending b and every
-        # in-list by ascending a
+        # in (a, b) order every out-run fills by ascending b and every
+        # in-run by ascending a
         for a, b in self.sorted_edges:
             out[a].append(b)
             inc[b].append(a)
+        # one node at a time, so each list is freed as its tuple is made
+        for u in self.nodes:
+            out[u] = tuple(out[u])
+            inc[u] = tuple(inc[u])
         self._out = out
         self._in = inc
         self.load_stats: LoadStats | None = None
 
-    def out_neighbors(self, u: UserId) -> list:
+    @cached_property
+    def edges(self) -> frozenset:
+        """The edge set, built on first access."""
+        return frozenset(self.sorted_edges)
+
+    def out_neighbors(self, u: UserId) -> tuple:
         """Users that follow u, ascending. Raises UnknownUserError for foreign ids."""
-        if u not in self._out:
-            raise UnknownUserError(f"unknown user id {u}")
-        return list(self._out[u])
+        try:
+            return self._out[u]
+        except KeyError:
+            raise UnknownUserError(f"unknown user id {u}") from None
 
-    def in_neighbors(self, u: UserId) -> list:
+    def in_neighbors(self, u: UserId) -> tuple:
         """Users that u follows (possible influence sources), ascending."""
-        if u not in self._in:
-            raise UnknownUserError(f"unknown user id {u}")
-        return list(self._in[u])
-
-    def in_degree(self, u: UserId) -> int:
-        """Number of users u follows, without copying the list."""
-        if u not in self._in:
-            raise UnknownUserError(f"unknown user id {u}")
-        return len(self._in[u])
+        try:
+            return self._in[u]
+        except KeyError:
+            raise UnknownUserError(f"unknown user id {u}") from None
 
 
 def load_edges(path) -> SocialGraph:
@@ -123,13 +124,8 @@ def load_edges(path) -> SocialGraph:
     stats = LoadStats(rows_read=len(rows))
     rows = list(compress(rows, starmap(ne, rows)))
     stats.self_loops_skipped = stats.rows_read - len(rows)
-    # dedup in file order, then sort: timsort runs through a file that is
-    # already sorted in one pass
-    edges = list(dict.fromkeys(rows))
-    stats.duplicate_edges = len(rows) - len(edges)
-    del rows  # freed before the build allocates
-    edges.sort()
-    graph = SocialGraph._from_sorted(edges)
+    graph = SocialGraph(rows)
+    stats.duplicate_edges = len(rows) - len(graph.sorted_edges)
     graph.load_stats = stats
     return graph
 
@@ -237,10 +233,7 @@ def validate(graph: SocialGraph, profiles: Mapping) -> ValidationReport:
     and users that touch no edge at all (profile-only users are kept so that
     evaluation can still count them).
     """
-    touched = set()
-    for a, b in graph.edges:
-        touched.add(a)
-        touched.add(b)
+    touched = set(chain.from_iterable(graph.sorted_edges))
     missing = sorted(u for u in graph.nodes if u not in profiles)
     empty = sorted(uid for uid, p in profiles.items() if not p.topics)
     isolated = sorted((set(profiles) | set(graph.nodes)) - touched)

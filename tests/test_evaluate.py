@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -142,6 +143,32 @@ class TestMetricSweep:
         loose = metric_sweep(graph, profiles, None, (1,), (Metric.JACCARD_SET,), 0.0)
         assert strict[0][1].predicted_count < loose[0][1].predicted_count
         assert loose[0][1].predicted_count == len(graph.nodes)
+
+    @pytest.mark.parametrize(
+        "metrics, decisions",
+        [
+            ((Metric.JACCARD_SET, Metric.JACCARD_VECTOR), None),
+            ((Metric.COSINE, Metric.LEVENSHTEIN, Metric.DICE), {(1, 2): True, (2, 3): True}),
+        ],
+        ids=["shared_scoring", "decisions_table"],
+    )
+    def test_one_run_per_distinct_gate(self, fixture_inputs, monkeypatch, metrics, decisions):
+        graph, profiles, _ = fixture_inputs
+        alone = [
+            metric_sweep(graph, profiles, None, (1,), (m,), 0.5, decisions=decisions)[0] for m in metrics
+        ]
+        runs = []
+
+        def counting(*args):
+            runs.append(args[-1])
+            return diffuse_user_user(*args)
+
+        # the package exports a function named ``evaluate`` over the module name
+        monkeypatch.setattr(importlib.import_module("rumorsim.evaluate"), "diffuse_user_user", counting)
+        rows = metric_sweep(graph, profiles, None, (1,), metrics, 0.5, decisions=decisions)
+        assert len(runs) == 1
+        assert len(rows) == len(metrics)
+        assert dict(rows) == dict(alone)
 
 
 class TestReportsOnDisk:

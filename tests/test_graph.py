@@ -3,23 +3,36 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import random
 
 import pytest
 
-from helpers import random_digraph, rowwise_load_edges
+import rumorsim.cli
+from helpers import FIXTURE_DIR, random_digraph, rowwise_load_edges
 from rumorsim import (
+    AgentKind,
+    BeliefState,
     ConfigurationError,
+    EdgeProbability,
+    EpidemicState,
+    ModelKind,
     ParseError,
+    RngStream,
     SocialGraph,
     UnknownUserError,
     UserProfile,
+    ic_step,
     load_config,
     load_decisions,
     load_edges,
     load_rumor,
     load_users,
+    metric_sweep,
     read_trace_csv,
+    run_belief_process,
+    run_cli,
+    run_trials,
     save_edges,
     validate,
 )
@@ -34,8 +47,8 @@ def write(path, text):
 class TestSocialGraph:
     def test_adjacency_is_sorted_both_ways(self):
         g = SocialGraph([(5, 1), (5, 9), (5, 3), (2, 1), (7, 1)])
-        assert g.out_neighbors(5) == [1, 3, 9]
-        assert g.in_neighbors(1) == [2, 5, 7]
+        assert g.out_neighbors(5) == (1, 3, 9)
+        assert g.in_neighbors(1) == (2, 5, 7)
 
     def test_adjacency_matches_brute_force_on_random_graphs(self):
         rng = random.Random(431)
@@ -47,8 +60,8 @@ class TestSocialGraph:
             g = SocialGraph(pairs + pairs[: len(pairs) // 2])
             assert g.edges == set(pairs)
             for u in g.nodes:
-                assert g.out_neighbors(u) == sorted({b for a, b in pairs if a == u})
-                assert g.in_neighbors(u) == sorted({a for a, b in pairs if b == u})
+                assert g.out_neighbors(u) == tuple(sorted({b for a, b in pairs if a == u}))
+                assert g.in_neighbors(u) == tuple(sorted({a for a, b in pairs if b == u}))
 
     def test_out_neighbors_unknown_user(self):
         g = SocialGraph([(1, 2)])
@@ -58,27 +71,33 @@ class TestSocialGraph:
             g.in_neighbors(99)
 
     def test_out_neighbors_is_pure(self):
+        # callers cannot mutate the graph through a neighbour run
         g = SocialGraph([(1, 2), (1, 3)])
-        first = g.out_neighbors(1)
-        first.append(42)  # caller-side mutation must not leak back
-        assert g.out_neighbors(1) == [2, 3]
-        sources = g.in_neighbors(3)
-        sources.append(42)
-        assert g.in_neighbors(3) == [1]
+        before = graph_attrs(g)
+        for run in (g.out_neighbors(1), g.in_neighbors(3)):
+            with pytest.raises(AttributeError):
+                run.append(42)
+        assert graph_attrs(g) == before
+        assert g.out_neighbors(1) == (2, 3)
+        assert g.in_neighbors(3) == (1,)
 
     def test_constructor_rejects_self_loop(self):
         with pytest.raises(ConfigurationError):
             SocialGraph([(1, 1)])
 
+    def test_self_loop_error_names_the_smallest_user(self):
+        with pytest.raises(ConfigurationError, match=r"^self-loop on user 2$"):
+            SocialGraph([(5, 5), (2, 2), (1, 3)])
+
     def test_extra_nodes_are_kept_isolated(self):
         g = SocialGraph([(1, 2)], nodes=[7])
         assert 7 in g.nodes
-        assert g.out_neighbors(7) == []
+        assert g.out_neighbors(7) == ()
 
     def test_huge_noncontiguous_ids(self):
         a, b = 10**15 + 7, 3
         g = SocialGraph([(a, b)])
-        assert g.out_neighbors(a) == [b]
+        assert g.out_neighbors(a) == (b,)
 
 
 class TestLoadEdges:
@@ -368,11 +387,75 @@ class TestInputOrder:
             assert graph_attrs(g) == graph_attrs(original)
             assert g.load_stats == stats
 
+    def test_constructor_loader_and_reference_agree(self, tmp_path):
+        rng = random.Random(3141)
+        path = tmp_path / "edges.csv"
+        for _ in range(200):
+            n = rng.randint(1, 15)
+            rows = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 60))]
+            rows += rng.sample(rows, len(rows) // 3)
+            rng.shuffle(rows)
+            built = SocialGraph([(a, b) for a, b in rows if a != b])
+            self.write_rows(path, rows)
+            loaded = load_edges(path)
+            reference = rowwise_load_edges(path)
+            for g in (loaded, reference):
+                assert g.sorted_edges == built.sorted_edges
+                assert g.nodes == built.nodes
+                for u in built.nodes:
+                    assert g.out_neighbors(u) == built.out_neighbors(u)
+                    assert g.in_neighbors(u) == built.in_neighbors(u)
+                    assert type(g.out_neighbors(u)) is type(g.in_neighbors(u)) is tuple
+            assert loaded.load_stats == reference.load_stats
+
     def test_constructor_matches_the_loader(self, tmp_path, rows):
         loaded = load_edges(self.write_rows(tmp_path / "edges.csv", rows))
         built = SocialGraph([(a, b) for a, b in reversed(rows) if a != b])
         assert graph_attrs(built) == graph_attrs(loaded)
         assert built.load_stats is None
+
+
+class TestEdgeSetOnDemand:
+    """Only ``ic_step`` builds the frozenset ``edges``; other callers walk ``sorted_edges``."""
+
+    PARAMS = {
+        ModelKind.SIR: dict(beta=0.5, gamma=0.2),
+        ModelKind.IC: dict(ic_default_p=0.5),
+        ModelKind.TIPPING: dict(theta=0.3),
+    }
+
+    def test_commands_and_runs_never_build_it(self, tmp_path, monkeypatch, capsys):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        profiles = load_users(cfg.users_path)
+        rumor = load_rumor(cfg.rumor_path)
+        graphs = []
+
+        def fresh(path=cfg.edges_path):
+            graphs.append(load_edges(path))
+            return graphs[-1]
+
+        for model in ModelKind:
+            run_cfg = dataclasses.replace(cfg, model=model, **self.PARAMS.get(model, {}))
+            run_trials(run_cfg, fresh(), profiles, rumor)
+        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
+            metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
+        validate(fresh(), profiles)
+        graph = fresh()
+        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
+        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
+        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
+        config = str(FIXTURE_DIR / "sim.cfg")
+        for command in ("simulate", "evaluate", "similarity"):
+            assert run_cli([command, config, "--out-dir", str(tmp_path / command)]) == 0
+        assert run_cli(["validate", config]) == 0
+        capsys.readouterr()
+        assert len(graphs) == len(ModelKind) + 8
+        assert not [g for g in graphs if "edges" in g.__dict__]
+
+    def test_ic_step_builds_it(self, chain_graph):
+        states = {1: EpidemicState.INFECTED, 2: EpidemicState.SUSCEPTIBLE, 3: EpidemicState.SUSCEPTIBLE}
+        ic_step(chain_graph, states, EdgeProbability(0.5), set(), RngStream(1))
+        assert chain_graph.__dict__["edges"] == {(1, 2), (2, 3)}
 
 
 BAD_BYTE_CASES = [

@@ -345,7 +345,7 @@ class TestClassicalRuns:
 
 
 class CountingGraph(SocialGraph):
-    """Graph that counts neighbour and degree lookups."""
+    """Graph that counts neighbour lookups."""
 
     def __init__(self, edges, nodes=()):
         super().__init__(edges, nodes)
@@ -358,10 +358,6 @@ class CountingGraph(SocialGraph):
     def out_neighbors(self, u):
         self.lookups += 1
         return super().out_neighbors(u)
-
-    def in_degree(self, u):
-        self.lookups += 1
-        return super().in_degree(u)
 
 
 class TestEventDrivenClassicalRuns:
