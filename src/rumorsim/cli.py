@@ -1,4 +1,4 @@
-"""Command-line entry points: simulate, evaluate, similarity, export, validate.
+"""Command-line entry points: simulate, evaluate, similarity, validate, export.
 
 Every command reads the same flat config file; in every command but export,
 each config key can be overridden with a flag of the same name.  Exit codes:
@@ -8,7 +8,6 @@ each config key can be overridden with a flag of the same name.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
 from .evaluate import metric_sweep, write_eval_json
 from .gated import load_decisions
-from .graph import load_edges, load_rumor, load_users, validate
+from .graph import _write_rows, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
 from .simulate import (
     export_frames,
@@ -45,23 +44,19 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rumorsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run trials; write trace.csv, curve.csv, summary.json")
-    p_sim.add_argument("config")
-    _add_overrides(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_eval = sub.add_parser("evaluate", help="sweep metrics with the gated algorithm; write eval.json")
-    p_eval.add_argument("config")
-    _add_overrides(p_eval)
-    p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_sims = sub.add_parser("similarity", help="write per-edge similarity scores to sims.csv")
-    p_sims.add_argument("config")
-    _add_overrides(p_sims)
-    p_sims.set_defaults(func=_cmd_similarity)
+    for name, handler, help_text in (
+        ("simulate", _cmd_simulate, "run trials; write trace.csv, curve.csv, summary.json"),
+        ("evaluate", _cmd_evaluate, "sweep metrics with the gated algorithm; write eval.json"),
+        ("similarity", _cmd_similarity, "write per-edge similarity scores to sims.csv"),
+        ("validate", _cmd_validate, "report graph/profile inconsistencies without failing"),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd.add_argument("config")
+        for key in CONFIG_KEYS:
+            p_cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="VALUE")
+        p_cmd.set_defaults(func=handler)
 
     p_exp = sub.add_parser("export", help="render one trial of a trace as DOT frames plus curve.csv")
     p_exp.add_argument("trace")
@@ -69,35 +64,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", required=True, help="config naming the graph files the trace was run on")
     p_exp.add_argument("--trial", type=int, default=0)
     p_exp.set_defaults(func=_cmd_export)
-
-    p_val = sub.add_parser("validate", help="report graph/profile inconsistencies without failing")
-    p_val.add_argument("config")
-    _add_overrides(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
     return parser
-
-
-def _add_overrides(sub: argparse.ArgumentParser) -> None:
-    for key in CONFIG_KEYS:
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="VALUE")
 
 
 def _overrides(args) -> dict:
     return {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
 
 
+def _load_inputs(cfg) -> tuple:
+    return (
+        load_edges(cfg.edges_path),
+        load_users(cfg.users_path),
+        load_rumor(cfg.rumor_path) if cfg.rumor_path else None,
+        load_decisions(cfg.decisions_path) if cfg.decisions_path else None,
+    )
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    graph = load_edges(cfg.edges_path)
-    profiles = load_users(cfg.users_path)
-    rumor = load_rumor(cfg.rumor_path) if cfg.rumor_path else None
-    decisions = load_decisions(cfg.decisions_path) if cfg.decisions_path else None
+    graph, profiles, rumor, decisions = _load_inputs(cfg)
     start = time.perf_counter()
     traces, aggregate = run_trials(cfg, graph, profiles, rumor, decisions)
     runtime = time.perf_counter() - start
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(traces, out / "trace.csv")
     write_curve_csv(aggregate, out / "curve.csv")
     write_summary_json(cfg, traces, aggregate, runtime, out / "summary.json")
@@ -114,16 +103,11 @@ def _cmd_evaluate(args) -> int:
         raise ConfigurationError(
             f"evaluate requires a gated model (gated_user_user or gated_user_content), got {cfg.model.value}"
         )
-    graph = load_edges(cfg.edges_path)
-    profiles = load_users(cfg.users_path)
-    rumor = load_rumor(cfg.rumor_path) if cfg.rumor_path else None
-    decisions = load_decisions(cfg.decisions_path) if cfg.decisions_path else None
+    graph, profiles, rumor, decisions = _load_inputs(cfg)
     rows = metric_sweep(
         graph, profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, cfg.model, decisions
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_eval_json(rows, cfg.threshold, out / "eval.json")
+    write_eval_json(rows, cfg.threshold, Path(cfg.out_dir) / "eval.json")
     best_metric, best = rows[0]
     print(f"best metric {best_metric.value}: accuracy {best.accuracy:.10f} over {best.total} labeled users")
     return 0
@@ -133,19 +117,17 @@ def _cmd_similarity(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     graph = load_edges(cfg.edges_path)
     profiles = load_users(cfg.users_path)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sims.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SIMS_HEADER)
-        for a, b in graph.sorted_edges:
-            pa, pb = profiles.get(a), profiles.get(b)
-            # an endpoint without a profile scores 0.0, as in the gate
-            scores = (0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics)
-            writer.writerow((a, b, *scores))
+    path = Path(cfg.out_dir) / "sims.csv"
+    _write_rows(path, SIMS_HEADER, _edge_scores(graph, profiles))
     print(f"wrote {len(graph.sorted_edges)} edge scores to {path}")
     return 0
+
+
+def _edge_scores(graph, profiles):
+    # an endpoint without a profile scores 0.0, as in the gate
+    for a, b in graph.sorted_edges:
+        pa, pb = profiles.get(a), profiles.get(b)
+        yield a, b, *((0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics))
 
 
 def _cmd_export(args) -> int:
@@ -164,11 +146,10 @@ def _cmd_validate(args) -> int:
     profiles = load_users(cfg.users_path)
     report = validate(graph, profiles)
     stats = graph.load_stats
-    print(f"{len(graph.nodes)} users, {len(graph.sorted_edges)} edges", end="")
-    if stats is not None:
-        print(f" ({stats.duplicate_edges} duplicate rows, {stats.self_loops_skipped} self-loops dropped)")
-    else:
-        print()
+    print(
+        f"{len(graph.nodes)} users, {len(graph.sorted_edges)} edges "
+        f"({stats.duplicate_edges} duplicate rows, {stats.self_loops_skipped} self-loops dropped)"
+    )
     _print_findings("edge endpoints without a profile", report.missing_profiles)
     _print_findings("profiles with an empty topic set", report.empty_topics)
     _print_findings("users touching no edge", report.isolated_nodes)

@@ -110,6 +110,8 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ParseError(path, line_no, f"unknown config key {key!r}")
+            if key in raw:
+                raise ParseError(path, line_no, f"config key {key!r} is set twice")
             raw[key] = (value.strip(), path.parent)
     for key, value in (overrides or {}).items():
         if value is None:

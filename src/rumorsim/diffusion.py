@@ -73,8 +73,7 @@ class TippingParams:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigurationError(f"theta must be in [0, 1], got {self.theta}")
+        _check_probability("theta", self.theta)
 
 
 class EdgeProbability:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigurationError, EmptyEvaluationError
 from .gated import DiffuserSet, SimilarityGate, diffuse_user_content, diffuse_user_user
-from .graph import RumorContent, SocialGraph
+from .graph import RumorContent, SocialGraph, _write_json
 from .config import GATED_MODELS, ModelKind
 from .similarity import _TOPIC_SCORES
 
@@ -120,6 +119,4 @@ def sweep_rows(rows, threshold: float) -> list:
 
 
 def write_eval_json(rows, threshold: float, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sweep_rows(rows, threshold), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, sweep_rows(rows, threshold))

@@ -8,11 +8,14 @@ they are contiguous or start at any particular value.
 from __future__ import annotations
 
 import csv
+import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, starmap
 from operator import eq, ne
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
@@ -174,10 +177,7 @@ def _bulk_edge_rows(path) -> list | None:
 
 def save_edges(graph: SocialGraph, path) -> None:
     """Write the edge list back to CSV in sorted order (round-trips exactly)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EDGES_HEADER)
-        writer.writerows(graph.sorted_edges)
+    _write_rows(path, EDGES_HEADER, graph.sorted_edges)
 
 
 def load_users(path) -> dict:
@@ -285,6 +285,38 @@ def _read_rows(path, header: list):
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
+
+
+@contextmanager
+def _open_output(path, newline=None):
+    """Open ``.<name>.tmp`` beside ``path`` for UTF-8 text; rename it over ``path`` on a clean exit.
+
+    Any exception, KeyboardInterrupt included, leaves a previous ``path`` whole and no temp file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_rows(path, header: list, rows) -> None:
+    """Write a header and then ``rows`` as CSV with LF line ends, through ``_open_output``."""
+    with _open_output(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON with a final newline."""
+    with _open_output(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_user_id(path, line_no: int, text: str) -> UserId:

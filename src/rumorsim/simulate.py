@@ -19,9 +19,7 @@ trace read back from trace.csv, gives the curve and the final states.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -42,7 +40,7 @@ from .diffusion import (
 )
 from .errors import ConfigurationError, ParseError
 from .gated import _check_initials, admission_test
-from .graph import RumorContent, SocialGraph, _read_rows
+from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_rows
 from .rng import RngStream
 
 TRACE_HEADER = ["trial", "step", "user_id", "new_state"]
@@ -75,7 +73,6 @@ class DiffusionTrace:
 
     model: ModelKind
     max_time: int
-    initials: tuple
     changes: dict
     counts: list
     final_states: dict
@@ -230,20 +227,19 @@ def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
         counts.append(len(active))
     counts.extend(repeat(len(active), cfg.max_time + 1 - len(counts)))
     return DiffusionTrace(
-        cfg.model, cfg.max_time, tuple(sorted(set(cfg.initials))), dict(changes), counts, states,
-        clamped_agents=clamped_agents,
+        cfg.model, cfg.max_time, dict(changes), counts, states, clamped_agents=clamped_agents
     )
 
 
 def write_trace_csv(traces, path) -> None:
     """Write all trials' deltas as trial,step,user_id,new_state rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for k, trace in enumerate(traces):
-            for step in sorted(trace.changes):
-                for uid, label in trace.changes[step]:
-                    writer.writerow([k, step, uid, label])
+    rows = (
+        (k, step, uid, label)
+        for k, trace in enumerate(traces)
+        for step in sorted(trace.changes)
+        for uid, label in trace.changes[step]
+    )
+    _write_rows(path, TRACE_HEADER, rows)
 
 
 def read_trace_csv(path, trial: int) -> dict:
@@ -284,22 +280,20 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     adopted) and blue otherwise, so the frame sequence animates the spread.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     nodes_sorted = sorted(graph.nodes)
+    # the edge lines are the same in every frame
+    edge_lines = "".join(f"  {a} -> {b};\n" for a, b in graph.sorted_edges) + "}\n"
     active = set()
     paths = []
     for t in range(trace.max_time + 1):
         for uid, label in trace.changes.get(t, ()):
             if label in _ACTIVE_LABELS:
                 active.add(uid)
-        lines = ["digraph diffusion {"]
-        lines.extend(
-            f"  {u} [color={'red' if u in active else 'blue'}];" for u in nodes_sorted
-        )
-        lines.extend(f"  {a} -> {b};" for a, b in graph.sorted_edges)
-        lines.append("}")
         frame_path = out / f"frame_{t:04d}.dot"
-        frame_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _open_output(frame_path) as fh:
+            fh.write("digraph diffusion {\n")
+            fh.writelines(f"  {u} [color={'red' if u in active else 'blue'}];\n" for u in nodes_sorted)
+            fh.write(edge_lines)
         paths.append(frame_path)
     write_curve_csv(trace.counts, out / "curve.csv")
     return paths
@@ -307,11 +301,7 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
 
 def write_curve_csv(series, path) -> None:
     """Write a step,diffusers series (ints for one trial, means for many)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVE_HEADER)
-        for step, value in enumerate(series):
-            writer.writerow([step, value])
+    _write_rows(path, CURVE_HEADER, enumerate(series))
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
@@ -346,6 +336,4 @@ def write_summary_json(cfg, traces, aggregate, runtime_seconds, path) -> None:
         "final_diffusers_mean": aggregate[-1],
         "runtime_seconds": round(runtime_seconds, 6),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from helpers import FIXTURE_DIR
-from rumorsim import SimulationConfig, run_cli
+from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli
 from rumorsim.cli import build_parser, main
+from rumorsim.similarity import overlap_scores
 
 CFG = str(FIXTURE_DIR / "sim.cfg")
 CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(SimulationConfig))
@@ -323,12 +324,63 @@ class TestFailureModes:
         assert code == 1
         assert stderr == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
 
+    def test_repeated_config_key_is_exit_1_naming_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "edges_path = e.csv\nusers_path = u.csv\nmax_time = 5\nmax_time = 7\n", encoding="utf-8"
+        )
+        code, _, stderr = run(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert stderr == f"error: {cfg}:4: config key 'max_time' is set twice\n"
+        assert not (tmp_path / "out").exists()
+
     def test_main_raises_systemexit_with_cli_code(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["rumorsim", "validate", CFG])
         with pytest.raises(SystemExit) as exc:
             main()
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+class TestAtomicOutputs:
+    """Each output goes to a hidden temp file renamed over its target."""
+
+    def test_failed_similarity_keeps_the_previous_sims_csv(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run(capsys, "similarity", CFG, "--out-dir", str(out))[0] == 0
+        before = (out / "sims.csv").read_bytes()
+        calls = []
+
+        def fails_on_the_fourth_edge(a, b):
+            calls.append((a, b))
+            if len(calls) == 4:
+                raise UndefinedCorrelationError("injected failure")
+            return overlap_scores(a, b)
+
+        monkeypatch.setattr("rumorsim.cli.overlap_scores", fails_on_the_fourth_edge)
+        code, _, stderr = run(capsys, "similarity", CFG, "--out-dir", str(out))
+        assert code == 1
+        assert stderr == "error: injected failure\n"
+        assert len(calls) == 4
+        assert (out / "sims.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["sims.csv"]
+
+    def test_no_command_leaves_a_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (
+            ["simulate", CFG, "--out-dir", str(out)],
+            ["evaluate", CFG, "--out-dir", str(out)],
+            ["similarity", CFG, "--out-dir", str(out)],
+            ["validate", CFG, "--out-dir", str(out)],
+            ["export", str(out / "trace.csv"), str(tmp_path / "frames"), "--config", CFG],
+        ):
+            code, _, stderr = run(capsys, *argv)
+            assert code == 0, stderr
+            assert [p.name for p in tmp_path.rglob("*") if p.name.endswith(".tmp")] == [], argv[0]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "curve.csv", "eval.json", "sims.csv", "summary.json", "trace.csv",
+        ]
+        assert len(list((tmp_path / "frames").glob("frame_*.dot"))) == 21
 
 
 class TestModuleEntryPoint:

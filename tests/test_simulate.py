@@ -4,6 +4,7 @@ trace round-tripping, frame export, and config parsing."""
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,7 @@ from rumorsim import (
     rebuild_trace,
     run_simulation,
     run_trials,
+    write_curve_csv,
     write_trace_csv,
 )
 
@@ -512,6 +514,31 @@ class TestTraceSerialization:
         assert max(trace.counts[-1] for trace in traces) > 2
         if cfg.model is ModelKind.SIR:
             assert any("recovered" in trace.final_states.values() for trace in traces)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, error):
+        path = tmp_path / "curve.csv"
+        write_curve_csv([1, 2, 3], path)
+        before = path.read_bytes()
+
+        def series():
+            yield 4
+            yield 5
+            raise error("stopped mid-write")
+
+        with pytest.raises(error):
+            write_curve_csv(series(), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
+
+    def test_output_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "curve.csv"
+        write_curve_csv([1], path)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestExportFrames:
