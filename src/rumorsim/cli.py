@@ -124,10 +124,22 @@ def _cmd_similarity(args) -> int:
 
 
 def _edge_scores(graph, profiles):
-    # an endpoint without a profile scores 0.0, as in the gate
+    # the four scores depend only on (|a & b|, |a|, |b|), so each shape is
+    # scored and formatted once; str() of a float is what csv.writer writes.
+    # An endpoint without a profile scores 0.0, as in the gate.
+    zeros = (str(0.0),) * 4
+    shapes = {}
     for a, b in graph.sorted_edges:
         pa, pb = profiles.get(a), profiles.get(b)
-        yield a, b, *((0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics))
+        if pa is None or pb is None:
+            yield a, b, *zeros
+            continue
+        ta, tb = pa.topics, pb.topics
+        shape = (len(ta & tb), len(ta), len(tb))
+        fields = shapes.get(shape)
+        if fields is None:
+            fields = shapes[shape] = tuple(map(str, overlap_scores(ta, tb)))
+        yield a, b, *fields
 
 
 def _cmd_export(args) -> int:

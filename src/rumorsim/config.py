@@ -94,8 +94,9 @@ _TYPES = get_type_hints(SimulationConfig)
 def load_config(path, overrides: dict | None = None) -> SimulationConfig:
     """Parse a config file, then apply string-valued overrides (CLI flags win).
 
-    Each raw value keeps the directory its relative paths resolve against: the
-    config file's for values from the file, the working directory for overrides.
+    Each raw value keeps where it came from: its config file and line, or
+    None for an override.  Relative paths resolve against the config file's
+    directory for values from the file, the working directory for overrides.
     """
     raw = {}
     path = Path(path)
@@ -112,13 +113,11 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
                 raise ParseError(path, line_no, f"unknown config key {key!r}")
             if key in raw:
                 raise ParseError(path, line_no, f"config key {key!r} is set twice")
-            raw[key] = (value.strip(), path.parent)
+            raw[key] = (value.strip(), (path, line_no))
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        raw[key] = (str(value), Path())
+        raw[key] = (str(value), None)
     return _build(raw)
 
 
@@ -126,14 +125,14 @@ def _build(raw: dict) -> SimulationConfig:
     kwargs = {}
     for f in fields(SimulationConfig):
         if f.name in raw:
-            value, base_dir = raw[f.name]
-            kwargs[f.name] = _parse(f.name, _TYPES[f.name], value, base_dir)
+            value, origin = raw[f.name]
+            kwargs[f.name] = _parse(f.name, _TYPES[f.name], value, origin)
         elif f.default is MISSING:
             raise ConfigurationError(f"config is missing required key {f.name}")
     return SimulationConfig(**kwargs)
 
 
-def _parse(key: str, kind, value: str, base_dir: Path):
+def _parse(key: str, kind, value: str, origin: tuple | None):
     """Parse one config value by its field's annotated type."""
     if type(None) in get_args(kind):
         # X | None: the value, when given, is an X
@@ -142,9 +141,9 @@ def _parse(key: str, kind, value: str, base_dir: Path):
         # comma-separated; empty fragments are skipped
         item = get_args(kind)[0]
         parts = [part.strip() for part in value.split(",") if part.strip()]
-        return tuple(_parse(key, item, part, base_dir) for part in parts)
+        return tuple(_parse(key, item, part, origin) for part in parts)
     if kind is Path:
-        return _resolve(base_dir, value)
+        return _resolve(key, value, origin)
     if kind is int:
         return _to_number(key, int, "an integer", value)
     if kind is float:
@@ -154,9 +153,15 @@ def _parse(key: str, kind, value: str, base_dir: Path):
     return _to_enum(key, kind, value)
 
 
-def _resolve(base_dir: Path, value: str) -> Path:
+def _resolve(key: str, value: str, origin: tuple | None) -> Path:
+    # the OS takes no NUL in a path; catch it here, where the key is known
+    if "\0" in value:
+        message = f"config key {key} holds a NUL byte"
+        if origin is None:
+            raise ConfigurationError(message)
+        raise ParseError(*origin, message)
     p = Path(value)
-    return p if p.is_absolute() else base_dir / p
+    return p if p.is_absolute() or origin is None else origin[0].parent / p
 
 
 def _to_number(key: str, kind: type, noun: str, value: str):

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
 from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
-from .similarity import Metric, score
+from .similarity import Metric, _pair_scorer
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
 
@@ -76,6 +76,7 @@ def admission_test(
         return admit
 
     metric, threshold = gate.metric, gate.threshold
+    scorer = _pair_scorer(metric)
 
     def admit(i, j):
         # the follower j against its source i, or against the rumor
@@ -85,7 +86,7 @@ def admission_test(
             missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
             return 0.0 >= threshold
         try:
-            return score(metric, pi, pj) >= threshold
+            return scorer(pi.topics, pj.topics) >= threshold
         except UndefinedCorrelationError as exc:
             where = f"edge ({i}, {j})" if rumor is None else f"user {j} against the rumor"
             raise UndefinedCorrelationError(f"{metric.value} gate on {where}: {exc}") from exc

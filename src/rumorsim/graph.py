@@ -8,6 +8,7 @@ they are contiguous or start at any particular value.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 from contextlib import contextmanager
@@ -61,8 +62,9 @@ class SocialGraph:
 
     ``sorted_edges`` is the edge set as a tuple in ascending (a, b) order,
     for callers that walk every edge in a reproducible order.  Neighbours
-    come back as read-only ascending tuples, shared with the graph, and the
-    frozenset ``edges`` is built on first access.
+    come back as read-only ascending tuples, shared with the graph.  The
+    in-adjacency is built on the first ``in_neighbors`` call and the
+    frozenset ``edges`` on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -76,20 +78,14 @@ class SocialGraph:
         self.sorted_edges = tuple(edges)
         del edges
         self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
-        out = {u: [] for u in self.nodes}
-        inc = {u: [] for u in self.nodes}
-        # in (a, b) order every out-run fills by ascending b and every
-        # in-run by ascending a
-        for a, b in self.sorted_edges:
-            out[a].append(b)
-            inc[b].append(a)
-        # one node at a time, so each list is freed as its tuple is made
-        for u in self.nodes:
-            out[u] = tuple(out[u])
-            inc[u] = tuple(inc[u])
-        self._out = out
-        self._in = inc
+        # in (a, b) order every out-run fills by ascending b
+        self._out = _runs(self.nodes, self.sorted_edges)
         self.load_stats: LoadStats | None = None
+
+    @cached_property
+    def _in(self) -> dict:
+        # in (b, a) order of the sorted edges every in-run fills by ascending a
+        return _runs(self.nodes, ((b, a) for a, b in self.sorted_edges))
 
     @cached_property
     def edges(self) -> frozenset:
@@ -111,6 +107,34 @@ class SocialGraph:
             raise UnknownUserError(f"unknown user id {u}") from None
 
 
+def _runs(nodes, pairs) -> dict:
+    """Each node to the tuple of the second items of its ``pairs``, in pair order."""
+    runs = {u: [] for u in nodes}
+    for u, v in pairs:
+        runs[u].append(v)
+    # one node at a time, so each list is freed as its tuple is made
+    for u in nodes:
+        runs[u] = tuple(runs[u])
+    return runs
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring its previous state on exit.
+
+    A load builds many small containers and no reference cycles, so the
+    collector's passes over them would find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_edges(path) -> SocialGraph:
     """Load a directed edge list from CSV with header from_user_id,to_user_id.
 
@@ -180,6 +204,7 @@ def save_edges(graph: SocialGraph, path) -> None:
     _write_rows(path, EDGES_HEADER, graph.sorted_edges)
 
 
+@_collector_paused()
 def load_users(path) -> dict:
     """Load user profiles from CSV with header user_id,topics,created_at,is_diffuser.
 

@@ -8,18 +8,23 @@ levenshtein on strings.  ``score`` looks the metric up in one table of
 functions of two topic sets.  All metrics are symmetric in their arguments.
 
 Levenshtein is the exact edit distance, computed with Myers' bit-vector
-algorithm (Myers 1999) in Hyyrö's edit-distance form (Hyyrö 2003).  For
-lengths m >= n a pair costs O(ceil(m/w) * n) operations on w-bit words; on
-Python ints each bit-vector operation is one big-int operation, about a dozen
-per character of the shorter string.  The distance is an exact integer, so
-the similarity is the same float the full-matrix DP gives.
+algorithm (Myers 1999) in Hyyrö's formulation (Hyyrö 2001), for any pattern
+and text lengths.  A pattern of length m against a text of length n costs
+O(ceil(m/w) * n) operations on w-bit words; on Python ints each bit-vector
+operation is one big-int operation, 17 of them and a table lookup per text
+character.  The distance is read once at the end from the popcounts of the
+last column.  It is an exact integer, so the similarity is the same float the
+full-matrix DP gives.
+A gate scores many pairs through ``_pair_scorer``: for Levenshtein it builds
+each topic set's canonical string once and one pattern table per run of
+checks from the same source.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import UndefinedCorrelationError
 
@@ -144,47 +149,57 @@ def levenshtein(s1: str, s2: str) -> tuple[int, float]:
     """Edit distance with unit insert/delete/substitute costs, plus a similarity.
 
     Substituting identical characters costs nothing.  The similarity is
-    1 - distance / max(len), and 1.0 when both strings are empty.
-
-    Myers' bit-vector algorithm in Hyyrö's edit-distance form: the longer
-    string is the pattern, bit i of the vectors is row i + 1 of the DP
-    matrix, and each character of the shorter string advances one column.
-    Pv/Mv hold the +1/-1 vertical deltas of the current column, Ph/Mh the
-    horizontal ones, and the top bit's horizontal delta moves the bottom-row
-    score.  O(ceil(m/w) * n) word operations; the distance is exact.
+    1 - distance / max(len), and 1.0 when both strings are empty.  The longer
+    string is the pattern, so the kernel runs one column per character of the
+    shorter one.
     """
     if len(s1) < len(s2):
         s1, s2 = s2, s1
-    m = len(s1)
-    distance = m
-    if s2:
-        # one bitmask per distinct character: where it occurs in the pattern
-        peq = {}
-        bit = 1
-        for ch in s1:
-            peq[ch] = peq.get(ch, 0) | bit
-            bit <<= 1
-        mask = bit - 1
-        top = bit >> 1
-        pv, mv = mask, 0
-        for ch in s2:
-            eq = peq.get(ch, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            if ph & top:
-                distance += 1
-            elif mh & top:
-                distance -= 1
-            # the carry-in 1: row 0 of the matrix grows by one per column
-            ph = (ph << 1) | 1
-            # carries only move up, so bits m and above never reach the low m
-            # bits; the mask only stops the ints from growing
-            pv = ((mh << 1) | ~(xv | ph)) & mask
-            mv = ph & xv
-    similarity = 1.0 if m == 0 else 1.0 - distance / m
-    return distance, similarity
+    distance = _edit_distance(_pattern(s1), len(s1), s2)
+    return distance, _levenshtein_similarity(distance, len(s1), len(s2))
+
+
+def _levenshtein_similarity(distance: int, m: int, n: int) -> float:
+    longest = max(m, n)
+    return 1.0 if longest == 0 else 1.0 - distance / longest
+
+
+def _pattern(s: str) -> dict:
+    """Myers' match table: each distinct character of ``s`` to the bitmask of where it occurs."""
+    peq = {}
+    bit = 1
+    for ch in s:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    return peq
+
+
+def _edit_distance(peq: dict, m: int, text: str) -> int:
+    """Edit distance between the length-``m`` pattern of ``peq`` and ``text``, any lengths.
+
+    Hyyrö's form of Myers' algorithm: bit i of the vectors is row i + 1 of
+    the DP matrix, and each character of the text advances one column.  VP/VN
+    hold the +1/-1 vertical deltas of the column and HP/HN the horizontal
+    ones; row 0 grows by one per column, the carry-in 1 of HP.  Carries and
+    shifts move bits only upwards, so the low m bits stay exact whatever lies
+    above them.  VP is masked to m bits each column.  VN, an AND of the
+    shifted HP and D0, needs no mask: D0's one bit above the pattern, the
+    carry out of row m, needs VP's top bit set, and then HP's top bit is
+    clear.  ``mask ^ x`` is ``~x`` on the low m bits without making a
+    negative int.  The bottom cell is the top cell, len(text), plus
+    the vertical deltas of the last column.
+    """
+    mask = (1 << m) - 1
+    vp, vn = mask, 0
+    for ch in text:
+        eq = peq.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | (mask ^ (d0 | vp))
+        hn = vp & d0
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask
+    return len(text) + vp.bit_count() - vn.bit_count()
 
 
 def _pearson_topics(a: TopicSet, b: TopicSet) -> float:
@@ -199,6 +214,37 @@ def _levenshtein_topics(a: TopicSet, b: TopicSet) -> float:
     return levenshtein(canonical_topic_string(a), canonical_topic_string(b))[1]
 
 
+class _CanonicalStrings(dict):
+    """Topic set -> canonical string, each built on first lookup."""
+
+    def __missing__(self, topics):
+        text = self[topics] = canonical_topic_string(topics)
+        return text
+
+
+def _levenshtein_sweep() -> Callable[[TopicSet, TopicSet], float]:
+    """Levenshtein similarity of topic sets, for the many pairs of one gate.
+
+    Each set's canonical string is built once, and the pattern table of the
+    first set is kept until a pair brings another first set: a gate checks a
+    source's followers back to back, so it builds one table per run of them.
+    Every pair gets the float ``_levenshtein_topics`` gives.
+    """
+    strings = _CanonicalStrings()
+    source = peq = None
+    m = 0
+
+    def similarity(a: TopicSet, b: TopicSet) -> float:
+        nonlocal source, peq, m
+        if a is not source:
+            first = strings[a]
+            source, peq, m = a, _pattern(first), len(first)
+        text = strings[b]
+        return _levenshtein_similarity(_edit_distance(peq, m, text), m, len(text))
+
+    return similarity
+
+
 _TOPIC_SCORES = {
     Metric.COSINE: cosine,
     Metric.PEARSON: _pearson_topics,
@@ -208,6 +254,17 @@ _TOPIC_SCORES = {
     Metric.LEVENSHTEIN: _levenshtein_topics,
     Metric.AVERAGE: lambda a, b: overlap_scores(a, b)[3],
 }
+
+
+# metrics whose scorer keeps work between the pairs of one gate; the others
+# score every pair with their _TOPIC_SCORES function
+_SWEEPS = {Metric.LEVENSHTEIN: _levenshtein_sweep}
+
+
+def _pair_scorer(metric: Metric) -> Callable[[TopicSet, TopicSet], float]:
+    """A fresh function of two topic sets giving ``score``'s float, for one gate's pairs."""
+    sweep = _SWEEPS.get(metric)
+    return sweep() if sweep else _TOPIC_SCORES[metric]
 
 
 def score(metric: Metric, a, b) -> float:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURE_DIR
-from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli
+from helpers import FIXTURE_DIR, random_digraph, random_profiles
+from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli, save_edges
 from rumorsim.cli import build_parser, main
 from rumorsim.similarity import overlap_scores
 
@@ -164,6 +165,36 @@ class TestSimilarity:
             f"1,3,{1 / 2**0.5!r},0.5,{2 / 3!r},{(1 / 2**0.5 + 0.5 + 2 / 3) / 3!r}",
             "2,3,0.0,0.0,0.0,0.0",
         ]
+
+    def test_every_field_is_str_of_its_score(self, tmp_path, capsys):
+        # many edges share an overlap shape, and some endpoints have no profile
+        rng = random.Random(131)
+        graph = random_digraph(rng, 60, 0.2)
+        profiles = random_profiles(rng, graph.nodes, max_labels=4)
+        for uid in rng.sample(sorted(profiles), 6):
+            del profiles[uid]
+        save_edges(graph, tmp_path / "edges.csv")
+        with open(tmp_path / "users.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user_id", "topics", "created_at", "is_diffuser"])
+            writer.writerows((u, ",".join(sorted(p.topics)), 0, 0) for u, p in profiles.items())
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("edges_path = edges.csv\nusers_path = users.csv\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(capsys, "similarity", str(cfg), "--out-dir", str(out))[0] == 0
+        with (out / "sims.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(int(a), int(b)) for a, b, *_ in rows] == list(graph.sorted_edges)
+        missing = 0
+        for a, b, *fields in rows:
+            pa, pb = profiles.get(int(a)), profiles.get(int(b))
+            if pa is None or pb is None:
+                missing += 1
+                expected = (0.0,) * 4
+            else:
+                expected = overlap_scores(pa.topics, pb.topics)
+            assert fields == [str(v) for v in expected], (a, b)
+        assert 0 < missing < len(rows)
 
 
 class TestExport:
@@ -332,6 +363,23 @@ class TestFailureModes:
         code, _, stderr = run(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert stderr == f"error: {cfg}:4: config key 'max_time' is set twice\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nul_byte_in_a_config_file_path_is_exit_1_naming_key_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("edges_path = e.csv\nusers_path = u\0.csv\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, "validate", str(cfg))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {cfg}:2: config key users_path holds a NUL byte\n"
+
+    @pytest.mark.parametrize("key", ["edges_path", "users_path", "rumor_path", "decisions_path", "out_dir"])
+    def test_nul_byte_in_a_path_flag_is_exit_1_naming_the_key(self, tmp_path, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        code, stdout, stderr = run(capsys, "simulate", CFG, "--out-dir", str(tmp_path / "out"), flag, "x\0y")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: config key {key} holds a NUL byte\n"
         assert not (tmp_path / "out").exists()
 
     def test_main_raises_systemexit_with_cli_code(self, monkeypatch, capsys):

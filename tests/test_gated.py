@@ -3,7 +3,10 @@ agreement with independent reachability oracles on random graphs."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from itertools import count, groupby
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +21,12 @@ from helpers import (
 )
 from rumorsim import (
     ConfigurationError,
+    EvaluationPolicy,
     Metric,
     ParseError,
     RumorContent,
     SimilarityGate,
+    SimulationConfig,
     SocialGraph,
     UndefinedCorrelationError,
     UserProfile,
@@ -30,7 +35,10 @@ from rumorsim import (
     diffuse_user_user,
     filtered_edge_set,
     load_decisions,
+    run_trials,
+    score,
 )
+from rumorsim import gated, similarity, simulate
 from rumorsim.gated import _diffuse, admission_test
 
 TAU_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -217,6 +225,72 @@ class TestOracleAgreement:
                 assert filtered_edge_set(graph, profiles, rumor, gate) == {
                     (a, b) for a, b in graph.edges if user_content[b] >= tau
                 }
+
+    def test_levenshtein_admit_equals_score_for_both_models(self):
+        # sources in runs, in reverse, and interleaved: the pattern table
+        # must follow every change of source
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+        shuffler = random.Random(509)
+        for graph, profiles, _ in oracle_corpus(seed=510, count=12, max_nodes=60):
+            edges = list(graph.sorted_edges)
+            order = edges + edges[::-1] + shuffler.sample(edges, len(edges))
+            for tau in TAU_GRID:
+                gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
+                for source in (None, rumor):
+                    admit = admission_test(profiles, source, gate, set())
+                    for i, j in order:
+                        pi = profiles[i] if source is None else rumor
+                        assert admit(i, j) == (score(Metric.LEVENSHTEIN, pi, profiles[j]) >= tau), (i, j)
+
+    def test_levenshtein_pattern_built_once_per_run_of_checks_from_a_source(self, monkeypatch):
+        built = []
+        build = similarity._pattern
+        monkeypatch.setattr(similarity, "_pattern", lambda text: built.append(text) or build(text))
+        # (gate, source) of each check: a new gate starts a new run
+        checks = []
+        gates = count()
+
+        def recording(*args):
+            admit = admission_test(*args)
+            gate_no = next(gates)
+
+            def admit_recorded(i, j):
+                checks.append((gate_no, i))
+                return admit(i, j)
+
+            return admit_recorded
+
+        monkeypatch.setattr(gated, "admission_test", recording)
+        monkeypatch.setattr(simulate, "admission_test", recording)
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+        rng = random.Random(511)
+        saved = {}
+        for tau in (0.0, 0.25, 0.5):
+            graph = random_digraph(rng, 40, 0.15)
+            profiles = random_profiles(rng, graph.nodes, max_created=4)
+            initials = (1, 2)
+            gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
+            cfg = SimulationConfig(
+                Path("e"), Path("u"), metric=Metric.LEVENSHTEIN, threshold=tau, max_time=6, initials=initials
+            )
+            runs = {
+                "closure": lambda: diffuse_user_user(graph, profiles, initials, gate),
+                "edge set": lambda: filtered_edge_set(graph, profiles, None, gate),
+                "once": lambda: run_trials(cfg, graph, profiles),
+                "every step": lambda: run_trials(
+                    dataclasses.replace(cfg, evaluation_policy=EvaluationPolicy.EVERY_STEP), graph, profiles
+                ),
+                "content": lambda: diffuse_user_content(graph, profiles, rumor, initials, gate),
+            }
+            for name, run in runs.items():
+                del built[:], checks[:]
+                run()
+                # against the rumor the one source is the rumor
+                limit = 1 if name == "content" else sum(1 for _ in groupby(checks))
+                assert len(built) <= limit, name
+                saved[name] = saved.get(name, 0) + len(checks) - len(built)
+        # every kind of run reuses a table somewhere
+        assert all(n > 0 for n in saved.values()), saved
 
     def test_fixpoint_equals_fully_independent_oracle(self):
         # off-lattice threshold so float noise cannot flip a gate decision

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import random
 
 import pytest
 
 import rumorsim.cli
+import rumorsim.graph
 from helpers import FIXTURE_DIR, random_digraph, rowwise_load_edges
 from rumorsim import (
     AgentKind,
@@ -456,6 +458,75 @@ class TestEdgeSetOnDemand:
         states = {1: EpidemicState.INFECTED, 2: EpidemicState.SUSCEPTIBLE, 3: EpidemicState.SUSCEPTIBLE}
         ic_step(chain_graph, states, EdgeProbability(0.5), set(), RngStream(1))
         assert chain_graph.__dict__["edges"] == {(1, 2), (2, 3)}
+
+
+class TestInAdjacencyOnDemand:
+    """``in_neighbors`` builds the in-adjacency; SIR, IC, evaluate, similarity and validate never call it."""
+
+    PARAMS = TestEdgeSetOnDemand.PARAMS
+
+    def test_runs_and_commands_that_never_build_it(self, tmp_path, monkeypatch, capsys):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        profiles = load_users(cfg.users_path)
+        rumor = load_rumor(cfg.rumor_path)
+        graphs = []
+
+        def fresh(path=cfg.edges_path):
+            graphs.append(load_edges(path))
+            return graphs[-1]
+
+        for model in (ModelKind.SIR, ModelKind.IC):
+            run_trials(dataclasses.replace(cfg, model=model, **self.PARAMS[model]), fresh(), profiles, rumor)
+        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
+            metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
+        validate(fresh(), profiles)
+        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
+        config = str(FIXTURE_DIR / "sim.cfg")
+        for argv in (
+            ["simulate", config, "--model", "sir", "--beta", "0.5", "--gamma", "0.2"],
+            ["simulate", config, "--model", "ic", "--ic-default-p", "0.5"],
+            ["evaluate", config],
+            ["similarity", config],
+        ):
+            assert run_cli([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+        assert run_cli(["validate", config]) == 0
+        capsys.readouterr()
+        assert len(graphs) == 10
+        assert not [g for g in graphs if "_in" in g.__dict__]
+
+    @pytest.mark.parametrize("model", [ModelKind.TIPPING, ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
+    def test_runs_that_read_sources_build_it(self, model):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        graph = load_edges(cfg.edges_path)
+        run_cfg = dataclasses.replace(cfg, model=model, **self.PARAMS.get(model, {}))
+        run_trials(run_cfg, graph, load_users(cfg.users_path), load_rumor(cfg.rumor_path))
+        assert graph.__dict__["_in"] == {
+            u: tuple(a for a, b in graph.sorted_edges if b == u) for u in graph.nodes
+        }
+
+
+class TestCollectorPausedDuringLoads:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_loads_pause_the_collector_and_restore_its_state(self, tmp_path, monkeypatch, enabled):
+        seen = []
+        for name in ("SocialGraph", "tokenize_topics"):
+            real = getattr(rumorsim.graph, name)
+            monkeypatch.setattr(rumorsim.graph, name, lambda arg, real=real: seen.append(gc.isenabled()) or real(arg))
+        bad = write(tmp_path / "users.csv", "user_id,topics,created_at,is_diffuser\n1,a,0,0\n1,b,0,0\n")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_edges(FIXTURE_DIR / "edges.csv")
+            load_users(FIXTURE_DIR / "users.csv")
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError, match="duplicate user id 1"):
+                load_users(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        # one graph build, ten fixture profiles, the bad file's first row
+        assert len(seen) == 1 + 10 + 1
+        assert not any(seen)
 
 
 BAD_BYTE_CASES = [

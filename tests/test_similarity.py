@@ -33,6 +33,7 @@ from rumorsim import (
     tokenize_topics,
     vector_cosine,
 )
+from rumorsim.similarity import _edit_distance, _pattern
 
 ABC = frozenset("abc")
 BCD = frozenset("bcd")
@@ -227,6 +228,17 @@ class TestOracleEquivalence:
             expected = (dp_levenshtein(s1, s2), dp_levenshtein_similarity(s1, s2))
             assert levenshtein(s1, s2) == expected
             assert levenshtein(s2, s1) == expected
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abcdefghijklmnopqrstuvwxyz, ", "aé中𝄞\u0301ß "])
+    def test_kernel_matches_full_matrix_for_either_length_as_pattern(self, alphabet):
+        # the gate's pattern is its source's string, shorter or longer than the text
+        rng = random.Random(419)
+        strings = ["".join(rng.choices(alphabet, k=n)) for n in LEVENSHTEIN_LENGTHS]
+        for i, s1 in enumerate(strings):
+            for s2 in strings[i:]:
+                expected = dp_levenshtein(s1, s2)
+                assert _edit_distance(_pattern(s1), len(s1), s2) == expected, (len(s1), len(s2))
+                assert _edit_distance(_pattern(s2), len(s2), s1) == expected, (len(s2), len(s1))
 
 
 class TestProperties:
