@@ -72,8 +72,12 @@ def _overrides(args) -> dict:
 
 
 def _load_inputs(cfg) -> tuple:
+    """(graph, profiles, rumor, decisions); a classical model reads the edge list alone."""
+    graph = load_edges(cfg.edges_path)
+    if cfg.model not in GATED_MODELS:
+        return graph, None, None, None
     return (
-        load_edges(cfg.edges_path),
+        graph,
         load_users(cfg.users_path),
         load_rumor(cfg.rumor_path) if cfg.rumor_path else None,
         load_decisions(cfg.decisions_path) if cfg.decisions_path else None,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -165,7 +166,8 @@ class IcRun:
     draw per edge, infects a target that was susceptible at the start of the
     step on success, and recovers at the end of the step.  A node spreads in
     exactly one step, so a run tries every edge at most once without keeping
-    a record of tried edges.
+    a record of tried edges.  Without per-edge overrides every draw is
+    compared with the default probability, with no lookup per edge.
     """
 
     def __init__(self, graph: SocialGraph, states: Mapping, probs: EdgeProbability, rng: RngStream):
@@ -183,12 +185,14 @@ class IcRun:
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
-        states, draw, edge_p = self.states, self._draw, self.probs.get
-        targets = self.graph.out_neighbors
+        states, draw, probs = self.states, self._draw, self.probs
+        targets, susceptible = self.graph.out_neighbors, EpidemicState.SUSCEPTIBLE
         hit = set()
         for node in self.spreaders:
-            for target in targets(node):
-                if draw() < edge_p((node, target)) and states[target] is EpidemicState.SUSCEPTIBLE:
+            out = targets(node)
+            edge_p = map(probs.get, zip(repeat(node), out)) if probs.overrides else repeat(probs.default)
+            for target, p in zip(out, edge_p):
+                if draw() < p and states[target] is susceptible:
                     hit.add(target)
         delta = [(u, EpidemicState.RECOVERED) for u in self.spreaders]
         delta.extend((u, EpidemicState.INFECTED) for u in hit)
@@ -215,9 +219,7 @@ class TippingRun:
         self.theta = params.theta
         self.adopted_in = {}
         self.touched = set()
-        for u in graph.nodes:
-            if states[u] is AdoptionState.ADOPTED:
-                self._notify_followers(u)
+        self._notify_followers(u for u in graph.nodes if states[u] is AdoptionState.ADOPTED)
 
     @property
     def idle(self) -> bool:
@@ -236,16 +238,18 @@ class TippingRun:
         self.touched = set()
         for v, state in delta:
             self.states[v] = state
-        for v, _ in delta:
-            self._notify_followers(v)
+        self._notify_followers(v for v, _ in delta)
         return delta
 
-    def _notify_followers(self, u) -> None:
-        states, adopted_in = self.states, self.adopted_in
-        for w in self.graph.out_neighbors(u):
-            if states[w] is not AdoptionState.ADOPTED:
-                adopted_in[w] = adopted_in.get(w, 0) + 1
-                self.touched.add(w)
+    def _notify_followers(self, nodes) -> None:
+        """Count each of ``nodes`` as adopted toward its followers not yet adopted."""
+        states, adopted_in, targets = self.states, self.adopted_in, self.graph.out_neighbors
+        count, touch, adopted = adopted_in.get, self.touched.add, AdoptionState.ADOPTED
+        for u in nodes:
+            for w in targets(u):
+                if states[w] is not adopted:
+                    adopted_in[w] = count(w, 0) + 1
+                    touch(w)
 
 
 def sir_step(graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStream) -> dict:

@@ -14,8 +14,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, starmap
-from operator import eq, ne
+from itertools import chain, compress, islice, starmap
+from operator import eq, lt, ne
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -61,22 +61,24 @@ class SocialGraph:
     """Directed graph, immutable after construction, with sorted adjacency.
 
     ``sorted_edges`` is the edge set as a tuple in ascending (a, b) order,
-    for callers that walk every edge in a reproducible order.  Neighbours
+    for callers that walk every edge in a reproducible order.  Pairs given
+    in strictly ascending order are taken as they are, checked in one pass;
+    any other input is deduped and sorted, with the same result.  Neighbours
     come back as read-only ascending tuples, shared with the graph.  The
     in-adjacency is built on the first ``in_neighbors`` call and the
     frozenset ``edges`` on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
-        # dedup in input order, then sort: timsort runs through an input
-        # that is already sorted in one pass
-        edges = list(dict.fromkeys(edges))
-        edges.sort()
+        edges = tuple(edges)
+        # strictly ascending pairs, as save_edges writes them, are already
+        # unique and sorted; anything else is deduped and sorted
+        if not all(map(lt, edges, islice(edges, 1, None))):
+            edges = tuple(sorted(dict.fromkeys(edges)))
         loop = next(compress(edges, starmap(eq, edges)), None)
         if loop is not None:
             raise ConfigurationError(f"self-loop on user {loop[0]}")
-        self.sorted_edges = tuple(edges)
-        del edges
+        self.sorted_edges = edges
         self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
         # in (a, b) order every out-run fills by ascending b
         self._out = _runs(self.nodes, self.sorted_edges)

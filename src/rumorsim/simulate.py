@@ -23,7 +23,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -49,6 +49,9 @@ CURVE_HEADER = ["step", "diffusers"]
 # states that count toward the diffusion curve; all are absorbing or
 # downstream of one (a recovered node was infected first)
 _ACTIVE_LABELS = frozenset({"diffuser", "infected", "recovered", "adopted"})
+
+# a dict lookup is cheaper than the Enum.value descriptor, read once per change
+_STATE_LABELS = {state: state.value for state in chain(EpidemicState, AdoptionState)}
 
 _DEFAULT_LABELS = {
     ModelKind.GATED_USER_USER: "non_diffuser",
@@ -182,19 +185,18 @@ def _run_classical(cfg, graph, rng) -> DiffusionTrace:
     elif cfg.model is ModelKind.SIR:
         sir = SirParams(cfg.model_param("beta"), cfg.model_param("gamma"))
         run = SirRun(graph, _seed_epidemic(graph, initials), sir, rng)
-    elif cfg.model is ModelKind.IC:
+    else:
+        # IC, the one classical model left; run_simulation sends the gated ones to _run_gated
         probs = EdgeProbability(cfg.model_param("ic_default_p"))
         run = IcRun(graph, _seed_epidemic(graph, initials), probs, rng)
-    else:
-        raise ConfigurationError(f"model {cfg.model.value} is not a classical model")
 
-    changes = {0: [(u, run.states[u].value) for u in sorted(initials)]}
+    changes = {0: [(u, _STATE_LABELS[run.states[u]]) for u in sorted(initials)]}
     for t in range(1, cfg.max_time + 1):
         # an empty frontier cannot change anything
         if run.idle:
             break
         if delta := run.step():
-            changes[t] = [(u, state.value) for u, state in delta]
+            changes[t] = [(u, _STATE_LABELS[state]) for u, state in delta]
     return _replay(cfg, graph, changes)
 
 
@@ -232,14 +234,18 @@ def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
 
 
 def write_trace_csv(traces, path) -> None:
-    """Write all trials' deltas as trial,step,user_id,new_state rows."""
-    rows = (
-        (k, step, uid, label)
-        for k, trace in enumerate(traces)
-        for step in sorted(trace.changes)
-        for uid, label in trace.changes[step]
-    )
-    _write_rows(path, TRACE_HEADER, rows)
+    """Write all trials' deltas as trial,step,user_id,new_state rows, LF line ends.
+
+    Every field is an int or one of the fixed state labels, none of which
+    needs CSV quoting, so rows are written as text: the bytes ``csv.writer``
+    would write.
+    """
+    with _open_output(path, newline="") as fh:
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        for k, trace in enumerate(traces):
+            for step in sorted(trace.changes):
+                prefix = f"{k},{step},"
+                fh.write("".join([f"{prefix}{uid},{label}\n" for uid, label in trace.changes[step]]))
 
 
 def read_trace_csv(path, trial: int) -> dict:

@@ -7,6 +7,8 @@ production code is checked against an independent route, not against itself.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from pathlib import Path
@@ -203,13 +205,14 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     return changes, counts, clamped, active, sorted(missing)
 
 
-def stepwise_classical_run(cfg, graph, rng):
+def stepwise_classical_run(cfg, graph, rng, edge_p=None):
     """Classical run by full sweeps: every step revisits every node.
 
     Each step decides every node from a copy of the previous step's states,
     in ascending id: a susceptible SIR node draws once per infected
     in-neighbour, an infected one once against gamma; an infected IC node
-    tries each out-edge it has not tried before; a tipping node recounts its
+    tries each out-edge it has not tried before, with the edge's probability
+    in ``edge_p`` or else ``cfg.ic_default_p``; a tipping node recounts its
     adopted in-neighbours.  SIR and IC stop once nothing is infected, tipping
     after a step without adoptions.  Returns (changes, counts, final_states)
     in the shape ``run_simulation`` reports them.
@@ -247,7 +250,8 @@ def stepwise_classical_run(cfg, graph, rng):
                 if (node, target) in attempted:
                     continue
                 attempted.add((node, target))
-                if rng.random() < cfg.ic_default_p and states[target] is S:
+                p = (edge_p or {}).get((node, target), cfg.ic_default_p)
+                if rng.random() < p and states[target] is S:
                     new_states[target] = I
             new_states[node] = R
         return new_states
@@ -280,6 +284,17 @@ def stepwise_classical_run(cfg, graph, rng):
             break
     counts.extend([counts[-1]] * (cfg.max_time + 1 - len(counts)))
     return changes, counts, {u: s.value for u, s in states.items()}
+
+
+def csv_trace_bytes(traces):
+    """trace.csv as ``csv.writer`` writes it: header, then one row per change."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["trial", "step", "user_id", "new_state"])
+    for k, trace in enumerate(traces):
+        for step in sorted(trace.changes):
+            writer.writerows((k, step, uid, label) for uid, label in trace.changes[step])
+    return buffer.getvalue().encode("utf-8")
 
 
 def rowwise_load_edges(path):

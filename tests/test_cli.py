@@ -103,6 +103,40 @@ class TestSimulate:
         assert not (out / "trace.csv").exists()
 
 
+class TestClassicalInputs:
+    """A classical simulate reads the edge list alone."""
+
+    PARAMS = ("--beta", "0.3", "--gamma", "0.2", "--ic-default-p", "0.4", "--theta", "0.3", "--trials", "3")
+
+    @staticmethod
+    def unreadable(tmp_path):
+        corrupt = tmp_path / "corrupt.csv"
+        corrupt.write_bytes(b"user_id,topics\n\xff,1\n")
+        return {"missing": tmp_path / "does-not-exist.csv", "corrupt": corrupt}
+
+    @pytest.mark.parametrize("model", ["sir", "ic", "tipping"])
+    def test_users_rumor_and_decisions_are_never_opened(self, tmp_path, capsys, model):
+        blobs = {}
+        for name, path in {"real": None, **self.unreadable(tmp_path)}.items():
+            inputs = [] if path is None else [
+                arg for key in ("users", "rumor", "decisions") for arg in (f"--{key}-path", str(path))
+            ]
+            out = tmp_path / name
+            code, _, stderr = run(capsys, "simulate", CFG, "--model", model, *self.PARAMS, *inputs,
+                                  "--out-dir", str(out))
+            assert (code, stderr) == (0, ""), name
+            blobs[name] = [(out / f).read_bytes() for f in ("trace.csv", "curve.csv")]
+        assert blobs["missing"] == blobs["real"] == blobs["corrupt"]
+
+    @pytest.mark.parametrize("name, code", [("missing", 2), ("corrupt", 1)])
+    def test_a_gated_simulate_still_reads_the_profiles(self, tmp_path, capsys, name, code):
+        path = self.unreadable(tmp_path)[name]
+        got, _, stderr = run(capsys, "simulate", CFG, "--users-path", str(path), "--out-dir", str(tmp_path / "out"))
+        assert got == code
+        assert str(path) in stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_sweep_order_and_accuracies(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -63,6 +63,10 @@ class TestRngStream:
         assert [child_a.random() for _ in range(10)] == [child_b.random() for _ in range(10)]
         assert RngStream(99).derive(0).random() != RngStream(99).derive(1).random()
 
+    def test_derive_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="derive index must be >= 0, got -1"):
+            RngStream(5).derive(-1)
+
     def test_seed_bounds(self):
         RngStream(0)
         RngStream(2**64 - 1)
@@ -349,6 +353,11 @@ class TestBeliefProcess:
             run_belief_process(g, init, 5, RngStream(1))
         final, trace = run_belief_process(g, init, 0, RngStream(1))
         assert len(trace) == 1
+
+    def test_negative_iterations_rejected(self, chain_graph):
+        init = BeliefState({1: 0.1, 2: 0.5, 3: 0.9}, dict.fromkeys((1, 2, 3), AgentKind.REGULAR), 0.5)
+        with pytest.raises(ConfigurationError, match="iterations must be >= 0, got -1"):
+            run_belief_process(chain_graph, init, -1, RngStream(1))
 
     def test_node_without_belief_rejected(self, chain_graph):
         init = regular_pair_state(0.2, 0.8)

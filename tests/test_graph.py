@@ -38,7 +38,7 @@ from rumorsim import (
     save_edges,
     validate,
 )
-from rumorsim.graph import LoadStats, _bulk_edge_rows
+from rumorsim.graph import LoadStats, _bulk_edge_rows, _open_input
 
 
 def write(path, text):
@@ -417,6 +417,60 @@ class TestInputOrder:
         assert built.load_stats is None
 
 
+class TestAscendingInput:
+    """Strictly ascending pairs skip the dedup pass; anything else takes it."""
+
+    @staticmethod
+    def dedup_passes(monkeypatch):
+        passes = []
+        monkeypatch.setattr(
+            rumorsim.graph, "sorted", lambda pairs: passes.append(1) or sorted(pairs), raising=False
+        )
+        return passes
+
+    def test_matches_shuffled_copies_with_duplicates(self, tmp_path, monkeypatch):
+        rng = random.Random(62)
+        pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(300)]
+        ascending = sorted({(a, b) for a, b in pairs if a != b})
+        passes = self.dedup_passes(monkeypatch)
+        fast = SocialGraph(ascending)
+        save_edges(fast, tmp_path / "sorted.csv")
+        loaded = load_edges(tmp_path / "sorted.csv")
+        assert passes == []
+        assert loaded.load_stats == LoadStats(rows_read=len(ascending))
+        for k in range(5):
+            copy = ascending + rng.sample(ascending, 40) + [(u, u) for u in range(k)]
+            rng.shuffle(copy)
+            TestInputOrder.write_rows(tmp_path / "shuffled.csv", copy)
+            shuffled = load_edges(tmp_path / "shuffled.csv")
+            built = SocialGraph([(a, b) for a, b in copy if a != b])
+            for g in (loaded, shuffled, built):
+                assert graph_attrs(g) == graph_attrs(fast)
+            assert shuffled.load_stats == LoadStats(len(copy), 40, k)
+        assert len(passes) == 10
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            pytest.param([(1, 2), (1, 2), (1, 3)], id="equal neighbours"),
+            pytest.param([(1, 2), (2, 5), (2, 4), (3, 1)], id="descending run"),
+            pytest.param([(3, 1), (2, 1), (1, 2)], id="descending"),
+        ],
+    )
+    def test_anything_but_strictly_ascending_is_deduped_and_sorted(self, pairs, monkeypatch):
+        passes = self.dedup_passes(monkeypatch)
+        g = SocialGraph(pairs)
+        assert passes == [1]
+        assert g.sorted_edges == tuple(sorted(set(pairs)))
+        assert graph_attrs(g) == graph_attrs(SocialGraph(sorted(set(pairs))))
+
+    def test_a_self_loop_in_ascending_pairs_is_rejected(self, monkeypatch):
+        passes = self.dedup_passes(monkeypatch)
+        with pytest.raises(ConfigurationError, match="self-loop on user 3"):
+            SocialGraph([(1, 2), (3, 3), (4, 5), (6, 6)])
+        assert passes == []
+
+
 class TestEdgeSetOnDemand:
     """Only ``ic_step`` builds the frozenset ``edges``; other callers walk ``sorted_edges``."""
 
@@ -573,6 +627,19 @@ class TestUnreadableInput:
             reader(path)
         assert err.value.line_no == 3
         assert str(err.value).startswith(f"{path}:3: malformed CSV: field larger than field limit")
+
+
+    def test_a_file_fixed_before_the_recheck_keeps_the_decode_error(self, tmp_path):
+        # the file is rewritten between the failed read and the handler's
+        # re-read: the original error propagates rather than being swallowed
+        path = tmp_path / "input"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            with _open_input(path) as fh:
+                try:
+                    fh.read()
+                finally:
+                    path.write_bytes(b"ok\n")
 
 
 class TestLoadRumor:

@@ -284,6 +284,17 @@ class TestProperties:
             assert dice(a, b) == pytest.approx(2 * j / (1 + j), abs=1e-12)
 
 
+class TestVectorCosine:
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="vectors must have equal length"):
+            vector_cosine([1.0, 2.0], [1.0])
+
+    def test_zero_vector_scores_zero(self):
+        assert vector_cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert vector_cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert vector_cosine([], []) == 0.0
+
+
 class TestPearsonErrors:
     def test_zero_variance_raises(self):
         with pytest.raises(UndefinedCorrelationError):

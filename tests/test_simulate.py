@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    csv_trace_bytes,
     oracle_corpus,
     random_digraph,
     random_profiles,
@@ -20,6 +21,7 @@ from helpers import (
 )
 from rumorsim import (
     ConfigurationError,
+    EdgeProbability,
     EvaluationPolicy,
     Metric,
     ModelKind,
@@ -41,6 +43,7 @@ from rumorsim import (
     write_curve_csv,
     write_trace_csv,
 )
+from rumorsim import simulate
 
 
 def gated_config(**kwargs):
@@ -401,6 +404,28 @@ class TestEventDrivenClassicalRuns:
         assert cut > 0
         assert idle > 0
 
+    def test_ic_with_edge_overrides_matches_full_sweep_reference(self, monkeypatch):
+        rng = random.Random(74)
+        moved = 0
+        for case in range(80):
+            graph = random_digraph(rng, rng.randint(2, 40), rng.choice([0.08, 0.2]))
+            # about half the edges get their own probability, the rest the default
+            edge_p = {e: rng.choice([0.0, 0.2, 0.9, 1.0]) for e in graph.sorted_edges if rng.random() < 0.5}
+            monkeypatch.setattr(simulate, "EdgeProbability", lambda p: EdgeProbability(p, edge_p))
+            initials = tuple(rng.sample(sorted(graph.nodes), min(len(graph.nodes), rng.randint(1, 3))))
+            cfg = gated_config(
+                model=ModelKind.IC, ic_default_p=0.35, initials=initials, max_time=rng.randint(1, 20), seed=case
+            )
+            ours = RngStream(cfg.seed).derive(0)
+            theirs = RngStream(cfg.seed).derive(0)
+            trace = run_simulation(cfg, graph, rng=ours)
+            expected = stepwise_classical_run(cfg, graph, theirs, edge_p)
+            assert (trace.changes, trace.counts, trace.final_states) == expected
+            assert ours._rng.getstate() == theirs._rng.getstate()
+            moved += expected != stepwise_classical_run(cfg, graph, RngStream(cfg.seed).derive(0))
+        # the overrides decide the outcome of some runs
+        assert moved > 0
+
     def test_lookups_track_state_changes_not_graph_size(self):
         rng = random.Random(73)
         # the seeds sit at the head of a 40-user chain; 2,000 other users form
@@ -474,6 +499,23 @@ class TestTraceSerialization:
             write_trace_csv(traces, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_bytes_equal_the_csv_writer(self, tmp_path, model):
+        rng = random.Random(69)
+        g = random_digraph(rng, 40, 0.08)
+        profiles = random_profiles(rng, g.nodes, max_created=5)
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+        cfg = gated_config(
+            model=model, rumor_path=Path("rumor.txt"), initials=(1, 2), max_time=12, trials=3,
+            threshold=0.1, beta=0.4, gamma=0.3, ic_default_p=0.4, theta=0.2,
+        )
+        traces, _ = run_trials(cfg, g, profiles, rumor)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(traces, path)
+        assert path.read_bytes() == csv_trace_bytes(traces)
+        # rows past step 0 from more than one trial
+        assert sum(len(trace.changes) > 1 for trace in traces) > 1
 
     def test_missing_trial_rejected(self, tmp_path, chain_graph):
         traces, _ = run_trials(gated_config(trials=1), chain_graph, uniform_profiles(chain_graph))
@@ -658,6 +700,7 @@ class TestConfigFile:
             ("metrics = cosine, vibes", "config key metrics must be one of cosine, pearson, "
              "jaccard, jaccard_vector, dice, levenshtein, average; got 'vibes'"),
             ("metrics = , ,", "metrics must list at least one metric"),
+            ("max_time = 0", "max_time must be >= 1, got 0"),
             # the policy is reported as normalised: lowercased, '_' -> '-'
             ("evaluation_policy = Every_Sometimes", "config key evaluation_policy must be one "
              "of once, every-step; got 'every-sometimes'"),
@@ -667,6 +710,16 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as exc:
             load_config(self.write(tmp_path, self.base_text() + line + "\n"))
         assert str(exc.value) == message
+
+    def test_line_without_equals_names_the_line(self, tmp_path):
+        path = self.write(tmp_path, self.base_text() + "# fine\nmax_time 30\n")
+        with pytest.raises(ParseError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:4: expected key = value, got 'max_time 30'"
+
+    def test_unknown_override_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="unknown config key 'warp'"):
+            load_config(self.write(tmp_path, self.base_text()), {"warp": "9"})
 
     @pytest.mark.parametrize("present", ["edges_path", "users_path"])
     def test_missing_required_key_is_named(self, tmp_path, present):
