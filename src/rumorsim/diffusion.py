@@ -4,11 +4,13 @@ and pairwise belief exchange between regular and forceful agents.
 Steps are synchronous: every transition in one step is decided from the
 states at the start of that step.  Influence travels along edge direction,
 so a node is exposed through its in-neighbors.  ``SirRun``, ``IcRun`` and
-``TippingRun`` keep the frontier of a run (infected and exposed nodes, the
-last step's new infections, the nodes whose adopted in-neighbor count just
-changed) and a step touches only that frontier, looking up a node's
-out-neighbors only when the node changes state.  ``sir_step``, ``ic_step``
-and ``tipping_step`` run one such step from a full state map.  Random draws
+``TippingRun`` serve the run protocol of ``simulate``: ``step()`` touches
+only the run's frontier (infected and exposed nodes, the last step's new
+infections, the nodes whose adopted in-neighbor count just changed) and
+returns the step's [(node, new state)] changes by ascending id, and
+``next_step`` is None once that frontier is empty.  A node's out-neighbors
+are looked up only when it changes state.  ``sir_step``, ``ic_step`` and
+``tipping_step`` run one such step from a full state map.  Random draws
 always happen in sorted node order and are never short-circuited, which
 keeps the stream consumption, and therefore whole runs, reproducible for a
 given seed.
@@ -17,6 +19,7 @@ given seed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -113,11 +116,7 @@ class SirRun:
         self.exposure = {}
         for u in self.infected:
             self._expose_followers(u, 1)
-
-    @property
-    def idle(self) -> bool:
-        """True when no later step can change a state."""
-        return not self.infected
+        self.next_step = 1 if self.infected else None
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
@@ -145,6 +144,7 @@ class SirRun:
         # exposure is recounted against the states at the end of the step
         for v, state in delta:
             self._expose_followers(v, 1 if state is EpidemicState.INFECTED else -1)
+        self.next_step = self.next_step + 1 if infected else None
         return delta
 
     def _expose_followers(self, u, change: int) -> None:
@@ -177,11 +177,7 @@ class IcRun:
         self.probs = probs
         self._draw = rng.random
         self.spreaders = sorted(u for u in graph.nodes if states[u] is EpidemicState.INFECTED)
-
-    @property
-    def idle(self) -> bool:
-        """True when no later step can change a state."""
-        return not self.spreaders
+        self.next_step = 1 if self.spreaders else None
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
@@ -200,6 +196,7 @@ class IcRun:
         for u, state in delta:
             states[u] = state
         self.spreaders = sorted(hit)
+        self.next_step = self.next_step + 1 if hit else None
         return delta
 
 
@@ -209,7 +206,8 @@ class TippingRun:
     Keeps, per node not yet adopted, the number of adopted in-neighbors.  A
     step rechecks only the nodes whose count changed in the previous step (at
     first, every node with an adopted in-neighbor); any other node would face
-    the same test it already failed.
+    the same test it already failed.  The test needs only in-degrees, counted
+    once from the edge list, so the in-adjacency is never built.
     """
 
     def __init__(self, graph: SocialGraph, states: Mapping, params: TippingParams):
@@ -217,28 +215,26 @@ class TippingRun:
         self.graph = graph
         self.states = dict(states)
         self.theta = params.theta
+        self.in_degree = Counter(map(itemgetter(1), graph.sorted_edges))
         self.adopted_in = {}
         self.touched = set()
         self._notify_followers(u for u in graph.nodes if states[u] is AdoptionState.ADOPTED)
-
-    @property
-    def idle(self) -> bool:
-        """True when no later step can change a state."""
-        return not self.touched
+        self.next_step = 1 if self.touched else None
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
-        adopted_in, sources, theta = self.adopted_in, self.graph.in_neighbors, self.theta
+        adopted_in, in_degree, theta = self.adopted_in, self.in_degree, self.theta
         delta = []
         for v in sorted(self.touched):
             adopted = adopted_in[v]
             # the exact ratio test of a full sweep, so rounding cannot differ
-            if adopted >= 1 and adopted / len(sources(v)) >= theta:
+            if adopted >= 1 and adopted / in_degree[v] >= theta:
                 delta.append((v, AdoptionState.ADOPTED))
         self.touched = set()
         for v, state in delta:
             self.states[v] = state
         self._notify_followers(v for v, _ in delta)
+        self.next_step = self.next_step + 1 if self.touched else None
         return delta
 
     def _notify_followers(self, nodes) -> None:

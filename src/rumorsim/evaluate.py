@@ -96,11 +96,6 @@ def metric_sweep(
     return rows
 
 
-def diffusion_curve(trace) -> list:
-    """(step, diffuser count) pairs for steps 0..max_time of one trace."""
-    return list(enumerate(trace.counts))
-
-
 def sweep_rows(rows, threshold: float) -> list:
     """JSON-friendly rows for eval.json, in the sweep's deterministic order."""
     return [

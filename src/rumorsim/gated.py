@@ -4,12 +4,15 @@ A rumor crosses an edge only when a hard similarity threshold passes.  The
 user-user variant compares the posting user with the follower; the
 user-content variant compares the follower with the rumor itself.  Either
 way the set of reached users is a reachability fixpoint over the gated edges.
+``GatedRun`` spreads the same gate over time, one event step at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
@@ -17,6 +20,11 @@ from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
 from .similarity import Metric, _pair_scorer
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
+
+
+class GateState(Enum):
+    NON_DIFFUSER = "non_diffuser"
+    DIFFUSER = "diffuser"  # absorbing
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,56 @@ def admission_test(
         return decided[j]
 
     return admit_follower
+
+
+class GatedRun:
+    """Similarity-gated diffusion over time, advanced one event step at a time.
+
+    Each user with a profile, seeds aside, wakes at its created_at step and
+    activates if some active in-neighbor passes ``admit``; one whose
+    created_at lies outside 0..max_time never wakes and counts in
+    ``clamped``.  A step checks its users in ascending id, each seeing the
+    activations made earlier in that step.  With ``every_step`` a woken user
+    that failed waits and is rechecked only over the edge from an in-neighbor
+    that activates later, so each edge's gate runs at most once.
+    """
+
+    def __init__(self, graph: SocialGraph, profiles: Mapping, initials, admit, max_time, every_step):
+        self.graph = graph
+        self.admit = admit
+        self.every_step = every_step
+        self.active = set(initials)
+        wakeups = [(profiles[u].created_at, u, False) for u in graph.nodes - self.active if u in profiles]
+        # (step, user, admitted) events, popped in step then id order
+        self.events = [event for event in wakeups if 0 <= event[0] <= max_time]
+        self.clamped = len(wakeups) - len(self.events)
+        heapq.heapify(self.events)
+        # woken users whose active in-neighbors have all failed the gate so far
+        self.waiting = set()
+        self.next_step = self.events[0][0] if self.events else None
+
+    def step(self) -> list:
+        """Run step ``next_step``; returns its [(user, GateState.DIFFUSER)] changes by ascending id."""
+        events, active, waiting, admit = self.events, self.active, self.waiting, self.admit
+        sources, followers, t = self.graph.in_neighbors, self.graph.out_neighbors, self.next_step
+        delta = []
+        while events and events[0][0] == t:
+            _, j, admitted = heapq.heappop(events)
+            # live view: sources activated earlier in this same step count
+            if not admitted and not any(i in active and admit(i, j) for i in sources(j)):
+                waiting.add(j)
+                continue
+            active.add(j)
+            delta.append((j, GateState.DIFFUSER))
+            if self.every_step:
+                # a waiting follower activates later in this step if its id is
+                # higher, else next step; one not awake yet checks at wake-up
+                for k in followers(j):
+                    if k in waiting and admit(j, k):
+                        waiting.remove(k)
+                        heapq.heappush(events, (t + (k < j), k, True))
+        self.next_step = events[0][0] if events else None
+        return delta
 
 
 def diffuse_user_user(

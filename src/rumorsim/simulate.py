@@ -1,15 +1,14 @@
 """Discrete-time agent simulation of rumor diffusion with reproducible traces.
 
-Gated models wake each agent at its profile's created_at step; an agent
-becomes a diffuser when some in-neighbor already diffuses and the similarity
-gate passes, and then never leaves that state.  Agents inside one step are
-evaluated in ascending user id and see activations made earlier in the same
-step.  Under the every-step policy an agent is rechecked only when it wakes
-or when an in-neighbor activates, so the gated scheduler's work follows the
-activations, not the number of steps.  Classical models (sir, tipping, ic)
-ignore created_at; each step touches only the run's frontier (infected and
-exposed nodes, last step's new infections, or the nodes whose adopted
-in-neighbor count just changed) and stops once that frontier is empty.
+All five models run under one protocol.  A run's ``next_step`` is the step
+its next ``step()`` computes, or None once no later step can change a state;
+``step()`` returns that step's [(user, state)] changes in ascending id.  One
+loop, ``_drive``, seeds step 0 with the initials and calls ``step()`` while
+``next_step`` is within max_time.  A gated run (``gated.GatedRun``) wakes
+users at their created_at step and jumps over steps without events; a
+classical run (``SirRun``, ``IcRun``, ``TippingRun`` in ``diffusion``)
+ignores created_at, steps only its frontier and stops once that is empty.
+So a run's work follows its activity, not max_time.
 
 Trial k of a run draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible for a given config.  A run records only its
@@ -19,9 +18,8 @@ trace read back from trace.csv, gives the curve and the final states.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from pathlib import Path
@@ -39,7 +37,7 @@ from .diffusion import (
     TippingRun,
 )
 from .errors import ConfigurationError, ParseError
-from .gated import _check_initials, admission_test
+from .gated import GatedRun, GateState, _check_initials, admission_test
 from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_rows
 from .rng import RngStream
 
@@ -51,7 +49,7 @@ CURVE_HEADER = ["step", "diffusers"]
 _ACTIVE_LABELS = frozenset({"diffuser", "infected", "recovered", "adopted"})
 
 # a dict lookup is cheaper than the Enum.value descriptor, read once per change
-_STATE_LABELS = {state: state.value for state in chain(EpidemicState, AdoptionState)}
+_STATE_LABELS = {state: state.value for state in chain(GateState, EpidemicState, AdoptionState)}
 
 _DEFAULT_LABELS = {
     ModelKind.GATED_USER_USER: "non_diffuser",
@@ -70,8 +68,6 @@ class DiffusionTrace:
     where nothing moved.  ``counts`` (one entry per step 0..max_time) and
     ``final_states`` are replayed from ``changes`` by one function, for a
     fresh run and for a trace read back from trace.csv alike.
-    ``missing_profiles`` stays empty: a gated run only checks users with a
-    profile.  It is kept as the per-trial key of summary.json.
     """
 
     model: ModelKind
@@ -79,7 +75,6 @@ class DiffusionTrace:
     changes: dict
     counts: list
     final_states: dict
-    missing_profiles: list = field(default_factory=list)
     clamped_agents: int = 0
 
     def final_active(self) -> set:
@@ -130,81 +125,38 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
     compare_to_rumor = cfg.model is ModelKind.GATED_USER_CONTENT
     # seeds and every evented user have a profile: nothing is ever missing
     admit = admission_test(profiles, rumor if compare_to_rumor else None, cfg.gate(decisions), set())
-
-    active = set(cfg.initials)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
-    # (step, user, admitted) events popped in step then id order; every user
-    # with a profile starts with its wake-up, and nodes without one have no
-    # created_at and never evaluate
-    events = []
-    clamped = 0
-    for u in graph.nodes:
-        if u in active or u not in profiles:
-            continue
-        created_at = profiles[u].created_at
-        if 0 <= created_at <= cfg.max_time:
-            events.append((created_at, u, False))
-        else:
-            clamped += 1
-    heapq.heapify(events)
-
-    changes = {0: [(u, "diffuser") for u in sorted(active)]}
-    # awake users whose active in-neighbours have all failed the gate so far;
-    # an edge's gate runs at the follower's wake-up or at the source's
-    # activation, never both
-    waiting = set()
-    while events:
-        t, j, admitted = heapq.heappop(events)
-        if t > cfg.max_time:
-            break
-        # live view: sources activated earlier in this same step count
-        if not admitted and not any(i in active and admit(i, j) for i in graph.in_neighbors(j)):
-            waiting.add(j)
-            continue
-        active.add(j)
-        changes.setdefault(t, []).append((j, "diffuser"))
-        if every_step:
-            # a waiting follower activates later in this step if its id is
-            # higher, else next step; one not awake yet checks at wake-up
-            for k in graph.out_neighbors(j):
-                if k in waiting and admit(j, k):
-                    waiting.remove(k)
-                    heapq.heappush(events, (t + (k < j), k, True))
-    return _replay(cfg, graph, changes, clamped)
+    run = GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
+    return _drive(cfg, graph, run, GateState.DIFFUSER, run.clamped)
 
 
 def _run_classical(cfg, graph, rng) -> DiffusionTrace:
     _check_initials(graph, cfg.initials)
     initials = set(cfg.initials)
     if cfg.model is ModelKind.TIPPING:
-        states = {
-            u: AdoptionState.ADOPTED if u in initials else AdoptionState.NOT_ADOPTED
-            for u in graph.nodes
-        }
+        seed, rest = AdoptionState.ADOPTED, AdoptionState.NOT_ADOPTED
+    else:
+        seed, rest = EpidemicState.INFECTED, EpidemicState.SUSCEPTIBLE
+    states = {u: seed if u in initials else rest for u in graph.nodes}
+    if cfg.model is ModelKind.TIPPING:
         run = TippingRun(graph, states, TippingParams(cfg.model_param("theta")))
     elif cfg.model is ModelKind.SIR:
-        sir = SirParams(cfg.model_param("beta"), cfg.model_param("gamma"))
-        run = SirRun(graph, _seed_epidemic(graph, initials), sir, rng)
+        run = SirRun(graph, states, SirParams(cfg.model_param("beta"), cfg.model_param("gamma")), rng)
     else:
         # IC, the one classical model left; run_simulation sends the gated ones to _run_gated
-        probs = EdgeProbability(cfg.model_param("ic_default_p"))
-        run = IcRun(graph, _seed_epidemic(graph, initials), probs, rng)
+        run = IcRun(graph, states, EdgeProbability(cfg.model_param("ic_default_p")), rng)
+    return _drive(cfg, graph, run, seed)
 
-    changes = {0: [(u, _STATE_LABELS[run.states[u]]) for u in sorted(initials)]}
-    for t in range(1, cfg.max_time + 1):
-        # an empty frontier cannot change anything
-        if run.idle:
-            break
+
+def _drive(cfg, graph, run, seed_state, clamped_agents=0) -> DiffusionTrace:
+    """The one scheduler loop: the initials in ``seed_state``, then each step's changes to max_time."""
+    changes = {0: [(u, seed_state) for u in sorted(set(cfg.initials))]}
+    while run.next_step is not None and run.next_step <= cfg.max_time:
+        t = run.next_step
         if delta := run.step():
-            changes[t] = [(u, _STATE_LABELS[state]) for u, state in delta]
-    return _replay(cfg, graph, changes)
-
-
-def _seed_epidemic(graph, initials) -> dict:
-    return {
-        u: EpidemicState.INFECTED if u in initials else EpidemicState.SUSCEPTIBLE
-        for u in graph.nodes
-    }
+            changes.setdefault(t, []).extend(delta)
+    labelled = {t: [(u, _STATE_LABELS[state]) for u, state in delta] for t, delta in changes.items()}
+    return _replay(cfg, graph, labelled, clamped_agents)
 
 
 def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
@@ -334,7 +286,8 @@ def write_summary_json(cfg, traces, aggregate, runtime_seconds, path) -> None:
                 "trial": k,
                 "final_diffusers": trace.counts[-1],
                 "steps_with_changes": len(trace.changes),
-                "missing_profiles": list(trace.missing_profiles),
+                # a gated run checks only users with a profile, so none is missing
+                "missing_profiles": [],
                 "clamped_agents": trace.clamped_agents,
             }
             for k, trace in enumerate(traces)

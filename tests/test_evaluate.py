@@ -17,7 +17,6 @@ from rumorsim import (
     ModelKind,
     SimilarityGate,
     diffuse_user_user,
-    diffusion_curve,
     evaluate,
     load_edges,
     load_rumor,
@@ -209,9 +208,8 @@ class TestDiffusionCurve:
             initials=(1,),
         )
         trace = run_simulation(cfg, graph, profiles)
-        curve = diffusion_curve(trace)
-        assert curve[0] == (0, 1)
-        assert curve[-1] == (20, 6)
-        assert len(curve) == 21
-        assert [c for _, c in curve] == trace.counts
-        assert all(a[1] <= b[1] for a, b in zip(curve, curve[1:]))
+        counts = trace.counts
+        assert counts[0] == 1
+        assert counts[-1] == 6
+        assert len(counts) == 21
+        assert all(a <= b for a, b in zip(counts, counts[1:]))

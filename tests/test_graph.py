@@ -515,7 +515,10 @@ class TestEdgeSetOnDemand:
 
 
 class TestInAdjacencyOnDemand:
-    """``in_neighbors`` builds the in-adjacency; SIR, IC, evaluate, similarity and validate never call it."""
+    """``in_neighbors`` builds the in-adjacency; only the gated runs call it.
+
+    SIR, IC, tipping, evaluate, similarity and validate never do.
+    """
 
     PARAMS = TestEdgeSetOnDemand.PARAMS
 
@@ -529,7 +532,7 @@ class TestInAdjacencyOnDemand:
             graphs.append(load_edges(path))
             return graphs[-1]
 
-        for model in (ModelKind.SIR, ModelKind.IC):
+        for model in (ModelKind.SIR, ModelKind.IC, ModelKind.TIPPING):
             run_trials(dataclasses.replace(cfg, model=model, **self.PARAMS[model]), fresh(), profiles, rumor)
         for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
             metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
@@ -539,16 +542,17 @@ class TestInAdjacencyOnDemand:
         for argv in (
             ["simulate", config, "--model", "sir", "--beta", "0.5", "--gamma", "0.2"],
             ["simulate", config, "--model", "ic", "--ic-default-p", "0.5"],
+            ["simulate", config, "--model", "tipping", "--theta", "0.3"],
             ["evaluate", config],
             ["similarity", config],
         ):
             assert run_cli([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
         assert run_cli(["validate", config]) == 0
         capsys.readouterr()
-        assert len(graphs) == 10
+        assert len(graphs) == 12
         assert not [g for g in graphs if "_in" in g.__dict__]
 
-    @pytest.mark.parametrize("model", [ModelKind.TIPPING, ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
+    @pytest.mark.parametrize("model", [ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
     def test_runs_that_read_sources_build_it(self, model):
         cfg = load_config(FIXTURE_DIR / "sim.cfg")
         graph = load_edges(cfg.edges_path)

@@ -44,6 +44,7 @@ from rumorsim import (
     write_trace_csv,
 )
 from rumorsim import simulate
+from rumorsim.gated import GatedRun
 
 
 def gated_config(**kwargs):
@@ -150,7 +151,8 @@ class TestGatedRun:
             traces, _ = run_trials(cfg, graph, profiles, rumor)
             for trace in traces:
                 assert trace.final_active() == {1, 3}
-                assert trace.missing_profiles == []
+            # no gate check ever reaches the user without a profile
+            assert rescan_gated_run(cfg, graph, profiles, rumor)[4] == []
 
     def test_counts_are_monotone_and_absorbing(self):
         rng = random.Random(61)
@@ -274,7 +276,7 @@ class TestEventDrivenScheduler:
                         assert trace.final_states == {
                             u: "diffuser" if u in active else "non_diffuser" for u in graph.nodes
                         }
-                        assert trace.missing_profiles == missing
+                        assert missing == []
                         if policy is EvaluationPolicy.EVERY_STEP and table is decisions:
                             wakes = [p.created_at for p in profiles.values() if 0 <= p.created_at <= horizon]
                             last_wake = max(wakes, default=0)
@@ -450,6 +452,64 @@ class TestEventDrivenClassicalRuns:
             state_changes = sum(len(delta) for trace in traces for delta in trace.changes.values())
             assert traces[0].counts[-1] > 1
             assert graph.lookups <= 2 * state_changes, params
+
+
+def counting(run_class, calls):
+    """A subclass of ``run_class`` whose ``step()`` records ``next_step`` in ``calls``."""
+
+    class Counting(run_class):
+        def step(self):
+            calls.append(self.next_step)
+            return super().step()
+
+    return Counting
+
+
+class TestSchedulerWork:
+    """The one scheduler loop calls ``step()`` once per step that can change a state."""
+
+    def test_gated_run_visits_only_steps_with_events(self, monkeypatch):
+        # 4 wakes at step 0 and activates from seed 5; under every-step its
+        # waiting followers 3 and 2 (lower ids) follow at steps 1 and 2; 9
+        # wakes at step 1000
+        graph = SocialGraph([(5, 4), (4, 3), (3, 2), (5, 9)])
+        profiles = uniform_profiles(graph)
+        profiles[9] = dataclasses.replace(profiles[9], created_at=1000)
+        cases = [
+            (EvaluationPolicy.ONCE, 1296, [0, 1000]),
+            (EvaluationPolicy.EVERY_STEP, 1296, [0, 1, 2, 1000]),
+            # the recheck due at step 2 lies past the horizon, and 9 is clamped
+            (EvaluationPolicy.EVERY_STEP, 1, [0, 1]),
+        ]
+        for policy, max_time, steps in cases:
+            calls = []
+            monkeypatch.setattr(simulate, "GatedRun", counting(GatedRun, calls))
+            cfg = gated_config(initials=(5,), max_time=max_time, evaluation_policy=policy)
+            trace = run_simulation(cfg, graph, profiles)
+            assert calls == steps
+            # every visited step activates someone; at step 0 after the seeds
+            assert sorted(trace.changes) == steps
+            assert trace.changes[0] == [(5, "diffuser"), (4, "diffuser")]
+            assert trace.clamped_agents == (max_time < 1000)
+
+    @pytest.mark.parametrize(
+        "run_name, params, max_time, steps",
+        [
+            ("SirRun", dict(model=ModelKind.SIR, beta=1.0, gamma=1.0), 1296, [1, 2, 3]),
+            ("IcRun", dict(model=ModelKind.IC, ic_default_p=1.0), 1296, [1, 2, 3]),
+            ("TippingRun", dict(model=ModelKind.TIPPING, theta=1.0), 1296, [1, 2]),
+            # nobody recovers, so the frontier never empties: the horizon stops it
+            ("SirRun", dict(model=ModelKind.SIR, beta=1.0, gamma=0.0), 5, [1, 2, 3, 4, 5]),
+        ],
+    )
+    def test_classical_run_stops_once_its_frontier_empties(
+        self, monkeypatch, chain_graph, run_name, params, max_time, steps
+    ):
+        calls = []
+        monkeypatch.setattr(simulate, run_name, counting(getattr(simulate, run_name), calls))
+        trace = run_simulation(gated_config(max_time=max_time, **params), chain_graph)
+        assert calls == steps
+        assert trace.final_active() == {1, 2, 3}
 
 
 class TestTrials:
