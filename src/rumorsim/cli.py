@@ -16,7 +16,7 @@ from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
 from .evaluate import metric_sweep, write_eval_json
 from .gated import load_decisions
-from .graph import _write_rows, load_edges, load_rumor, load_users, validate
+from .graph import _open_output, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
 from .simulate import (
     export_frames,
@@ -122,28 +122,30 @@ def _cmd_similarity(args) -> int:
     graph = load_edges(cfg.edges_path)
     profiles = load_users(cfg.users_path)
     path = Path(cfg.out_dir) / "sims.csv"
-    _write_rows(path, SIMS_HEADER, _edge_scores(graph, profiles))
+    with _open_output(path, newline="") as fh:
+        fh.write(",".join(SIMS_HEADER) + "\n")
+        fh.writelines(_sims_lines(graph, profiles))
     print(f"wrote {len(graph.sorted_edges)} edge scores to {path}")
     return 0
 
 
-def _edge_scores(graph, profiles):
-    # the four scores depend only on (|a & b|, |a|, |b|), so each shape is
-    # scored and formatted once; str() of a float is what csv.writer writes.
-    # An endpoint without a profile scores 0.0, as in the gate.
-    zeros = (str(0.0),) * 4
-    shapes = {}
+def _sims_lines(graph, profiles):
+    # the four scores depend only on (|a & b|, |a|, |b|), so each shape's row
+    # tail is formatted once; str() of an int or float is what csv.writer
+    # writes, unquoted. An endpoint without a profile scores 0.0, as in the gate.
+    zeros = ",0.0,0.0,0.0,0.0\n"
+    tails = {}
     for a, b in graph.sorted_edges:
         pa, pb = profiles.get(a), profiles.get(b)
         if pa is None or pb is None:
-            yield a, b, *zeros
-            continue
-        ta, tb = pa.topics, pb.topics
-        shape = (len(ta & tb), len(ta), len(tb))
-        fields = shapes.get(shape)
-        if fields is None:
-            fields = shapes[shape] = tuple(map(str, overlap_scores(ta, tb)))
-        yield a, b, *fields
+            tail = zeros
+        else:
+            ta, tb = pa.topics, pb.topics
+            shape = (len(ta & tb), len(ta), len(tb))
+            tail = tails.get(shape)
+            if tail is None:
+                tail = tails[shape] = "".join(f",{v}" for v in overlap_scores(ta, tb)) + "\n"
+        yield f"{a},{b}{tail}"
 
 
 def _cmd_export(args) -> int:

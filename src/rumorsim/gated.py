@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
 from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
-from .similarity import Metric, _pair_scorer
+from .similarity import Metric, _pair_test
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
 
@@ -84,7 +84,7 @@ def admission_test(
         return admit
 
     metric, threshold = gate.metric, gate.threshold
-    scorer = _pair_scorer(metric)
+    test = _pair_test(metric, threshold)
 
     def admit(i, j):
         # the follower j against its source i, or against the rumor
@@ -94,7 +94,7 @@ def admission_test(
             missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
             return 0.0 >= threshold
         try:
-            return scorer(pi.topics, pj.topics) >= threshold
+            return test(pi.topics, pj.topics)
         except UndefinedCorrelationError as exc:
             where = f"edge ({i}, {j})" if rumor is None else f"user {j} against the rumor"
             raise UndefinedCorrelationError(f"{metric.value} gate on {where}: {exc}") from exc

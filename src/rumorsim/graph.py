@@ -65,8 +65,9 @@ class SocialGraph:
     in strictly ascending order are taken as they are, checked in one pass;
     any other input is deduped and sorted, with the same result.  Neighbours
     come back as read-only ascending tuples, shared with the graph.  The
-    in-adjacency is built on the first ``in_neighbors`` call and the
-    frozenset ``edges`` on first access.
+    out-adjacency is built on the first ``out_neighbors`` call, the
+    in-adjacency on the first ``in_neighbors`` call and the frozenset
+    ``edges`` on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -80,9 +81,12 @@ class SocialGraph:
             raise ConfigurationError(f"self-loop on user {loop[0]}")
         self.sorted_edges = edges
         self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
-        # in (a, b) order every out-run fills by ascending b
-        self._out = _runs(self.nodes, self.sorted_edges)
         self.load_stats: LoadStats | None = None
+
+    @cached_property
+    def _out(self) -> dict:
+        # in (a, b) order every out-run fills by ascending b
+        return _runs(self.nodes, self.sorted_edges)
 
     @cached_property
     def _in(self) -> dict:

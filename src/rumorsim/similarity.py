@@ -15,9 +15,9 @@ operation is one big-int operation, 17 of them and a table lookup per text
 character.  The distance is read once at the end from the popcounts of the
 last column.  It is an exact integer, so the similarity is the same float the
 full-matrix DP gives.
-A gate scores many pairs through ``_pair_scorer``: for Levenshtein it builds
-each topic set's canonical string once and one pattern table per run of
-checks from the same source.
+A gate decides many pairs through ``_pair_test``: a set metric scores each
+overlap shape (|a & b|, |a|, |b|) once, and Levenshtein tries a length bound
+before the kernel; Pearson scores every pair.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ def tokenize_topics(raw: str) -> TopicSet:
     Labels are trimmed and lowercased; empty fragments are dropped and
     duplicates collapse.
     """
-    return frozenset(label for part in raw.split(",") if (label := part.strip().lower()))
+    # lowercasing the whole string equals lowercasing each fragment: a comma
+    # is neither cased nor case-ignorable, so no case context crosses it
+    return frozenset(filter(None, map(str.strip, raw.lower().split(","))))
 
 
 def canonical_topic_string(topics: TopicSet) -> str:
@@ -222,27 +224,48 @@ class _CanonicalStrings(dict):
         return text
 
 
-def _levenshtein_sweep() -> Callable[[TopicSet, TopicSet], float]:
-    """Levenshtein similarity of topic sets, for the many pairs of one gate.
+def _pair_test(metric: Metric, threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
+    """A fresh predicate of two topic sets, ``score``'s float >= ``threshold``, for one gate's pairs."""
+    if metric is Metric.LEVENSHTEIN:
+        return _levenshtein_test(threshold)
+    scorer = _TOPIC_SCORES[metric]
+    if metric is Metric.PEARSON:
+        # its sums run in vocabulary order, so pairs of one shape can differ in the last ulp
+        return lambda a, b: scorer(a, b) >= threshold
+    decided = {}
 
-    Each set's canonical string is built once, and the pattern table of the
-    first set is kept until a pair brings another first set: a gate checks a
-    source's followers back to back, so it builds one table per run of them.
-    Every pair gets the float ``_levenshtein_topics`` gives.
+    def test(a: TopicSet, b: TopicSet) -> bool:
+        shape = (len(a & b), len(a), len(b))
+        passed = decided.get(shape)
+        if passed is None:
+            passed = decided[shape] = scorer(a, b) >= threshold
+        return passed
+
+    return test
+
+
+def _levenshtein_test(threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
+    """The Levenshtein predicate for the many pairs of one gate.
+
+    The length difference bounds the distance from below (Ukkonen 1985), so
+    a pair it already fails skips the kernel.  A gate checks a source's
+    followers back to back, so the first set's pattern table is kept until
+    the kernel runs on another first set.
     """
     strings = _CanonicalStrings()
     source = peq = None
-    m = 0
 
-    def similarity(a: TopicSet, b: TopicSet) -> float:
-        nonlocal source, peq, m
+    def test(a: TopicSet, b: TopicSet) -> bool:
+        nonlocal source, peq
+        first, text = strings[a], strings[b]
+        m, n = len(first), len(text)
+        if _levenshtein_similarity(abs(m - n), m, n) < threshold:
+            return False
         if a is not source:
-            first = strings[a]
-            source, peq, m = a, _pattern(first), len(first)
-        text = strings[b]
-        return _levenshtein_similarity(_edit_distance(peq, m, text), m, len(text))
+            source, peq = a, _pattern(first)
+        return _levenshtein_similarity(_edit_distance(peq, m, text), m, n) >= threshold
 
-    return similarity
+    return test
 
 
 _TOPIC_SCORES = {
@@ -254,17 +277,6 @@ _TOPIC_SCORES = {
     Metric.LEVENSHTEIN: _levenshtein_topics,
     Metric.AVERAGE: lambda a, b: overlap_scores(a, b)[3],
 }
-
-
-# metrics whose scorer keeps work between the pairs of one gate; the others
-# score every pair with their _TOPIC_SCORES function
-_SWEEPS = {Metric.LEVENSHTEIN: _levenshtein_sweep}
-
-
-def _pair_scorer(metric: Metric) -> Callable[[TopicSet, TopicSet], float]:
-    """A fresh function of two topic sets giving ``score``'s float, for one gate's pairs."""
-    sweep = _SWEEPS.get(metric)
-    return sweep() if sweep else _TOPIC_SCORES[metric]
 
 
 def score(metric: Metric, a, b) -> float:

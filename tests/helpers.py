@@ -20,6 +20,7 @@ from rumorsim import (
     ModelKind,
     SocialGraph,
     UserProfile,
+    overlap_scores,
 )
 from rumorsim.gated import admission_test
 from rumorsim.graph import EDGES_HEADER, LoadStats, _parse_user_id, _read_rows
@@ -295,6 +296,23 @@ def csv_trace_bytes(traces):
         for step in sorted(trace.changes):
             writer.writerows((k, step, uid, label) for uid, label in trace.changes[step])
     return buffer.getvalue().encode("utf-8")
+
+
+def csv_sims_bytes(graph, profiles):
+    """sims.csv as ``csv.writer`` writes it: header, then each edge's four scores, 0.0 without a profile."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["from_user_id", "to_user_id", "cosine", "jaccard", "dice", "average"])
+    for a, b in graph.sorted_edges:
+        pa, pb = profiles.get(a), profiles.get(b)
+        scores = (0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics)
+        writer.writerow((a, b, *scores))
+    return buffer.getvalue().encode("utf-8")
+
+
+def generator_tokenize_topics(raw):
+    """The per-fragment tokenizer: strip, then lowercase, each comma-separated fragment."""
+    return frozenset(label for part in raw.split(",") if (label := part.strip().lower()))
 
 
 def rowwise_load_edges(path):

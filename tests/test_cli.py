@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURE_DIR, random_digraph, random_profiles
+from helpers import FIXTURE_DIR, csv_sims_bytes, random_digraph, random_profiles
 from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli, save_edges
 from rumorsim.cli import build_parser, main
 from rumorsim.similarity import overlap_scores
@@ -200,8 +200,9 @@ class TestSimilarity:
             "2,3,0.0,0.0,0.0,0.0",
         ]
 
-    def test_every_field_is_str_of_its_score(self, tmp_path, capsys):
-        # many edges share an overlap shape, and some endpoints have no profile
+    @staticmethod
+    def _random_inputs(tmp_path):
+        """(graph, profiles, config path): many edges share an overlap shape, and some endpoints have no profile."""
         rng = random.Random(131)
         graph = random_digraph(rng, 60, 0.2)
         profiles = random_profiles(rng, graph.nodes, max_labels=4)
@@ -214,6 +215,10 @@ class TestSimilarity:
             writer.writerows((u, ",".join(sorted(p.topics)), 0, 0) for u, p in profiles.items())
         cfg = tmp_path / "s.cfg"
         cfg.write_text("edges_path = edges.csv\nusers_path = users.csv\n", encoding="utf-8")
+        return graph, profiles, cfg
+
+    def test_every_field_is_str_of_its_score(self, tmp_path, capsys):
+        graph, profiles, cfg = self._random_inputs(tmp_path)
         out = tmp_path / "out"
         assert run(capsys, "similarity", str(cfg), "--out-dir", str(out))[0] == 0
         with (out / "sims.csv").open(encoding="utf-8") as fh:
@@ -229,6 +234,12 @@ class TestSimilarity:
                 expected = overlap_scores(pa.topics, pb.topics)
             assert fields == [str(v) for v in expected], (a, b)
         assert 0 < missing < len(rows)
+
+    def test_bytes_equal_what_csv_writer_writes(self, tmp_path, capsys):
+        graph, profiles, cfg = self._random_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert run(capsys, "similarity", str(cfg), "--out-dir", str(out))[0] == 0
+        assert (out / "sims.csv").read_bytes() == csv_sims_bytes(graph, profiles)
 
 
 class TestExport:

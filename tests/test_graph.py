@@ -18,6 +18,7 @@ from rumorsim import (
     ConfigurationError,
     EdgeProbability,
     EpidemicState,
+    EvaluationPolicy,
     ModelKind,
     ParseError,
     RngStream,
@@ -561,6 +562,66 @@ class TestInAdjacencyOnDemand:
         assert graph.__dict__["_in"] == {
             u: tuple(a for a, b in graph.sorted_edges if b == u) for u in graph.nodes
         }
+
+
+class TestOutAdjacencyOnDemand:
+    """``out_neighbors`` builds the out-adjacency; every run that reads followers calls it.
+
+    Similarity, validate, export, the belief process and the gated runs under
+    the once policy never do.
+    """
+
+    PARAMS = TestEdgeSetOnDemand.PARAMS
+    GATED = (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT)
+
+    def test_runs_and_commands_that_never_build_it(self, tmp_path, monkeypatch, capsys):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        profiles = load_users(cfg.users_path)
+        rumor = load_rumor(cfg.rumor_path)
+        graphs = []
+
+        def fresh(path=cfg.edges_path):
+            graphs.append(load_edges(path))
+            return graphs[-1]
+
+        for model in self.GATED:
+            run_cfg = dataclasses.replace(cfg, model=model, evaluation_policy=EvaluationPolicy.ONCE)
+            run_trials(run_cfg, fresh(), profiles, rumor)
+        validate(fresh(), profiles)
+        graph = fresh()
+        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
+        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
+        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
+        config = str(FIXTURE_DIR / "sim.cfg")
+        trace = tmp_path / "simulate" / "trace.csv"
+        for argv in (
+            ["simulate", config, "--evaluation-policy", "once", "--out-dir", str(tmp_path / "simulate")],
+            ["similarity", config, "--out-dir", str(tmp_path / "similarity")],
+            ["validate", config],
+            ["export", str(trace), str(tmp_path / "export"), "--config", config],
+        ):
+            assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert len(graphs) == 8
+        assert not [g for g in graphs if "_out" in g.__dict__]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_runs_that_read_followers_build_it(self, model):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        graph = load_edges(cfg.edges_path)
+        run_cfg = dataclasses.replace(
+            cfg, model=model, evaluation_policy=EvaluationPolicy.EVERY_STEP, **self.PARAMS.get(model, {})
+        )
+        run_trials(run_cfg, graph, load_users(cfg.users_path), load_rumor(cfg.rumor_path))
+        assert graph.__dict__["_out"] == {u: tuple(b for a, b in graph.sorted_edges if a == u) for u in graph.nodes}
+
+    @pytest.mark.parametrize("model", GATED)
+    def test_the_evaluate_closure_builds_it(self, model):
+        cfg = load_config(FIXTURE_DIR / "sim.cfg")
+        graph = load_edges(cfg.edges_path)
+        profiles, rumor = load_users(cfg.users_path), load_rumor(cfg.rumor_path)
+        metric_sweep(graph, profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
+        assert "_out" in graph.__dict__
 
 
 class TestCollectorPausedDuringLoads:

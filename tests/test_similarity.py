@@ -3,6 +3,8 @@ and equivalence with independent brute-force oracles."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     brute_tanimoto,
     dp_levenshtein,
     dp_levenshtein_similarity,
+    generator_tokenize_topics,
     oracle_corpus,
     random_topic_set,
 )
@@ -33,7 +36,8 @@ from rumorsim import (
     tokenize_topics,
     vector_cosine,
 )
-from rumorsim.similarity import _edit_distance, _pattern
+from rumorsim import similarity
+from rumorsim.similarity import _edit_distance, _levenshtein_similarity, _pair_test, _pattern
 
 ABC = frozenset("abc")
 BCD = frozenset("bcd")
@@ -57,6 +61,16 @@ class TestTokenize:
     def test_empty_string_gives_empty_set(self):
         assert tokenize_topics("") == frozenset()
         assert tokenize_topics(" , ,") == frozenset()
+
+    def test_whole_string_lowercasing_equals_per_fragment(self):
+        # final sigma depends on its neighbours; a comma or the whitespace
+        # around it must not change how a fragment's ends lowercase
+        assert tokenize_topics("AΣ,Σ, ΑΣ.,Σ.Σ ,İ") == generator_tokenize_topics("AΣ,Σ, ΑΣ.,Σ.Σ ,İ")
+        pieces = ["A", "a", "Σ", "σ", "ς", "İ", "i", "\u0307", ".", "'", ",", ",", " ", "  ", "\t", "\u00a0", "\u2003", "x"]
+        rng = random.Random(151)
+        for _ in range(3000):
+            raw = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+            assert tokenize_topics(raw) == generator_tokenize_topics(raw), repr(raw)
 
 
 class TestReferenceValues:
@@ -358,3 +372,60 @@ class TestScoreDispatch:
             Metric.from_name("jaccard_fuzzy")
         with pytest.raises(TypeError):
             jaccard(ABC, BCD, "vector")
+
+
+def _reachable_scores(metric, max_size=8):
+    """Every score ``metric`` gives two label sets of at most ``max_size`` labels each."""
+    scores = set()
+    for na, nb in itertools.product(range(max_size + 1), repeat=2):
+        for k in range(min(na, nb) + 1):
+            a = frozenset(range(na))
+            b = frozenset(range(na - k, na - k + nb))
+            scores.add(score(metric, topics(*a), topics(*b)))
+    return scores
+
+
+class TestPairTest:
+    """``_pair_test(metric, tau)`` decides each pair as ``score(metric, a, b) >= tau``."""
+
+    @pytest.mark.parametrize(
+        "metric", [Metric.COSINE, Metric.JACCARD_SET, Metric.JACCARD_VECTOR, Metric.DICE, Metric.AVERAGE]
+    )
+    def test_set_metrics_decide_as_their_score_at_every_reachable_threshold(self, metric):
+        rng = random.Random(152)
+        vocab = [f"t{i}" for i in range(12)]
+        pairs = [
+            (frozenset(rng.sample(vocab, rng.randint(0, 8))), frozenset(rng.sample(vocab, rng.randint(0, 8))))
+            for _ in range(200)
+        ]
+        scores = [score(metric, topics(*a), topics(*b)) for a, b in pairs]
+        reachable = _reachable_scores(metric)
+        thresholds = reachable | {math.nextafter(s, -math.inf) for s in reachable} | {
+            math.nextafter(s, math.inf) for s in reachable
+        }
+        for tau in sorted(thresholds):
+            test = _pair_test(metric, tau)
+            for (a, b), value in zip(pairs, scores):
+                assert test(a, b) == (value >= tau), (tau, a, b)
+
+    def test_levenshtein_length_bound_decides_as_the_kernel(self, monkeypatch):
+        entered, built = [], []
+        kernel, build = similarity._edit_distance, similarity._pattern
+        monkeypatch.setattr(similarity, "_edit_distance", lambda *args: entered.append(args) or kernel(*args))
+        monkeypatch.setattr(similarity, "_pattern", lambda text: built.append(text) or build(text))
+        rng = random.Random(153)
+        decided_at_bound = set()
+        for _ in range(600):
+            # a one-label set's canonical string is the label itself
+            s1, s2 = ("".join(rng.choice("ab c") for _ in range(rng.randrange(13))) for _ in range(2))
+            a, b = frozenset({s1}), frozenset({s2})
+            m, n = len(s1), len(s2)
+            at_bound = _levenshtein_similarity(abs(m - n), m, n)
+            for tau in (at_bound, math.nextafter(at_bound, math.inf)):
+                del entered[:], built[:]
+                expected = dp_levenshtein_similarity(s1, s2) >= tau
+                assert _pair_test(Metric.LEVENSHTEIN, tau)(a, b) == expected, (s1, s2, tau)
+                # the bound rejects only above its own similarity, before any pattern is built
+                assert len(entered) == len(built) == (tau == at_bound), (s1, s2, tau)
+            decided_at_bound.add(dp_levenshtein_similarity(s1, s2) >= at_bound)
+        assert decided_at_bound == {False, True}
