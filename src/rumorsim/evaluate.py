@@ -9,7 +9,7 @@ from .errors import ConfigurationError, EmptyEvaluationError
 from .gated import DiffuserSet, SimilarityGate, diffuse_user_content, diffuse_user_user
 from .graph import RumorContent, SocialGraph, _write_json
 from .config import GATED_MODELS, ModelKind
-from .similarity import _TOPIC_SCORES
+from .similarity import _SHAPE_SCORES
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def metric_sweep(
     rows = []
     reports = {}
     for metric in metrics:
-        key = None if decisions is not None else _TOPIC_SCORES[metric]
+        key = None if decisions is not None else _SHAPE_SCORES.get(metric, metric)
         if key not in reports:
             gate = SimilarityGate(metric, threshold, decisions)
             if model is ModelKind.GATED_USER_CONTENT:

@@ -72,7 +72,7 @@ def admission_test(
     ``rumor`` of None selects user-user comparison, otherwise the follower j
     is compared against the rumor.  A user without a profile scores 0 and is
     collected into ``missing``.  A metric that is undefined for the pair
-    (pearson on fewer than two distinct labels) raises
+    (pearson on a degenerate overlap shape) raises
     UndefinedCorrelationError naming the edge, or the follower and the rumor.
     """
     if gate.decisions is not None:

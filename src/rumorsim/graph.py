@@ -238,10 +238,15 @@ def load_users(path) -> dict:
 
 
 def load_rumor(path) -> RumorContent:
-    """Read rumor topics, one label per line; labels are normalized and deduped."""
+    """Read rumor topics, one label per line; labels are normalized and deduped.
+
+    A leading byte-order mark raises ParseError rather than join the first label.
+    """
     with _open_input(path) as fh:
-        labels = frozenset(label for line in fh if (label := line.strip().lower()))
-    return RumorContent(labels)
+        lines = fh.readlines()
+    if lines and lines[0].startswith("\ufeff"):
+        raise ParseError(path, 1, "starts with a byte-order mark (U+FEFF); save the file without it")
+    return RumorContent(frozenset(label for line in lines if (label := line.strip().lower())))
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Topic tokenization and the similarity metrics used to gate diffusion.
 
-Set metrics (cosine, jaccard, dice) take normalized topic-label sets and are
-equivalent to their binary term-vector forms on the union vocabulary; each is
-one formula of |a & b|, |a| and |b|, and ``overlap_scores`` gives all three
-and their average from one intersection.  Pearson works on numeric vectors,
-levenshtein on strings.  ``score`` looks the metric up in one table of
-functions of two topic sets.  All metrics are symmetric in their arguments.
+Set metrics (cosine, jaccard, dice, their average and pearson) take
+normalized topic-label sets and equal their binary term-vector forms on the
+union vocabulary; each is one formula of the overlap shape (|a & b|, |a|, |b|),
+so label names never enter a score.  ``overlap_scores`` gives the first four
+from one intersection.  ``pearson`` itself correlates numeric vectors, and
+levenshtein compares canonical strings.  All metrics are symmetric.
 
 Levenshtein is the exact edit distance, computed with Myers' bit-vector
 algorithm (Myers 1999) in Hyyrö's formulation (Hyyrö 2001), for any pattern
@@ -16,14 +16,14 @@ character.  The distance is read once at the end from the popcounts of the
 last column.  It is an exact integer, so the similarity is the same float the
 full-matrix DP gives.
 A gate decides many pairs through ``_pair_test``: a set metric scores each
-overlap shape (|a & b|, |a|, |b|) once, and Levenshtein tries a length bound
-before the kernel; Pearson scores every pair.
+overlap shape once, and Levenshtein tries a length bound before the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cache
 from typing import Callable, Sequence
 
 from .errors import UndefinedCorrelationError
@@ -45,12 +45,10 @@ class Metric(Enum):
     @classmethod
     def from_name(cls, name: str) -> "Metric":
         key = name.strip().lower()
-        if key == "jaccard_set":
-            key = "jaccard"
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown metric name: {name!r}")
+        try:
+            return cls("jaccard" if key == "jaccard_set" else key)
+        except ValueError:
+            raise ValueError(f"unknown metric name: {name!r}") from None
 
 
 def tokenize_topics(raw: str) -> TopicSet:
@@ -80,6 +78,23 @@ def _jaccard(k: int, na: int, nb: int) -> float:
 
 def _dice(k: int, na: int, nb: int) -> float:
     return 2.0 * k / (na + nb) if na or nb else 0.0
+
+
+def _average(k: int, na: int, nb: int) -> float:
+    return (_cosine(k, na, nb) + _jaccard(k, na, nb) + _dice(k, na, nb)) / 3.0
+
+
+def _pearson(k: int, na: int, nb: int) -> float:
+    # the binary vectors' correlation on the v labels of the union: scaled by v^2
+    # its terms are exact ints; with no (0, 0) position it is never positive
+    v = na + nb - k
+    if v < 2:
+        raise UndefinedCorrelationError("pearson needs at least two distinct labels across both topic sets")
+    radicand = na * (v - na) * nb * (v - nb)
+    if not radicand:
+        # a set that is empty or the whole union is a constant vector
+        raise UndefinedCorrelationError("zero variance input vector")
+    return max(-1.0, min(1.0, (v * k - na * nb) / math.sqrt(radicand)))
 
 
 def cosine(a: TopicSet, b: TopicSet) -> float:
@@ -143,8 +158,7 @@ def overlap_scores(a: TopicSet, b: TopicSet) -> tuple[float, float, float, float
     average is the arithmetic mean of the first three.
     """
     k, na, nb = len(a & b), len(a), len(b)
-    c, j, d = _cosine(k, na, nb), _jaccard(k, na, nb), _dice(k, na, nb)
-    return c, j, d, (c + j + d) / 3.0
+    return _cosine(k, na, nb), _jaccard(k, na, nb), _dice(k, na, nb), _average(k, na, nb)
 
 
 def levenshtein(s1: str, s2: str) -> tuple[int, float]:
@@ -169,10 +183,8 @@ def _levenshtein_similarity(distance: int, m: int, n: int) -> float:
 def _pattern(s: str) -> dict:
     """Myers' match table: each distinct character of ``s`` to the bitmask of where it occurs."""
     peq = {}
-    bit = 1
-    for ch in s:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
+    for i, ch in enumerate(s):
+        peq[ch] = peq.get(ch, 0) | 1 << i
     return peq
 
 
@@ -204,41 +216,19 @@ def _edit_distance(peq: dict, m: int, text: str) -> int:
     return len(text) + vp.bit_count() - vn.bit_count()
 
 
-def _pearson_topics(a: TopicSet, b: TopicSet) -> float:
-    # binary term vectors on the sorted union vocabulary
-    vocab = sorted(a | b)
-    if len(vocab) < 2:
-        raise UndefinedCorrelationError("pearson needs at least two distinct labels across both topic sets")
-    return pearson([1.0 if t in a else 0.0 for t in vocab], [1.0 if t in b else 0.0 for t in vocab])
-
-
-def _levenshtein_topics(a: TopicSet, b: TopicSet) -> float:
-    return levenshtein(canonical_topic_string(a), canonical_topic_string(b))[1]
-
-
-class _CanonicalStrings(dict):
-    """Topic set -> canonical string, each built on first lookup."""
-
-    def __missing__(self, topics):
-        text = self[topics] = canonical_topic_string(topics)
-        return text
-
-
 def _pair_test(metric: Metric, threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
     """A fresh predicate of two topic sets, ``score``'s float >= ``threshold``, for one gate's pairs."""
     if metric is Metric.LEVENSHTEIN:
         return _levenshtein_test(threshold)
-    scorer = _TOPIC_SCORES[metric]
-    if metric is Metric.PEARSON:
-        # its sums run in vocabulary order, so pairs of one shape can differ in the last ulp
-        return lambda a, b: scorer(a, b) >= threshold
+    scorer = _SHAPE_SCORES[metric]
+    # an undefined shape raises on every pair and is never stored
     decided = {}
 
     def test(a: TopicSet, b: TopicSet) -> bool:
         shape = (len(a & b), len(a), len(b))
         passed = decided.get(shape)
         if passed is None:
-            passed = decided[shape] = scorer(a, b) >= threshold
+            passed = decided[shape] = scorer(*shape) >= threshold
         return passed
 
     return test
@@ -252,12 +242,12 @@ def _levenshtein_test(threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
     followers back to back, so the first set's pattern table is kept until
     the kernel runs on another first set.
     """
-    strings = _CanonicalStrings()
+    canonical = cache(canonical_topic_string)
     source = peq = None
 
     def test(a: TopicSet, b: TopicSet) -> bool:
         nonlocal source, peq
-        first, text = strings[a], strings[b]
+        first, text = canonical(a), canonical(b)
         m, n = len(first), len(text)
         if _levenshtein_similarity(abs(m - n), m, n) < threshold:
             return False
@@ -268,14 +258,14 @@ def _levenshtein_test(threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
     return test
 
 
-_TOPIC_SCORES = {
-    Metric.COSINE: cosine,
-    Metric.PEARSON: _pearson_topics,
-    Metric.JACCARD_SET: jaccard,
-    Metric.JACCARD_VECTOR: jaccard,
-    Metric.DICE: dice,
-    Metric.LEVENSHTEIN: _levenshtein_topics,
-    Metric.AVERAGE: lambda a, b: overlap_scores(a, b)[3],
+# every metric but Levenshtein, as a function of the overlap shape (k, na, nb)
+_SHAPE_SCORES = {
+    Metric.COSINE: _cosine,
+    Metric.PEARSON: _pearson,
+    Metric.JACCARD_SET: _jaccard,
+    Metric.JACCARD_VECTOR: _jaccard,
+    Metric.DICE: _dice,
+    Metric.AVERAGE: _average,
 }
 
 
@@ -283,7 +273,11 @@ def score(metric: Metric, a, b) -> float:
     """Similarity between two topic carriers (user profiles or rumor content).
 
     ``a`` and ``b`` only need a ``topics`` attribute.  Levenshtein compares
-    the canonical serialized strings; pearson correlates the binary term
-    vectors and propagates UndefinedCorrelationError on degenerate inputs.
+    the canonical serialized strings; every other metric is a function of the
+    overlap shape, blind to label names.  Pearson raises UndefinedCorrelationError
+    where the union has under two labels or a binary term vector is constant.
     """
-    return _TOPIC_SCORES[metric](a.topics, b.topics)
+    a, b = a.topics, b.topics
+    if metric is Metric.LEVENSHTEIN:
+        return levenshtein(canonical_topic_string(a), canonical_topic_string(b))[1]
+    return _SHAPE_SCORES[metric](len(a & b), len(a), len(b))

@@ -400,6 +400,18 @@ class TestFailureModes:
         assert code == 1
         assert stderr == f"error: {path}:2: not valid UTF-8 (invalid start byte)\n"
 
+    def test_byte_order_mark_in_rumor_is_exit_1_naming_line_1(self, tmp_path, capsys):
+        shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")
+        path = tmp_path / "cfg" / "rumor.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, _, stderr = run(
+            capsys, "simulate", str(tmp_path / "cfg" / "sim.cfg"), "--model", "gated_user_content",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert stderr == f"error: {path}:1: starts with a byte-order mark (U+FEFF); save the file without it\n"
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_config_key_is_exit_1_naming_the_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(

@@ -294,7 +294,12 @@ def test_golden_table_covers_every_input_and_config():
 # SHA-256 of the CLI outputs per input: summary.json without its
 # runtime_seconds field, from a simulate run that sets every config key to a
 # non-default value (some in the file, some as flags); sims.csv from
-# similarity; eval.json from an evaluate sweep over six metrics
+# similarity; eval.json from an evaluate sweep over six metrics.  The
+# ``/pearson`` entry pins a Pearson gate instead: summary.json from an
+# every-step user-user simulate and eval.json from an evaluate, both with
+# metric pearson, on an input where Pearson is defined on every edge the gate
+# checks.  Pearson over the union vocabulary is never positive, so this gate
+# admits no pair and both runs end with the seeds alone
 CLI_GOLDEN = {
     "ten_node": {
         "summary.json": "e82d63e61eb98699d5fdf3aa5de92ba0a227001ab0e9bad34373600dc6a441a7",
@@ -305,6 +310,10 @@ CLI_GOLDEN = {
         "summary.json": "552c2eddbbe617a5b43f6aaaec658e422674fff902b982a09e28c198dff2eb0b",
         "sims.csv": "6f9b283c99e4e433cf0cde1fb724fbe68787562de588809039a27bcd47a32044",
         "eval.json": "9cf09bfdf5af63d3b36dc9de8671080adda41cdabafe69bd18ffeb8bbd1313f4",
+    },
+    "corpus1/pearson": {
+        "summary.json": "9b5463c11b5396132dafde25ad274f2f8f4921c52c3895283de966e63d20fd6c",
+        "eval.json": "c3a5d6b77d2c035fb1e1d43e025b84eae28353d2cc6a4e798880f573128dd6e7",
     },
 }
 
@@ -331,7 +340,8 @@ def _write_cli_inputs(input_name, root):
     return cfg
 
 
-def cli_digests(input_name, root):
+def cli_digests(key, root):
+    input_name, _, gate = key.partition("/")
     cfg = _write_cli_inputs(input_name, root)
     initials = ", ".join(str(u) for u in cfg.initials)
     base = (
@@ -353,30 +363,39 @@ def cli_digests(input_name, root):
         encoding="utf-8",
     )
     # relative paths: the echoed config then names no temporary directory
-    commands = [
-        ["simulate", "all.cfg", "--out-dir", "sim", "--decisions-path", "decisions.csv",
-         "--seed", "7", "--metric", "dice", "--evaluation-policy", "every_step",
-         "--theta", "0.75", "--ic-default-p", "0.5"],
-        ["similarity", "base.cfg", "--out-dir", "sims"],
-        ["evaluate", "base.cfg", "--out-dir", "eval", "--threshold", str(cfg.threshold),
-         "--metrics", "cosine, jaccard_vector, average, jaccard, dice, levenshtein"],
-    ]
+    if gate == "pearson":
+        commands = [
+            ["simulate", "base.cfg", "--out-dir", "sim", "--metric", "pearson",
+             "--threshold", str(cfg.threshold), "--evaluation-policy", "every_step"],
+            ["evaluate", "base.cfg", "--out-dir", "eval", "--metrics", "pearson",
+             "--threshold", str(cfg.threshold)],
+        ]
+    else:
+        commands = [
+            ["simulate", "all.cfg", "--out-dir", "sim", "--decisions-path", "decisions.csv",
+             "--seed", "7", "--metric", "dice", "--evaluation-policy", "every_step",
+             "--theta", "0.75", "--ic-default-p", "0.5"],
+            ["similarity", "base.cfg", "--out-dir", "sims"],
+            ["evaluate", "base.cfg", "--out-dir", "eval", "--threshold", str(cfg.threshold),
+             "--metrics", "cosine, jaccard_vector, average, jaccard, dice, levenshtein"],
+        ]
     for argv in commands:
         assert run_cli(argv) == 0, argv
     summary = json.loads((root / "sim" / "summary.json").read_text(encoding="utf-8"))
     del summary["runtime_seconds"]
     blobs = {
         "summary.json": json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"),
-        "sims.csv": (root / "sims" / "sims.csv").read_bytes(),
         "eval.json": (root / "eval" / "eval.json").read_bytes(),
     }
+    if gate != "pearson":
+        blobs["sims.csv"] = (root / "sims" / "sims.csv").read_bytes()
     return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 
-@pytest.mark.parametrize("input_name", sorted(CLI_GOLDEN))
-def test_cli_outputs_match_golden_digests(input_name, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("key", sorted(CLI_GOLDEN))
+def test_cli_outputs_match_golden_digests(key, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert cli_digests(input_name, Path(".")) == CLI_GOLDEN[input_name]
+    assert cli_digests(key, Path(".")) == CLI_GOLDEN[key]
     capsys.readouterr()
 
 

@@ -713,6 +713,14 @@ class TestLoadRumor:
         rumor = load_rumor(path)
         assert rumor.topics == frozenset({"news", "politics"})
 
+    def test_byte_order_mark_is_rejected_on_line_1(self, tmp_path):
+        # str.strip() keeps U+FEFF, so the first label would silently become "\ufeffnews"
+        path = write(tmp_path / "rumor.txt", "\ufeffNews\npolitics\n")
+        with pytest.raises(ParseError) as err:
+            load_rumor(path)
+        assert err.value.line_no == 1
+        assert "byte-order mark" in str(err.value)
+
 
 class TestValidate:
     def test_clean_inputs_empty_report(self):

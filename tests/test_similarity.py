@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -374,22 +376,96 @@ class TestScoreDispatch:
             jaccard(ABC, BCD, "vector")
 
 
-def _reachable_scores(metric, max_size=8):
-    """Every score ``metric`` gives two label sets of at most ``max_size`` labels each."""
-    scores = set()
+def _shapes(max_size):
+    """(k, na, nb, a, b) for every overlap shape of two sets of at most ``max_size`` labels."""
     for na, nb in itertools.product(range(max_size + 1), repeat=2):
         for k in range(min(na, nb) + 1):
-            a = frozenset(range(na))
-            b = frozenset(range(na - k, na - k + nb))
-            scores.add(score(metric, topics(*a), topics(*b)))
+            yield k, na, nb, frozenset(range(na)), frozenset(range(na - k, na - k + nb))
+
+
+def _score_or_none(metric, a, b):
+    """``score`` of two label sets, or None where the metric is undefined."""
+    try:
+        return score(metric, topics(*a), topics(*b))
+    except UndefinedCorrelationError:
+        return None
+
+
+def _reachable_scores(metric, max_size=8):
+    """Every score ``metric`` gives two label sets of at most ``max_size`` labels each."""
+    scores = {_score_or_none(metric, a, b) for _, _, _, a, b in _shapes(max_size)}
+    scores.discard(None)
     return scores
+
+
+def _exact_pearson(k, na, nb):
+    """Pearson of an overlap shape as a Fraction, within 2**-64 relative of the real number."""
+    v = na + nb - k
+    radicand = na * (v - na) * nb * (v - nb)
+    return Fraction((v * k - na * nb) << 64, math.isqrt(radicand << 128))
+
+
+class TestPearsonFromShape:
+    """Pearson of two label sets is a function of their overlap shape alone."""
+
+    def test_relabelling_leaves_the_score_bit_identical(self):
+        rng = random.Random(1616)
+        vocab = [f"t{i:02d}" for i in range(30)]
+        defined = 0
+        for _ in range(2000):
+            renamed = dict(zip(vocab, rng.sample(vocab, len(vocab))))
+            a, b = (frozenset(rng.sample(vocab, rng.randint(0, 10))) for _ in range(2))
+            a2, b2 = (frozenset(map(renamed.get, labels)) for labels in (a, b))
+            try:
+                value = score(Metric.PEARSON, topics(*a), topics(*b))
+            except UndefinedCorrelationError as exc:
+                with pytest.raises(UndefinedCorrelationError) as again:
+                    score(Metric.PEARSON, topics(*a2), topics(*b2))
+                assert str(again.value) == str(exc)
+                continue
+            defined += 1
+            assert score(Metric.PEARSON, topics(*a2), topics(*b2)) == value, (a, b, a2, b2)
+        assert defined > 1000
+
+    def test_within_two_ulps_of_the_exact_value(self):
+        defined = 0
+        for k, na, nb, a, b in _shapes(12):
+            value = _score_or_none(Metric.PEARSON, a, b)
+            v = na + nb - k
+            # undefined exactly where a binary vector on the union is constant
+            assert (value is None) == (v < 2 or not na * (v - na) * nb * (v - nb)), (k, na, nb)
+            if value is not None:
+                defined += 1
+                exact = _exact_pearson(k, na, nb)
+                # no label lies outside the union: the covariance is -|a - b| * |b - a|
+                assert value < 0.0, (k, na, nb)
+                assert abs(Fraction(value) - exact) <= 2 * Fraction(math.ulp(float(exact))), (k, na, nb)
+        assert defined > 500
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ((), (), "pearson needs at least two distinct labels across both topic sets"),
+            (("a",), (), "pearson needs at least two distinct labels across both topic sets"),
+            (("a",), ("a",), "pearson needs at least two distinct labels across both topic sets"),
+            (("a", "b"), (), "zero variance input vector"),
+            (("a", "b"), ("b",), "zero variance input vector"),
+            (("a", "b"), ("a", "b"), "zero variance input vector"),
+        ],
+    )
+    def test_degenerate_shapes_keep_their_messages(self, a, b, message):
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(UndefinedCorrelationError) as info:
+                score(Metric.PEARSON, topics(*first), topics(*second))
+            assert str(info.value) == message
 
 
 class TestPairTest:
     """``_pair_test(metric, tau)`` decides each pair as ``score(metric, a, b) >= tau``."""
 
     @pytest.mark.parametrize(
-        "metric", [Metric.COSINE, Metric.JACCARD_SET, Metric.JACCARD_VECTOR, Metric.DICE, Metric.AVERAGE]
+        "metric",
+        [Metric.COSINE, Metric.JACCARD_SET, Metric.JACCARD_VECTOR, Metric.DICE, Metric.AVERAGE, Metric.PEARSON],
     )
     def test_set_metrics_decide_as_their_score_at_every_reachable_threshold(self, metric):
         rng = random.Random(152)
@@ -398,7 +474,9 @@ class TestPairTest:
             (frozenset(rng.sample(vocab, rng.randint(0, 8))), frozenset(rng.sample(vocab, rng.randint(0, 8))))
             for _ in range(200)
         ]
-        scores = [score(metric, topics(*a), topics(*b)) for a, b in pairs]
+        scores = [_score_or_none(metric, a, b) for a, b in pairs]
+        # only Pearson is undefined on some pairs, and there the predicate raises too
+        assert (None in scores) == (metric is Metric.PEARSON)
         reachable = _reachable_scores(metric)
         thresholds = reachable | {math.nextafter(s, -math.inf) for s in reachable} | {
             math.nextafter(s, math.inf) for s in reachable
@@ -406,7 +484,37 @@ class TestPairTest:
         for tau in sorted(thresholds):
             test = _pair_test(metric, tau)
             for (a, b), value in zip(pairs, scores):
-                assert test(a, b) == (value >= tau), (tau, a, b)
+                if value is None:
+                    with pytest.raises(UndefinedCorrelationError):
+                        test(a, b)
+                else:
+                    assert test(a, b) == (value >= tau), (tau, a, b)
+
+    @pytest.mark.parametrize("metric", [metric for metric in Metric if metric is not Metric.LEVENSHTEIN])
+    def test_a_gate_scores_each_defined_shape_once(self, metric, monkeypatch):
+        rng = random.Random(154)
+        vocab = [f"t{i}" for i in range(8)]
+        pairs = [
+            (frozenset(rng.sample(vocab, rng.randint(0, 4))), frozenset(rng.sample(vocab, rng.randint(0, 4))))
+            for _ in range(300)
+        ]
+        # a defined shape is scored on its first pair; an undefined one raises on each of its pairs
+        expected = Counter()
+        for a, b in pairs:
+            shape = (len(a & b), len(a), len(b))
+            defined = _score_or_none(metric, a, b) is not None
+            expected[shape] = 1 if defined else expected[shape] + 1
+        assert (max(expected.values()) > 1) == (metric is Metric.PEARSON)
+        calls = []
+        shape_score = similarity._SHAPE_SCORES[metric]
+        monkeypatch.setitem(similarity._SHAPE_SCORES, metric, lambda *shape: calls.append(shape) or shape_score(*shape))
+        test = _pair_test(metric, 0.25)
+        for a, b in pairs:
+            try:
+                test(a, b)
+            except UndefinedCorrelationError:
+                pass
+        assert Counter(calls) == expected
 
     def test_levenshtein_length_bound_decides_as_the_kernel(self, monkeypatch):
         entered, built = [], []
