@@ -16,7 +16,7 @@ from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
 from .evaluate import metric_sweep, write_eval_json
 from .gated import load_decisions
-from .graph import _open_output, load_edges, load_rumor, load_users, validate
+from .graph import _write_lines, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
 from .simulate import (
     export_frames,
@@ -93,10 +93,10 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.out_dir)
     write_trace_csv(traces, out / "trace.csv")
     write_curve_csv(aggregate, out / "curve.csv")
-    write_summary_json(cfg, traces, aggregate, runtime, out / "summary.json")
+    write_summary_json(cfg, traces, aggregate, out / "summary.json")
     print(
         f"{cfg.trials} trial(s) of {cfg.model.value}: "
-        f"mean final diffusers {aggregate[-1]:g} of {len(graph.nodes)} users"
+        f"mean final diffusers {aggregate[-1]:g} of {len(graph.nodes)} users in {runtime:.6f} s"
     )
     return 0
 
@@ -122,17 +122,14 @@ def _cmd_similarity(args) -> int:
     graph = load_edges(cfg.edges_path)
     profiles = load_users(cfg.users_path)
     path = Path(cfg.out_dir) / "sims.csv"
-    with _open_output(path, newline="") as fh:
-        fh.write(",".join(SIMS_HEADER) + "\n")
-        fh.writelines(_sims_lines(graph, profiles))
+    _write_lines(path, SIMS_HEADER, _sims_lines(graph, profiles))
     print(f"wrote {len(graph.sorted_edges)} edge scores to {path}")
     return 0
 
 
 def _sims_lines(graph, profiles):
     # the four scores depend only on (|a & b|, |a|, |b|), so each shape's row
-    # tail is formatted once; str() of an int or float is what csv.writer
-    # writes, unquoted. An endpoint without a profile scores 0.0, as in the gate.
+    # tail is formatted once. An endpoint without a profile scores 0.0, as in the gate.
     zeros = ",0.0,0.0,0.0,0.0\n"
     tails = {}
     for a, b in graph.sorted_edges:

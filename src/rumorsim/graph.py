@@ -207,7 +207,7 @@ def _bulk_edge_rows(path) -> list | None:
 
 def save_edges(graph: SocialGraph, path) -> None:
     """Write the edge list back to CSV in sorted order (round-trips exactly)."""
-    _write_rows(path, EDGES_HEADER, graph.sorted_edges)
+    _write_lines(path, EDGES_HEADER, (f"{a},{b}\n" for a, b in graph.sorted_edges))
 
 
 @_collector_paused()
@@ -340,12 +340,15 @@ def _open_output(path, newline=None):
         tmp.unlink(missing_ok=True)
 
 
-def _write_rows(path, header: list, rows) -> None:
-    """Write a header and then ``rows`` as CSV with LF line ends, through ``_open_output``."""
+def _write_lines(path, header: list, lines) -> None:
+    """Write a header and then ``lines``, text ending in LF, through ``_open_output``.
+
+    Every CSV this package writes holds only ints, floats and labels that need
+    no quoting, and ``str()`` of an int or float is what ``csv.writer`` writes.
+    """
     with _open_output(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path, payload) -> None:

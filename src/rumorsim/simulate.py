@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -38,26 +38,25 @@ from .diffusion import (
 )
 from .errors import ConfigurationError, ParseError
 from .gated import GatedRun, GateState, _check_initials, admission_test
-from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_rows
+from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_lines
 from .rng import RngStream
 
 TRACE_HEADER = ["trial", "step", "user_id", "new_state"]
 CURVE_HEADER = ["step", "diffusers"]
 
-# states that count toward the diffusion curve; all are absorbing or
-# downstream of one (a recovered node was infected first)
-_ACTIVE_LABELS = frozenset({"diffuser", "infected", "recovered", "adopted"})
+# each model's (default, seed) states: every user starts in the default and
+# the initials in the seed; a state counts toward the curve exactly when it is
+# not the default, and a model's states are the members of its default's enum
+MODEL_STATES = {
+    ModelKind.GATED_USER_USER: (GateState.NON_DIFFUSER, GateState.DIFFUSER),
+    ModelKind.GATED_USER_CONTENT: (GateState.NON_DIFFUSER, GateState.DIFFUSER),
+    ModelKind.SIR: (EpidemicState.SUSCEPTIBLE, EpidemicState.INFECTED),
+    ModelKind.IC: (EpidemicState.SUSCEPTIBLE, EpidemicState.INFECTED),
+    ModelKind.TIPPING: (AdoptionState.NOT_ADOPTED, AdoptionState.ADOPTED),
+}
 
 # a dict lookup is cheaper than the Enum.value descriptor, read once per change
-_STATE_LABELS = {state: state.value for state in chain(GateState, EpidemicState, AdoptionState)}
-
-_DEFAULT_LABELS = {
-    ModelKind.GATED_USER_USER: "non_diffuser",
-    ModelKind.GATED_USER_CONTENT: "non_diffuser",
-    ModelKind.SIR: "susceptible",
-    ModelKind.IC: "susceptible",
-    ModelKind.TIPPING: "not_adopted",
-}
+_STATE_LABELS = {state: state.value for default, _ in MODEL_STATES.values() for state in type(default)}
 
 
 @dataclass
@@ -78,7 +77,8 @@ class DiffusionTrace:
     clamped_agents: int = 0
 
     def final_active(self) -> set:
-        return {u for u, label in self.final_states.items() if label in _ACTIVE_LABELS}
+        default = MODEL_STATES[self.model][0].value
+        return {u for u, label in self.final_states.items() if label != default}
 
 
 def run_simulation(
@@ -127,17 +127,14 @@ def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
     admit = admission_test(profiles, rumor if compare_to_rumor else None, cfg.gate(decisions), set())
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
     run = GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
-    return _drive(cfg, graph, run, GateState.DIFFUSER, run.clamped)
+    return _drive(cfg, graph, run, run.clamped)
 
 
 def _run_classical(cfg, graph, rng) -> DiffusionTrace:
     _check_initials(graph, cfg.initials)
     initials = set(cfg.initials)
-    if cfg.model is ModelKind.TIPPING:
-        seed, rest = AdoptionState.ADOPTED, AdoptionState.NOT_ADOPTED
-    else:
-        seed, rest = EpidemicState.INFECTED, EpidemicState.SUSCEPTIBLE
-    states = {u: seed if u in initials else rest for u in graph.nodes}
+    default, seed = MODEL_STATES[cfg.model]
+    states = {u: seed if u in initials else default for u in graph.nodes}
     if cfg.model is ModelKind.TIPPING:
         run = TippingRun(graph, states, TippingParams(cfg.model_param("theta")))
     elif cfg.model is ModelKind.SIR:
@@ -145,12 +142,13 @@ def _run_classical(cfg, graph, rng) -> DiffusionTrace:
     else:
         # IC, the one classical model left; run_simulation sends the gated ones to _run_gated
         run = IcRun(graph, states, EdgeProbability(cfg.model_param("ic_default_p")), rng)
-    return _drive(cfg, graph, run, seed)
+    return _drive(cfg, graph, run)
 
 
-def _drive(cfg, graph, run, seed_state, clamped_agents=0) -> DiffusionTrace:
-    """The one scheduler loop: the initials in ``seed_state``, then each step's changes to max_time."""
-    changes = {0: [(u, seed_state) for u in sorted(set(cfg.initials))]}
+def _drive(cfg, graph, run, clamped_agents=0) -> DiffusionTrace:
+    """The one scheduler loop: the initials in their seed state, then each step's changes to max_time."""
+    seed = MODEL_STATES[cfg.model][1]
+    changes = {0: [(u, seed) for u in sorted(set(cfg.initials))]}
     while run.next_step is not None and run.next_step <= cfg.max_time:
         t = run.next_step
         if delta := run.step():
@@ -163,10 +161,11 @@ def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
     """The one route from a trial's deltas (steps 0..max_time) to its trace.
 
     Every user starts in the model's default state; ``counts[t]`` is the
-    number of users that have held an active label by step t, so a recovered
-    user stays on the curve.
+    number of users that have left it by step t, so a recovered user stays
+    on the curve.
     """
-    states = dict.fromkeys(graph.nodes, _DEFAULT_LABELS[cfg.model])
+    default = MODEL_STATES[cfg.model][0].value
+    states = dict.fromkeys(graph.nodes, default)
     active = set()
     counts = []
     for t in sorted(changes):
@@ -176,7 +175,7 @@ def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
             if uid not in states:
                 raise ConfigurationError(f"trace references unknown user {uid}")
             states[uid] = label
-            if label in _ACTIVE_LABELS:
+            if label != default:
                 active.add(uid)
         counts.append(len(active))
     counts.extend(repeat(len(active), cfg.max_time + 1 - len(counts)))
@@ -186,18 +185,16 @@ def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
 
 
 def write_trace_csv(traces, path) -> None:
-    """Write all trials' deltas as trial,step,user_id,new_state rows, LF line ends.
+    """Write all trials' deltas as trial,step,user_id,new_state rows, one string per step."""
+    _write_lines(path, TRACE_HEADER, _trace_lines(traces))
 
-    Every field is an int or one of the fixed state labels, none of which
-    needs CSV quoting, so rows are written as text: the bytes ``csv.writer``
-    would write.
-    """
-    with _open_output(path, newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for k, trace in enumerate(traces):
-            for step in sorted(trace.changes):
-                prefix = f"{k},{step},"
-                fh.write("".join([f"{prefix}{uid},{label}\n" for uid, label in trace.changes[step]]))
+
+def _trace_lines(traces):
+    for k, trace in enumerate(traces):
+        for step in sorted(trace.changes):
+            # the trial and step are formatted once per step, not per row
+            prefix = f"{k},{step},"
+            yield "".join([f"{prefix}{uid},{label}\n" for uid, label in trace.changes[step]])
 
 
 def read_trace_csv(path, trial: int) -> dict:
@@ -221,13 +218,22 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
     """Reconstruct the full per-step view of one trial from its deltas.
 
     A change outside steps 0..cfg.max_time raises ConfigurationError: the
-    trace was run with a longer horizon than this config.
+    trace was run with a longer horizon than this config.  So does a label
+    that is not a state of cfg.model: the trace was run with another model.
     """
     outside = [t for t in changes if not 0 <= t <= cfg.max_time]
     if outside:
         raise ConfigurationError(
             f"trace has a change at step {min(outside)}, outside 0..max_time (max_time = {cfg.max_time})"
         )
+    labels = [state.value for state in type(MODEL_STATES[cfg.model][0])]
+    for t in sorted(changes):
+        for uid, label in changes[t]:
+            if label not in labels:
+                raise ConfigurationError(
+                    f"trace sets user {uid} to {label!r} at step {t}, not a state of model "
+                    f"{cfg.model.value} ({', '.join(labels)})"
+                )
     return _replay(cfg, graph, changes)
 
 
@@ -241,11 +247,12 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     nodes_sorted = sorted(graph.nodes)
     # the edge lines are the same in every frame
     edge_lines = "".join(f"  {a} -> {b};\n" for a, b in graph.sorted_edges) + "}\n"
+    default = MODEL_STATES[trace.model][0].value
     active = set()
     paths = []
     for t in range(trace.max_time + 1):
         for uid, label in trace.changes.get(t, ()):
-            if label in _ACTIVE_LABELS:
+            if label != default:
                 active.add(uid)
         frame_path = out / f"frame_{t:04d}.dot"
         with _open_output(frame_path) as fh:
@@ -259,7 +266,7 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
 
 def write_curve_csv(series, path) -> None:
     """Write a step,diffusers series (ints for one trial, means for many)."""
-    _write_rows(path, CURVE_HEADER, enumerate(series))
+    _write_lines(path, CURVE_HEADER, (f"{t},{v}\n" for t, v in enumerate(series)))
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
@@ -277,8 +284,8 @@ def _jsonable(value):
     return value
 
 
-def write_summary_json(cfg, traces, aggregate, runtime_seconds, path) -> None:
-    """Write final counts, a config echo, and the wall-clock runtime."""
+def write_summary_json(cfg, traces, aggregate, path) -> None:
+    """Write final counts and a config echo: the same bytes for the same config and seed."""
     payload = {
         "config": config_echo(cfg),
         "trials": [
@@ -293,6 +300,5 @@ def write_summary_json(cfg, traces, aggregate, runtime_seconds, path) -> None:
             for k, trace in enumerate(traces)
         ],
         "final_diffusers_mean": aggregate[-1],
-        "runtime_seconds": round(runtime_seconds, 6),
     }
     _write_json(path, payload)

@@ -64,13 +64,24 @@ class TestSimulate:
             )
         assert blobs["first"] == blobs["second"]
 
-    def test_summary_stable_apart_from_runtime(self, tmp_path, capsys):
+    def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            code, stdout, _ = run(capsys, "simulate", CFG, "--out-dir", str(out))
+            assert code == 0
+            runs.append([(out / name).read_bytes() for name in ("trace.csv", "curve.csv", "summary.json")])
+            # the runtime goes to stdout, not into any output file
+            assert re.fullmatch(r".*6 of 10 users in \d+\.\d{6} s\n", stdout)
+        assert runs[0] == runs[1]
+        assert "runtime_seconds" not in json.loads(runs[0][2])
+
+    def test_summary_stable_apart_from_out_dir(self, tmp_path, capsys):
         summaries = []
         for name in ("first", "second"):
             out = tmp_path / name
             run(capsys, "simulate", CFG, "--out-dir", str(out))
             data = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-            assert data.pop("runtime_seconds") >= 0.0
             # the echoed out_dir tracks the override, everything else must not
             assert data["config"].pop("out_dir") == str(out)
             summaries.append(data)
@@ -299,6 +310,31 @@ class TestExport:
         assert "step 23" in stderr
         assert "max_time = 20" in stderr
         assert not frames_dir.exists()
+
+    def test_a_label_the_model_lacks_is_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("trial,step,user_id,new_state\n0,0,1,diffuser\n0,3,2,banana\n", encoding="utf-8")
+        frames_dir = tmp_path / "frames"
+        code, _, stderr = run(capsys, "export", str(trace), str(frames_dir), "--config", CFG)
+        assert code == 1
+        assert stderr == (
+            "error: trace sets user 2 to 'banana' at step 3, not a state of model "
+            "gated_user_user (non_diffuser, diffuser)\n"
+        )
+        assert not frames_dir.exists()
+
+    def test_a_trace_of_another_model_is_rejected(self, tmp_path, capsys):
+        # a SIR trace replayed against the fixture's gated config
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "simulate", CFG, "--out-dir", str(out), "--model", "sir", "--beta", "0.5", "--gamma", "0.2"
+        )
+        assert code == 0
+        code, _, stderr = run(
+            capsys, "export", str(out / "trace.csv"), str(tmp_path / "frames"), "--config", CFG
+        )
+        assert code == 1
+        assert "to 'infected' at step 0, not a state of model gated_user_user" in stderr
 
 
 class TestConfigKeys:
@@ -561,12 +597,7 @@ class TestHashSeed:
             "sir/trace.csv",
         ]
         for name, blob in first.items():
-            if name.endswith("summary.json"):
-                ours, theirs = json.loads(blob), json.loads(second[name])
-                del ours["runtime_seconds"], theirs["runtime_seconds"]
-                assert ours == theirs, name
-            else:
-                assert blob == second[name], name
+            assert blob == second[name], name
 
 
 class TestRelativePaths:

@@ -1,0 +1,89 @@
+"""Stochastic models against their exact laws, on fixed seeds.
+
+Each test runs many seeded trials and compares the observed frequencies
+with probabilities computed exactly from the model's definition, so it
+passes or fails the same way on every run.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import compress, product
+
+import pytest
+
+from helpers import bfs_reachable
+from rumorsim import EdgeProbability, EpidemicState, RngStream, SocialGraph
+from rumorsim.diffusion import IcRun
+
+S = EpidemicState.SUSCEPTIBLE
+I = EpidemicState.INFECTED
+
+# |z| beyond this on any node is a failure; over a few dozen fixed-seed
+# comparisons a correct model stays well inside it
+Z_BOUND = 4.5
+
+
+def live_edge_probabilities(graph, initials, probs):
+    """Each node's exact IC activation probability, by enumerating live-edge graphs.
+
+    IC activates exactly the nodes reachable from the initials when each edge
+    is kept, independently, with its probability (Kempe, Kleinberg & Tardos 2003).
+    """
+    edges = graph.sorted_edges
+    weights = [probs.get(edge) for edge in edges]
+    exact = dict.fromkeys(graph.nodes, 0.0)
+    for live in product((False, True), repeat=len(edges)):
+        weight = math.prod(p if kept else 1.0 - p for p, kept in zip(weights, live))
+        for u in bfs_reachable(initials, compress(edges, live)):
+            exact[u] += weight
+    return exact
+
+
+def ic_frequencies(graph, initials, probs, seed, trials):
+    """Each node's share of ``trials`` IC runs that end with it activated."""
+    hits = dict.fromkeys(graph.nodes, 0)
+    base = RngStream(seed)
+    for k in range(trials):
+        states = {u: I if u in initials else S for u in graph.nodes}
+        run = IcRun(graph, states, probs, base.derive(k))
+        while run.next_step is not None:
+            run.step()
+        for u, state in run.states.items():
+            if state is not S:
+                hits[u] += 1
+    return {u: count / trials for u, count in hits.items()}
+
+
+IC_CASES = {
+    # a 3-cycle feeding a tail that leads back into the cycle
+    "cycle": (
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1), (2, 4)],
+        (0,),
+        EdgeProbability(0.35, {(1, 2): 0.8, (3, 4): 0.1, (4, 1): 0.6}),
+    ),
+    # two seeds, a 2-cycle, a node reached only through a certain edge and
+    # one behind an edge that never fires: 12 edges, 4096 live-edge graphs
+    "overrides": (
+        [(0, 2), (1, 2), (2, 3), (3, 2), (2, 4), (3, 5), (4, 5), (5, 6), (6, 4), (1, 6), (6, 7), (7, 8)],
+        (0, 1),
+        EdgeProbability(0.3, {(0, 2): 0.9, (3, 2): 0.5, (1, 6): 0.05, (6, 7): 1.0, (7, 8): 0.0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IC_CASES))
+def test_ic_activation_follows_the_live_edge_law(name):
+    edges, initials, probs = IC_CASES[name]
+    graph = SocialGraph(edges)
+    trials = 20000
+    exact = live_edge_probabilities(graph, initials, probs)
+    observed = ic_frequencies(graph, initials, probs, seed=2003, trials=trials)
+    for u in sorted(graph.nodes):
+        p = exact[u]
+        if p < 1e-12 or p > 1 - 1e-12:
+            # certain outcomes hold in every trial
+            assert observed[u] == round(p), (u, observed[u], p)
+            continue
+        z = (observed[u] - p) / math.sqrt(p * (1 - p) / trials)
+        assert abs(z) <= Z_BOUND, (u, observed[u], p, z)

@@ -291,8 +291,8 @@ def test_golden_table_covers_every_input_and_config():
     assert sorted(GOLDEN) == sorted(f"{i}/{c}" for i in inputs for c in CONFIGS)
 
 
-# SHA-256 of the CLI outputs per input: summary.json without its
-# runtime_seconds field, from a simulate run that sets every config key to a
+# SHA-256 of the CLI outputs per input: summary.json, re-serialised without
+# its final newline, from a simulate run that sets every config key to a
 # non-default value (some in the file, some as flags); sims.csv from
 # similarity; eval.json from an evaluate sweep over six metrics.  The
 # ``/pearson`` entry pins a Pearson gate instead: summary.json from an
@@ -382,7 +382,6 @@ def cli_digests(key, root):
     for argv in commands:
         assert run_cli(argv) == 0, argv
     summary = json.loads((root / "sim" / "summary.json").read_text(encoding="utf-8"))
-    del summary["runtime_seconds"]
     blobs = {
         "summary.json": json.dumps(summary, indent=2, sort_keys=True).encode("utf-8"),
         "eval.json": (root / "eval" / "eval.json").read_bytes(),

@@ -589,6 +589,23 @@ class TestTraceSerialization:
             rebuild_trace(gated_config(), chain_graph, {0: [(1, "diffuser")], 3: [(99, "diffuser")]})
 
     @pytest.mark.parametrize(
+        "model, label",
+        [
+            (ModelKind.GATED_USER_USER, "banana"),
+            (ModelKind.GATED_USER_USER, "infected"),
+            (ModelKind.SIR, "diffuser"),
+            (ModelKind.IC, "adopted"),
+            (ModelKind.TIPPING, "recovered"),
+        ],
+    )
+    def test_rebuild_rejects_a_label_of_another_model(self, chain_graph, model, label):
+        seed = simulate.MODEL_STATES[model][1].value
+        changes = {0: [(1, seed)], 2: [(2, seed), (3, label)]}
+        message = f"trace sets user 3 to '{label}' at step 2, not a state of model {model.value}"
+        with pytest.raises(ConfigurationError, match=message):
+            rebuild_trace(gated_config(model=model, rumor_path=Path("rumor.txt")), chain_graph, changes)
+
+    @pytest.mark.parametrize(
         "params",
         [
             pytest.param(dict(threshold=0.1), id="gated"),
@@ -616,6 +633,28 @@ class TestTraceSerialization:
         assert max(trace.counts[-1] for trace in traces) > 2
         if cfg.model is ModelKind.SIR:
             assert any("recovered" in trace.final_states.values() for trace in traces)
+
+
+class TestModelStates:
+    def test_each_model_has_one_default_and_one_seed_state(self):
+        labels = {model: (default.value, seed.value) for model, (default, seed) in simulate.MODEL_STATES.items()}
+        assert labels == {
+            ModelKind.GATED_USER_USER: ("non_diffuser", "diffuser"),
+            ModelKind.GATED_USER_CONTENT: ("non_diffuser", "diffuser"),
+            ModelKind.SIR: ("susceptible", "infected"),
+            ModelKind.IC: ("susceptible", "infected"),
+            ModelKind.TIPPING: ("not_adopted", "adopted"),
+        }
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_the_curve_counts_every_state_but_the_default(self, chain_graph, model):
+        states = [state.value for state in type(simulate.MODEL_STATES[model][0])]
+        # the i-th user (of three) set to the model's i-th state, the default first
+        changes = {0: [(u, label) for u, label in zip(sorted(chain_graph.nodes), states)]}
+        cfg = gated_config(model=model, rumor_path=Path("rumor.txt"), max_time=2)
+        trace = rebuild_trace(cfg, chain_graph, changes)
+        assert trace.final_active() == set(sorted(chain_graph.nodes)[1 : len(states)])
+        assert trace.counts == [len(states) - 1] * 3
 
 
 class TestAtomicWrites:
