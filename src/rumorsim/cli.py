@@ -37,6 +37,22 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, and whose ``config_keys`` flags wait for its first parse.
+
+    argparse builds a help formatter for every flag it adds, so a run adds
+    the config-key flags only to the command it names.
+    """
+
+    def __init__(self, *args, config_keys=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending_keys = list(config_keys)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for key in self._pending_keys:
+            self.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="VALUE")
+        self._pending_keys = []
+        return super().parse_known_args(args, namespace)
+
     # argparse exits with status 2 on bad usage; we want 1 and no SystemExit
     def error(self, message):
         raise _UsageError(message, self)
@@ -52,10 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("similarity", _cmd_similarity, "write per-edge similarity scores to sims.csv"),
         ("validate", _cmd_validate, "report graph/profile inconsistencies without failing"),
     ):
-        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd = sub.add_parser(name, help=help_text, config_keys=CONFIG_KEYS)
         p_cmd.add_argument("config")
-        for key in CONFIG_KEYS:
-            p_cmd.add_argument("--" + key.replace("_", "-"), dest=key, default=None, metavar="VALUE")
         p_cmd.set_defaults(func=handler)
 
     p_exp = sub.add_parser("export", help="render one trial of a trace as DOT frames plus curve.csv")
@@ -123,7 +137,7 @@ def _cmd_similarity(args) -> int:
     profiles = load_users(cfg.users_path)
     path = Path(cfg.out_dir) / "sims.csv"
     _write_lines(path, SIMS_HEADER, _sims_lines(graph, profiles))
-    print(f"wrote {len(graph.sorted_edges)} edge scores to {path}")
+    print(f"wrote {graph.edge_count} edge scores to {path}")
     return 0
 
 
@@ -132,17 +146,19 @@ def _sims_lines(graph, profiles):
     # tail is formatted once. An endpoint without a profile scores 0.0, as in the gate.
     zeros = ",0.0,0.0,0.0,0.0\n"
     tails = {}
-    for a, b in graph.sorted_edges:
-        pa, pb = profiles.get(a), profiles.get(b)
-        if pa is None or pb is None:
-            tail = zeros
-        else:
-            ta, tb = pa.topics, pb.topics
-            shape = (len(ta & tb), len(ta), len(tb))
-            tail = tails.get(shape)
-            if tail is None:
-                tail = tails[shape] = "".join(f",{v}" for v in overlap_scores(ta, tb)) + "\n"
-        yield f"{a},{b}{tail}"
+    for a, followers in graph.adjacency.items():
+        pa = profiles.get(a)
+        for b in followers:
+            pb = profiles.get(b)
+            if pa is None or pb is None:
+                tail = zeros
+            else:
+                ta, tb = pa.topics, pb.topics
+                shape = (len(ta & tb), len(ta), len(tb))
+                tail = tails.get(shape)
+                if tail is None:
+                    tail = tails[shape] = "".join(f",{v}" for v in overlap_scores(ta, tb)) + "\n"
+            yield f"{a},{b}{tail}"
 
 
 def _cmd_export(args) -> int:
@@ -162,7 +178,7 @@ def _cmd_validate(args) -> int:
     report = validate(graph, profiles)
     stats = graph.load_stats
     print(
-        f"{len(graph.nodes)} users, {len(graph.sorted_edges)} edges "
+        f"{len(graph.nodes)} users, {graph.edge_count} edges "
         f"({stats.duplicate_edges} duplicate rows, {stats.self_loops_skipped} self-loops dropped)"
     )
     _print_findings("edge endpoints without a profile", report.missing_profiles)

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -207,7 +207,7 @@ class TippingRun:
     step rechecks only the nodes whose count changed in the previous step (at
     first, every node with an adopted in-neighbor); any other node would face
     the same test it already failed.  The test needs only in-degrees, counted
-    once from the edge list, so the in-adjacency is never built.
+    once from the out-adjacency, so the in-adjacency is never built.
     """
 
     def __init__(self, graph: SocialGraph, states: Mapping, params: TippingParams):
@@ -215,7 +215,7 @@ class TippingRun:
         self.graph = graph
         self.states = dict(states)
         self.theta = params.theta
-        self.in_degree = Counter(map(itemgetter(1), graph.sorted_edges))
+        self.in_degree = Counter(chain.from_iterable(graph.adjacency.values()))
         self.adopted_in = {}
         self.touched = set()
         self._notify_followers(u for u in graph.nodes if states[u] is AdoptionState.ADOPTED)

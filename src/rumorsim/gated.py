@@ -197,7 +197,7 @@ def filtered_edge_set(
     names the smallest edge it fails on.
     """
     admit = admission_test(profiles, rumor, gate, set())
-    return {(a, b) for a, b in graph.sorted_edges if admit(a, b)}
+    return {(a, b) for a, followers in graph.adjacency.items() for b in followers if admit(a, b)}
 
 
 def load_decisions(path) -> dict:

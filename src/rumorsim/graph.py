@@ -11,12 +11,14 @@ import csv
 import gc
 import json
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, starmap
+from itertools import chain, compress, islice, repeat
 from operator import eq, lt, ne
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
@@ -31,7 +33,7 @@ _BOOL_VALUES = {"0": False, "1": True, "false": False, "true": True}
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     """Offline attributes of one user: topics, wake-up step, observed label."""
 
@@ -58,45 +60,64 @@ class LoadStats:
 
 
 class SocialGraph:
-    """Directed graph, immutable after construction, with sorted adjacency.
+    """Directed graph, immutable after construction, stored as its out-adjacency.
 
-    ``sorted_edges`` is the edge set as a tuple in ascending (a, b) order,
-    for callers that walk every edge in a reproducible order.  Pairs given
-    in strictly ascending order are taken as they are, checked in one pass;
-    any other input is deduped and sorted, with the same result.  Neighbours
-    come back as read-only ascending tuples, shared with the graph.  The
-    out-adjacency is built on the first ``out_neighbors`` call, the
-    in-adjacency on the first ``in_neighbors`` call and the frozenset
-    ``edges`` on first access.
+    Each user maps to the ascending tuple of its followers, and that mapping
+    is all the graph keeps besides ``nodes``.  Pairs given in strictly
+    ascending order fill every follower run as they come, checked in one
+    pass; any other input takes one dedup pass, with the same result.
+    Neighbours come back as read-only ascending tuples, shared with the
+    graph.  The in-adjacency is built on the first ``in_neighbors`` call,
+    and the pair views ``sorted_edges`` and ``edges`` on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
-        edges = tuple(edges)
-        # strictly ascending pairs, as save_edges writes them, are already
-        # unique and sorted; anything else is deduped and sorted
-        if not all(map(lt, edges, islice(edges, 1, None))):
-            edges = tuple(sorted(dict.fromkeys(edges)))
-        loop = next(compress(edges, starmap(eq, edges)), None)
+        pairs = tuple(edges)
+        self._build([a for a, _ in pairs], [b for _, b in pairs], nodes)
+
+    def _build(self, froms: list, tos: list, nodes: Iterable = ()) -> None:
+        """The one graph build, from the two id columns of an edge list."""
+        loop = min(compress(froms, map(eq, froms, tos)), default=None)
         if loop is not None:
-            raise ConfigurationError(f"self-loop on user {loop[0]}")
-        self.sorted_edges = edges
-        self.nodes = frozenset(chain(nodes, chain.from_iterable(self.sorted_edges)))
+            raise ConfigurationError(f"self-loop on user {loop}")
+        self.nodes = frozenset(chain(nodes, froms, tos))
+        self._out = _runs(sorted(self.nodes), froms, tos)
+        # strictly ascending pairs, as save_edges writes them, fill every run
+        # ascending and without repeats
+        if not all(map(lt, zip(froms, tos), zip(islice(froms, 1, None), islice(tos, 1, None)))):
+            _dedup(self._out)
         self.load_stats: LoadStats | None = None
 
     @cached_property
-    def _out(self) -> dict:
-        # in (a, b) order every out-run fills by ascending b
-        return _runs(self.nodes, self.sorted_edges)
+    def _in(self) -> dict:
+        # the sources come in ascending order, so every in-run fills ascending
+        sources, targets = self._columns()
+        return _runs(self._out, targets, sources)
 
     @cached_property
-    def _in(self) -> dict:
-        # in (b, a) order of the sorted edges every in-run fills by ascending a
-        return _runs(self.nodes, ((b, a) for a, b in self.sorted_edges))
+    def sorted_edges(self) -> tuple:
+        """The edge set as a tuple in ascending (a, b) order, built on first access."""
+        return tuple(zip(*self._columns()))
 
     @cached_property
     def edges(self) -> frozenset:
         """The edge set, built on first access."""
-        return frozenset(self.sorted_edges)
+        return frozenset(zip(*self._columns()))
+
+    def _columns(self) -> tuple:
+        """The sources and the targets of every edge, as two iterators in ascending (a, b) order."""
+        out = self._out
+        return chain.from_iterable(map(repeat, out, map(len, out.values()))), chain.from_iterable(out.values())
+
+    @property
+    def adjacency(self) -> Mapping:
+        """Each user to its followers, read-only; users and followers both ascending."""
+        return MappingProxyType(self._out)
+
+    @property
+    def edge_count(self) -> int:
+        """The number of edges, counted from the adjacency."""
+        return sum(map(len, self._out.values()))
 
     def out_neighbors(self, u: UserId) -> tuple:
         """Users that follow u, ascending. Raises UnknownUserError for foreign ids."""
@@ -113,15 +134,21 @@ class SocialGraph:
             raise UnknownUserError(f"unknown user id {u}") from None
 
 
-def _runs(nodes, pairs) -> dict:
-    """Each node to the tuple of the second items of its ``pairs``, in pair order."""
+def _runs(nodes, keys, values) -> dict:
+    """Each of ``nodes``, in order, to the tuple of the ``values`` paired with it in ``keys``, in pair order."""
     runs = {u: [] for u in nodes}
-    for u, v in pairs:
-        runs[u].append(v)
+    # runs[key].append(value) for every pair, with no Python-level loop
+    deque(map(list.append, map(runs.__getitem__, keys), values), maxlen=0)
     # one node at a time, so each list is freed as its tuple is made
-    for u in nodes:
-        runs[u] = tuple(runs[u])
+    for u, run in runs.items():
+        runs[u] = tuple(run)
     return runs
+
+
+def _dedup(runs: dict) -> None:
+    """The dedup pass: sort each run and drop its repeats, in place."""
+    for u, run in runs.items():
+        runs[u] = tuple(sorted(set(run)))
 
 
 @contextmanager
@@ -146,25 +173,36 @@ def load_edges(path) -> SocialGraph:
 
     Rows may come in any order.  Duplicate rows collapse and self-loops are
     skipped; both are counted in the returned graph's ``load_stats``.  A
-    malformed row raises ParseError with its line number.
+    malformed row raises ParseError with its line number.  Each distinct id
+    is held as one int object, however often it occurs.
     """
-    rows = _bulk_edge_rows(path)
-    if rows is None:
-        rows = [
-            (_parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1]))
-            for line_no, row in _read_rows(path, EDGES_HEADER)
-        ]
-    stats = LoadStats(rows_read=len(rows))
-    rows = list(compress(rows, starmap(ne, rows)))
-    stats.self_loops_skipped = stats.rows_read - len(rows)
-    graph = SocialGraph(rows)
-    stats.duplicate_edges = len(rows) - len(graph.sorted_edges)
+    columns = _bulk_edge_rows(path)
+    froms, tos = _rowwise_edge_rows(path) if columns is None else columns
+    stats = LoadStats(rows_read=len(froms))
+    keep = list(map(ne, froms, tos))
+    if not all(keep):
+        froms, tos = list(compress(froms, keep)), list(compress(tos, keep))
+    stats.self_loops_skipped = stats.rows_read - len(froms)
+    graph = SocialGraph.__new__(SocialGraph)
+    graph._build(froms, tos)
+    stats.duplicate_edges = len(froms) - graph.edge_count
     graph.load_stats = stats
     return graph
 
 
-def _bulk_edge_rows(path) -> list | None:
-    """All (from, to) rows of a plain edges file, parsed in bulk.
+def _rowwise_edge_rows(path) -> tuple:
+    """The (from ids, to ids) columns of an edges file, read row by row; ids held once each."""
+    ids = {}
+    froms, tos = [], []
+    for line_no, row in _read_rows(path, EDGES_HEADER):
+        a, b = _parse_user_id(path, line_no, row[0]), _parse_user_id(path, line_no, row[1])
+        froms.append(ids.setdefault(a, a))
+        tos.append(ids.setdefault(b, b))
+    return froms, tos
+
+
+def _bulk_edge_rows(path) -> tuple | None:
+    """The (from ids, to ids) columns of a plain edges file, parsed in bulk; ids held once each.
 
     Returns None, raising no ParseError, when the file is anything but a
     header and lines of two comma-separated integers >= 0, blank lines
@@ -173,7 +211,8 @@ def _bulk_edge_rows(path) -> list | None:
     """
     header = ",".join(EDGES_HEADER)
     limit = csv.field_size_limit()
-    rows = []
+    ids = {}
+    froms, tos = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n") != header:
@@ -196,18 +235,23 @@ def _bulk_edge_rows(path) -> list | None:
                     or max(map(len, batch)) > limit
                 ):
                     return None
-                ids = list(map(int, fields))
-                if min(ids) < 0:
+                values = list(map(int, fields))
+                if min(values) < 0:
                     return None
-                rows += zip(ids[::2], ids[1::2])
+                # the first object seen for each id stands for every later
+                # one, so the batch's own ints are freed with the batch
+                values = list(map(ids.setdefault, values, values))
+                froms += values[::2]
+                tos += values[1::2]
     except ValueError:
         return None
-    return rows
+    return froms, tos
 
 
 def save_edges(graph: SocialGraph, path) -> None:
     """Write the edge list back to CSV in sorted order (round-trips exactly)."""
-    _write_lines(path, EDGES_HEADER, (f"{a},{b}\n" for a, b in graph.sorted_edges))
+    lines = (f"{a},{b}\n" for a, followers in graph.adjacency.items() for b in followers)
+    _write_lines(path, EDGES_HEADER, lines)
 
 
 @_collector_paused()
@@ -269,7 +313,8 @@ def validate(graph: SocialGraph, profiles: Mapping) -> ValidationReport:
     and users that touch no edge at all (profile-only users are kept so that
     evaluation can still count them).
     """
-    touched = set(chain.from_iterable(graph.sorted_edges))
+    out = graph.adjacency
+    touched = {u for u, followers in out.items() if followers}.union(chain.from_iterable(out.values()))
     missing = sorted(u for u in graph.nodes if u not in profiles)
     empty = sorted(uid for uid, p in profiles.items() if not p.topics)
     isolated = sorted((set(profiles) | set(graph.nodes)) - touched)

@@ -22,6 +22,7 @@ overlap shape once, and Levenshtein tries a length bound before the kernel.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import cache
 from typing import Callable, Sequence
@@ -55,11 +56,12 @@ def tokenize_topics(raw: str) -> TopicSet:
     """Split a comma-separated topic string into a normalized label set.
 
     Labels are trimmed and lowercased; empty fragments are dropped and
-    duplicates collapse.
+    duplicates collapse.  Each label is interned, so every set holding it
+    shares one string.
     """
     # lowercasing the whole string equals lowercasing each fragment: a comma
     # is neither cased nor case-ignorable, so no case context crosses it
-    return frozenset(filter(None, map(str.strip, raw.lower().split(","))))
+    return frozenset(map(sys.intern, filter(None, map(str.strip, raw.lower().split(",")))))
 
 
 def canonical_topic_string(topics: TopicSet) -> str:

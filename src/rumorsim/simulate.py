@@ -246,7 +246,8 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     out = Path(out_dir)
     nodes_sorted = sorted(graph.nodes)
     # the edge lines are the same in every frame
-    edge_lines = "".join(f"  {a} -> {b};\n" for a, b in graph.sorted_edges) + "}\n"
+    adjacency = graph.adjacency.items()
+    edge_lines = "".join(f"  {a} -> {b};\n" for a, followers in adjacency for b in followers) + "}\n"
     default = MODEL_STATES[trace.model][0].value
     active = set()
     paths = []

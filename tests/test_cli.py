@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -355,6 +356,29 @@ class TestConfigKeys:
         assert {key: getattr(args, key) for key in CONFIG_KEYS} == {
             key: f"value-of-{key}" for key in CONFIG_KEYS
         }
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "validate"])
+    def test_help_lists_every_config_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"])
+        assert exc.value.code == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"usage: rumorsim {command} ")
+        assert [key for key in CONFIG_KEYS if f"--{key.replace('_', '-')} VALUE" not in stdout] == []
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "validate"])
+    def test_a_flag_without_its_value_is_exit_1_with_usage(self, command, capsys):
+        code, _, stderr = run(capsys, command, CFG, "--seed")
+        assert code == 1
+        assert stderr.startswith(f"usage: rumorsim {command} ")
+        assert stderr.endswith("error: argument --seed: expected one argument\n")
+
+    def test_only_the_named_command_builds_its_flags(self):
+        parser = build_parser()
+        parser.parse_args(["validate", CFG])
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        flagged = {name for name, sub in commands.items() if "--seed" in sub._option_string_actions}
+        assert flagged == {"validate"}
 
     def test_summary_echoes_exactly_the_config_fields(self, tmp_path, capsys):
         out = tmp_path / "out"

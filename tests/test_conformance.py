@@ -8,16 +8,18 @@ passes or fails the same way on every run.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from itertools import compress, product
 
 import pytest
 
 from helpers import bfs_reachable
-from rumorsim import EdgeProbability, EpidemicState, RngStream, SocialGraph
-from rumorsim.diffusion import IcRun
+from rumorsim import EdgeProbability, EpidemicState, RngStream, SirParams, SocialGraph
+from rumorsim.diffusion import IcRun, SirRun
 
 S = EpidemicState.SUSCEPTIBLE
 I = EpidemicState.INFECTED
+R = EpidemicState.RECOVERED
 
 # |z| beyond this on any node is a failure; over a few dozen fixed-seed
 # comparisons a correct model stays well inside it
@@ -87,3 +89,79 @@ def test_ic_activation_follows_the_live_edge_law(name):
             continue
         z = (observed[u] - p) / math.sqrt(p * (1 - p) / trials)
         assert abs(z) <= Z_BOUND, (u, observed[u], p, z)
+
+
+def sir_final_sizes(graph, initials, params):
+    """The exact distribution of SIR's final size, by running its chain over the 3^n states.
+
+    In one step each infected node recovers with probability gamma, and each
+    susceptible node with k infected in-neighbours is infected with
+    probability 1 - (1 - beta)^k, all independently given the states at the
+    start of the step.  The chain runs until the mass of states with an
+    infected node is negligible; the final size is the number of nodes
+    that left the susceptible state.
+    """
+    nodes = sorted(graph.nodes)
+    sources = [[nodes.index(a) for a in graph.in_neighbors(u)] for u in nodes]
+    beta, gamma = params.beta, params.gamma
+    live = {tuple(I if u in initials else S for u in nodes): 1.0}
+    final = defaultdict(float)
+    while sum(live.values()) > 1e-13:
+        after = defaultdict(float)
+        for state, weight in live.items():
+            if I not in state:
+                final[sum(s is not S for s in state)] += weight
+                continue
+            options = []
+            for v, s in enumerate(state):
+                if s is I:
+                    moves = ((R, gamma), (I, 1 - gamma))
+                elif s is S:
+                    hit = 1 - (1 - beta) ** sum(state[a] is I for a in sources[v])
+                    moves = ((I, hit), (S, 1 - hit))
+                else:
+                    moves = ((R, 1.0),)
+                options.append([move for move in moves if move[1] > 0])
+            for outcome in product(*options):
+                after[tuple(s for s, _ in outcome)] += weight * math.prod(q for _, q in outcome)
+        live = after
+    return final
+
+
+def sir_final_size_counts(graph, initials, params, seed, trials):
+    """How many of ``trials`` seeded SIR runs end with each final size."""
+    counts = Counter()
+    base = RngStream(seed)
+    for k in range(trials):
+        run = SirRun(graph, {u: I if u in initials else S for u in graph.nodes}, params, base.derive(k))
+        while run.next_step is not None:
+            run.step()
+        counts[sum(state is not S for state in run.states.values())] += 1
+    return counts
+
+
+SIR_CASES = {
+    # two seeds share their followers, so nodes 2 and 3 start with two
+    # infected in-neighbours and node 4 can meet two at once later
+    "shared followers": ([(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 1)], (0, 1), SirParams(0.3, 0.4)),
+    # one seed on a 4-cycle with a chord back into it, and a node no edge reaches
+    "cycle": ([(0, 1), (1, 2), (2, 3), (3, 0), (2, 0)], (0,), SirParams(0.5, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIR_CASES))
+def test_sir_final_size_follows_the_exact_chain(name):
+    edges, initials, params = SIR_CASES[name]
+    graph = SocialGraph(edges, nodes=range(5))
+    trials = 6000
+    exact = sir_final_sizes(graph, initials, params)
+    assert math.isclose(math.fsum(exact.values()), 1.0, abs_tol=1e-12)
+    observed = sir_final_size_counts(graph, initials, params, seed=1927, trials=trials)
+    assert set(observed) <= set(exact)
+    for size in range(len(graph.nodes) + 1):
+        p = exact.get(size, 0.0)
+        if p < 1e-12 or p > 1 - 1e-12:
+            assert observed[size] == round(p) * trials, (size, observed[size], p)
+            continue
+        z = (observed[size] / trials - p) / math.sqrt(p * (1 - p) / trials)
+        assert abs(z) <= Z_BOUND, (size, observed[size], p, z)

@@ -344,9 +344,9 @@ class TestLoaderDifferential:
 
     def test_blank_lines_stay_on_the_bulk_path(self, tmp_path):
         path = write(tmp_path / "edges.csv", "from_user_id,to_user_id\n\n1,2\r\n\r\n\r3,4")
-        assert _bulk_edge_rows(path) == [(1, 2), (3, 4)]
+        assert _bulk_edge_rows(path) == ([1, 3], [2, 4])
         path = write(tmp_path / "edges.csv", "from_user_id,to_user_id\r\n\n\r\n")
-        assert _bulk_edge_rows(path) == []
+        assert _bulk_edge_rows(path) == ([], [])
         assert load_edges(path).load_stats == LoadStats()
 
     def test_overlong_field_falls_back_to_the_reader_error(self, tmp_path):
@@ -424,9 +424,8 @@ class TestAscendingInput:
     @staticmethod
     def dedup_passes(monkeypatch):
         passes = []
-        monkeypatch.setattr(
-            rumorsim.graph, "sorted", lambda pairs: passes.append(1) or sorted(pairs), raising=False
-        )
+        real = rumorsim.graph._dedup
+        monkeypatch.setattr(rumorsim.graph, "_dedup", lambda runs: passes.append(1) or real(runs))
         return passes
 
     def test_matches_shuffled_copies_with_duplicates(self, tmp_path, monkeypatch):
@@ -473,7 +472,7 @@ class TestAscendingInput:
 
 
 class TestEdgeSetOnDemand:
-    """Only ``ic_step`` builds the frozenset ``edges``; other callers walk ``sorted_edges``."""
+    """Only ``ic_step`` builds the frozenset ``edges``; other callers walk the adjacency."""
 
     PARAMS = {
         ModelKind.SIR: dict(beta=0.5, gamma=0.2),
@@ -564,17 +563,25 @@ class TestInAdjacencyOnDemand:
         }
 
 
-class TestOutAdjacencyOnDemand:
-    """``out_neighbors`` builds the out-adjacency; every run that reads followers calls it.
+class TestEdgePairsOnDemand:
+    """The out-adjacency is the stored form; ``sorted_edges`` and ``edges`` are built on first access.
 
-    Similarity, validate, export, the belief process and the gated runs under
-    the once policy never do.
+    No command builds either: export, similarity and validate walk the
+    adjacency.  Of the library callers, the belief process builds
+    ``sorted_edges`` and ``ic_step`` builds ``edges``.
     """
 
     PARAMS = TestEdgeSetOnDemand.PARAMS
-    GATED = (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT)
+    PAIR_VIEWS = ("sorted_edges", "edges")
 
-    def test_runs_and_commands_that_never_build_it(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def file_adjacency(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            pairs = {(int(a), int(b)) for a, b in list(csv.reader(fh))[1:]}
+        nodes = {u for pair in pairs for u in pair}
+        return {u: tuple(sorted(b for a, b in pairs if a == u)) for u in nodes}
+
+    def test_runs_and_commands_that_never_build_them(self, tmp_path, monkeypatch, capsys):
         cfg = load_config(FIXTURE_DIR / "sim.cfg")
         profiles = load_users(cfg.users_path)
         rumor = load_rumor(cfg.rumor_path)
@@ -584,13 +591,10 @@ class TestOutAdjacencyOnDemand:
             graphs.append(load_edges(path))
             return graphs[-1]
 
-        for model in self.GATED:
+        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
             run_cfg = dataclasses.replace(cfg, model=model, evaluation_policy=EvaluationPolicy.ONCE)
             run_trials(run_cfg, fresh(), profiles, rumor)
         validate(fresh(), profiles)
-        graph = fresh()
-        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
-        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
         monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
         config = str(FIXTURE_DIR / "sim.cfg")
         trace = tmp_path / "simulate" / "trace.csv"
@@ -602,35 +606,46 @@ class TestOutAdjacencyOnDemand:
         ):
             assert run_cli(argv) == 0
         capsys.readouterr()
-        assert len(graphs) == 8
-        assert not [g for g in graphs if "_out" in g.__dict__]
+        assert len(graphs) == 7
+        assert not [g for g in graphs if set(self.PAIR_VIEWS) & g.__dict__.keys()]
 
     @pytest.mark.parametrize("model", list(ModelKind))
-    def test_runs_that_read_followers_build_it(self, model):
+    def test_runs_read_the_loaded_adjacency(self, model):
         cfg = load_config(FIXTURE_DIR / "sim.cfg")
         graph = load_edges(cfg.edges_path)
+        expected = self.file_adjacency(cfg.edges_path)
+        assert graph.__dict__["_out"] == expected
         run_cfg = dataclasses.replace(
             cfg, model=model, evaluation_policy=EvaluationPolicy.EVERY_STEP, **self.PARAMS.get(model, {})
         )
         run_trials(run_cfg, graph, load_users(cfg.users_path), load_rumor(cfg.rumor_path))
-        assert graph.__dict__["_out"] == {u: tuple(b for a, b in graph.sorted_edges if a == u) for u in graph.nodes}
+        assert graph.__dict__["_out"] == expected
+        assert list(graph.adjacency) == sorted(expected)
 
-    @pytest.mark.parametrize("model", GATED)
-    def test_the_evaluate_closure_builds_it(self, model):
+    @pytest.mark.parametrize("view", PAIR_VIEWS)
+    def test_reading_a_pair_view_builds_it_alone(self, view):
         cfg = load_config(FIXTURE_DIR / "sim.cfg")
         graph = load_edges(cfg.edges_path)
-        profiles, rumor = load_users(cfg.users_path), load_rumor(cfg.rumor_path)
-        metric_sweep(graph, profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
-        assert "_out" in graph.__dict__
+        pairs = [(a, b) for a, followers in sorted(self.file_adjacency(cfg.edges_path).items()) for b in followers]
+        expected = {"sorted_edges": tuple(pairs), "edges": frozenset(pairs)}[view]
+        assert getattr(graph, view) == expected
+        assert type(graph.__dict__[view]) is type(expected)
+        assert graph.__dict__.keys() & set(self.PAIR_VIEWS) == {view}
+
+    def test_the_belief_process_builds_sorted_edges(self):
+        graph = load_edges(FIXTURE_DIR / "edges.csv")
+        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
+        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
+        assert graph.__dict__.keys() & set(self.PAIR_VIEWS) == {"sorted_edges"}
 
 
 class TestCollectorPausedDuringLoads:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_loads_pause_the_collector_and_restore_its_state(self, tmp_path, monkeypatch, enabled):
         seen = []
-        for name in ("SocialGraph", "tokenize_topics"):
-            real = getattr(rumorsim.graph, name)
-            monkeypatch.setattr(rumorsim.graph, name, lambda arg, real=real: seen.append(gc.isenabled()) or real(arg))
+        build, tokenize = SocialGraph._build, rumorsim.graph.tokenize_topics
+        monkeypatch.setattr(SocialGraph, "_build", lambda *args: seen.append(gc.isenabled()) or build(*args))
+        monkeypatch.setattr(rumorsim.graph, "tokenize_topics", lambda raw: seen.append(gc.isenabled()) or tokenize(raw))
         bad = write(tmp_path / "users.csv", "user_id,topics,created_at,is_diffuser\n1,a,0,0\n1,b,0,0\n")
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
