@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_cmd = sub.add_parser(name, help=help_text, config_keys=CONFIG_KEYS)
         p_cmd.add_argument("config")
-        p_cmd.set_defaults(func=handler)
+        p_cmd.set_defaults(func=handler, parser=p_cmd)
 
     p_exp = sub.add_parser("export", help="render one trial of a trace as DOT frames plus curve.csv")
     p_exp.add_argument("trace")
     p_exp.add_argument("out_dir")
     p_exp.add_argument("--config", required=True, help="config naming the graph files the trace was run on")
     p_exp.add_argument("--trial", type=int, default=0)
-    p_exp.set_defaults(func=_cmd_export)
+    p_exp.set_defaults(func=_cmd_export, parser=p_exp)
     return parser
 
 
@@ -199,7 +199,10 @@ def _print_findings(label: str, ids) -> None:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # an unknown flag is reported with the usage of the command it follows
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)

@@ -8,12 +8,12 @@ so a node is exposed through its in-neighbors.  ``SirRun``, ``IcRun`` and
 only the run's frontier (infected and exposed nodes, the last step's new
 infections, the nodes whose adopted in-neighbor count just changed) and
 returns the step's [(node, new state)] changes by ascending id, and
-``next_step`` is None once that frontier is empty.  A node's out-neighbors
-are looked up only when it changes state.  ``sir_step``, ``ic_step`` and
-``tipping_step`` run one such step from a full state map.  Random draws
-always happen in sorted node order and are never short-circuited, which
-keeps the stream consumption, and therefore whole runs, reproducible for a
-given seed.
+``next_step`` is None once that frontier is empty; they ignore created_at,
+so their ``clamped`` is 0.  A node's out-neighbors are looked up only when
+it changes state.  ``sir_step``, ``ic_step`` and ``tipping_step`` run one
+such step from a full state map.  Random draws always happen in sorted node
+order and are never short-circuited, which keeps the stream consumption,
+and therefore whole runs, reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ class SirRun:
     stream is consumed exactly as such a sweep would.
     """
 
+    clamped = 0
+
     def __init__(self, graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStream):
         _require_states(graph, states)
         self.graph = graph
@@ -170,6 +172,8 @@ class IcRun:
     compared with the default probability, with no lookup per edge.
     """
 
+    clamped = 0
+
     def __init__(self, graph: SocialGraph, states: Mapping, probs: EdgeProbability, rng: RngStream):
         _require_states(graph, states)
         self.graph = graph
@@ -209,6 +213,8 @@ class TippingRun:
     the same test it already failed.  The test needs only in-degrees, counted
     once from the out-adjacency, so the in-adjacency is never built.
     """
+
+    clamped = 0
 
     def __init__(self, graph: SocialGraph, states: Mapping, params: TippingParams):
         _require_states(graph, states)

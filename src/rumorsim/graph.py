@@ -369,16 +369,18 @@ def _read_rows(path, header: list):
 
 
 @contextmanager
-def _open_output(path, newline=None):
+def _open_output(path):
     """Open ``.<name>.tmp`` beside ``path`` for UTF-8 text; rename it over ``path`` on a clean exit.
 
-    Any exception, KeyboardInterrupt included, leaves a previous ``path`` whole and no temp file.
+    Newlines are written untranslated, so every output ends its lines in LF
+    on every platform.  Any exception, KeyboardInterrupt included, leaves a
+    previous ``path`` whole and no temp file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -391,7 +393,7 @@ def _write_lines(path, header: list, lines) -> None:
     Every CSV this package writes holds only ints, floats and labels that need
     no quoting, and ``str()`` of an int or float is what ``csv.writer`` writes.
     """
-    with _open_output(path, newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 

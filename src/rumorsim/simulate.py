@@ -2,18 +2,21 @@
 
 All five models run under one protocol.  A run's ``next_step`` is the step
 its next ``step()`` computes, or None once no later step can change a state;
-``step()`` returns that step's [(user, state)] changes in ascending id.  One
-loop, ``_drive``, seeds step 0 with the initials and calls ``step()`` while
-``next_step`` is within max_time.  A gated run (``gated.GatedRun``) wakes
-users at their created_at step and jumps over steps without events; a
-classical run (``SirRun``, ``IcRun``, ``TippingRun`` in ``diffusion``)
-ignores created_at, steps only its frontier and stops once that is empty.
-So a run's work follows its activity, not max_time.
+``step()`` returns that step's [(user, state)] changes in ascending id, and
+``clamped`` counts the users the run never lets act.  One loop, ``_drive``,
+seeds step 0 with the initials and calls ``step()`` while ``next_step`` is
+within max_time.  A gated run (``gated.GatedRun``) wakes users at their
+created_at step and jumps over steps without events; a classical run
+(``SirRun``, ``IcRun``, ``TippingRun`` in ``diffusion``) ignores
+created_at, steps only its frontier and stops once that is empty.  So a
+run's work follows its activity, not max_time.
 
-Trial k of a run draws from an RngStream derived from (seed, k), so traces
-are byte-for-byte reproducible for a given config.  A run records only its
-deltas; one replay of those deltas, the same for every model and for a
-trace read back from trace.csv, gives the curve and the final states.
+One call checks its inputs and builds its gate once, and each trial is a
+fresh run: trial k draws from an RngStream derived from (seed, k), so traces
+are byte-for-byte reproducible, and a model that draws nothing runs once.  A
+run records only its deltas; one replay of those deltas, the same for every
+model and for a trace read back from trace.csv, gives the curve and the
+final states.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ MODEL_STATES = {
     ModelKind.TIPPING: (AdoptionState.NOT_ADOPTED, AdoptionState.ADOPTED),
 }
 
+# the models whose runs draw random numbers; any other model's trials repeat trial 0
+DRAWING_MODELS = frozenset({ModelKind.SIR, ModelKind.IC})
+
 # a dict lookup is cheaper than the Enum.value descriptor, read once per change
 _STATE_LABELS = {state: state.value for default, _ in MODEL_STATES.values() for state in type(default)}
 
@@ -92,9 +98,7 @@ def run_simulation(
     """Run a single trial; equivalent to trial 0 of ``run_trials``."""
     if rng is None:
         rng = RngStream(cfg.seed).derive(0)
-    if cfg.model in GATED_MODELS:
-        return _run_gated(cfg, graph, profiles, rumor, decisions)
-    return _run_classical(cfg, graph, rng)
+    return _drive(cfg, graph, _starter(cfg, graph, profiles, rumor, decisions)(rng))
 
 
 def run_trials(
@@ -104,57 +108,56 @@ def run_trials(
     rumor: RumorContent | None = None,
     decisions: Mapping | None = None,
 ) -> tuple:
-    """Run cfg.trials independent trials; returns (traces, mean curve)."""
+    """Run cfg.trials trials, one run if the model draws nothing; returns (traces, mean curve)."""
+    start = _starter(cfg, graph, profiles, rumor, decisions)
     base = RngStream(cfg.seed)
-    traces = [
-        run_simulation(cfg, graph, profiles, rumor, decisions, rng=base.derive(k))
-        for k in range(cfg.trials)
-    ]
+    if cfg.model in DRAWING_MODELS:
+        traces = [_drive(cfg, graph, start(base.derive(k))) for k in range(cfg.trials)]
+    else:
+        traces = [_drive(cfg, graph, start(base.derive(0)))] * cfg.trials
     per_step = zip(*(trace.counts for trace in traces))
     aggregate = [math.fsum(column) / len(traces) for column in per_step]
     return traces, aggregate
 
 
-def _run_gated(cfg, graph, profiles, rumor, decisions) -> DiffusionTrace:
-    if profiles is None:
-        raise ConfigurationError(f"model {cfg.model.value} requires user profiles")
-    if cfg.model is ModelKind.GATED_USER_CONTENT and rumor is None:
-        raise ConfigurationError("model gated_user_content requires rumor content")
-    _check_initials(graph, cfg.initials, profiles)
+def _starter(cfg, graph, profiles, rumor, decisions):
+    """Check cfg's model inputs and build what its trials share; returns start(rng), a fresh run."""
+    if cfg.model in GATED_MODELS:
+        if profiles is None:
+            raise ConfigurationError(f"model {cfg.model.value} requires user profiles")
+        if cfg.model is ModelKind.GATED_USER_CONTENT and rumor is None:
+            raise ConfigurationError("model gated_user_content requires rumor content")
+        _check_initials(graph, cfg.initials, profiles)
+        content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
+        # seeds and every evented user have a profile: nothing is ever missing
+        admit = admission_test(profiles, content, cfg.gate(decisions), set())
+        every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
+        return lambda rng: GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
 
-    compare_to_rumor = cfg.model is ModelKind.GATED_USER_CONTENT
-    # seeds and every evented user have a profile: nothing is ever missing
-    admit = admission_test(profiles, rumor if compare_to_rumor else None, cfg.gate(decisions), set())
-    every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
-    run = GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
-    return _drive(cfg, graph, run, run.clamped)
-
-
-def _run_classical(cfg, graph, rng) -> DiffusionTrace:
     _check_initials(graph, cfg.initials)
-    initials = set(cfg.initials)
     default, seed = MODEL_STATES[cfg.model]
-    states = {u: seed if u in initials else default for u in graph.nodes}
+    # every run copies these states
+    states = dict.fromkeys(graph.nodes, default) | dict.fromkeys(cfg.initials, seed)
     if cfg.model is ModelKind.TIPPING:
-        run = TippingRun(graph, states, TippingParams(cfg.model_param("theta")))
-    elif cfg.model is ModelKind.SIR:
-        run = SirRun(graph, states, SirParams(cfg.model_param("beta"), cfg.model_param("gamma")), rng)
-    else:
-        # IC, the one classical model left; run_simulation sends the gated ones to _run_gated
-        run = IcRun(graph, states, EdgeProbability(cfg.model_param("ic_default_p")), rng)
-    return _drive(cfg, graph, run)
+        params = TippingParams(cfg.model_param("theta"))
+        return lambda rng: TippingRun(graph, states, params)
+    if cfg.model is ModelKind.SIR:
+        params = SirParams(cfg.model_param("beta"), cfg.model_param("gamma"))
+        return lambda rng: SirRun(graph, states, params, rng)
+    # IC, the one classical model left
+    probs = EdgeProbability(cfg.model_param("ic_default_p"))
+    return lambda rng: IcRun(graph, states, probs, rng)
 
 
-def _drive(cfg, graph, run, clamped_agents=0) -> DiffusionTrace:
+def _drive(cfg, graph, run) -> DiffusionTrace:
     """The one scheduler loop: the initials in their seed state, then each step's changes to max_time."""
-    seed = MODEL_STATES[cfg.model][1]
+    seed = _STATE_LABELS[MODEL_STATES[cfg.model][1]]
     changes = {0: [(u, seed) for u in sorted(set(cfg.initials))]}
     while run.next_step is not None and run.next_step <= cfg.max_time:
         t = run.next_step
         if delta := run.step():
-            changes.setdefault(t, []).extend(delta)
-    labelled = {t: [(u, _STATE_LABELS[state]) for u, state in delta] for t, delta in changes.items()}
-    return _replay(cfg, graph, labelled, clamped_agents)
+            changes.setdefault(t, []).extend([(u, _STATE_LABELS[state]) for u, state in delta])
+    return _replay(cfg, graph, changes, run.clamped)
 
 
 def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:

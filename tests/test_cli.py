@@ -373,6 +373,14 @@ class TestConfigKeys:
         assert stderr.startswith(f"usage: rumorsim {command} ")
         assert stderr.endswith("error: argument --seed: expected one argument\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "validate", "export"])
+    def test_an_unknown_flag_is_exit_1_with_the_command_usage(self, command, capsys):
+        operands = ["trace.csv", "frames", "--config", CFG] if command == "export" else [CFG]
+        code, _, stderr = run(capsys, command, *operands, "--bogus")
+        assert code == 1
+        assert stderr.startswith(f"usage: rumorsim {command} ")
+        assert stderr.endswith("error: unrecognized arguments: --bogus\n")
+
     def test_only_the_named_command_builds_its_flags(self):
         parser = build_parser()
         parser.parse_args(["validate", CFG])
@@ -546,6 +554,30 @@ class TestAtomicOutputs:
             "curve.csv", "eval.json", "sims.csv", "summary.json", "trace.csv",
         ]
         assert len(list((tmp_path / "frames").glob("frame_*.dot"))) == 21
+
+    def test_every_output_is_written_with_lf_line_ends(self, tmp_path, capsys, monkeypatch):
+        # newline="" writes "\n" as is; the default would write os.linesep
+        written = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append((Path(file).name, kwargs.get("newline")))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("rumorsim.graph.open", spy, raising=False)
+        out = tmp_path / "out"
+        for argv in (
+            ["simulate", CFG, "--out-dir", str(out)],
+            ["evaluate", CFG, "--out-dir", str(out)],
+            ["similarity", CFG, "--out-dir", str(out)],
+            ["export", str(out / "trace.csv"), str(tmp_path / "frames"), "--config", CFG],
+        ):
+            code, _, stderr = run(capsys, *argv)
+            assert code == 0, stderr
+        names = {name for name, _ in written}
+        assert {f".{name}.tmp" for name in ("trace.csv", "summary.json", "eval.json", "sims.csv")} <= names
+        assert ".frame_0020.dot.tmp" in names
+        assert [(name, newline) for name, newline in written if newline != ""] == []
 
 
 class TestModuleEntryPoint:

@@ -1,20 +1,33 @@
 """Stochastic models against their exact laws, on fixed seeds.
 
-Each test runs many seeded trials and compares the observed frequencies
-with probabilities computed exactly from the model's definition, so it
-passes or fails the same way on every run.
+The IC and SIR tests run many seeded trials and compare the observed
+frequencies with probabilities computed exactly from the model's
+definition; the belief-process tests check its edge picks against the
+uniform law and its beliefs against the mean it keeps and the value it
+converges to.  Every seed is fixed, so each test passes or fails the same
+way on every run.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter, defaultdict
 from itertools import compress, product
 
 import pytest
 
-from helpers import bfs_reachable
-from rumorsim import EdgeProbability, EpidemicState, RngStream, SirParams, SocialGraph
+from helpers import bfs_reachable, random_digraph
+from rumorsim import (
+    AgentKind,
+    BeliefState,
+    EdgeProbability,
+    EpidemicState,
+    RngStream,
+    SirParams,
+    SocialGraph,
+    run_belief_process,
+)
 from rumorsim.diffusion import IcRun, SirRun
 
 S = EpidemicState.SUSCEPTIBLE
@@ -165,3 +178,54 @@ def test_sir_final_size_follows_the_exact_chain(name):
             continue
         z = (observed[size] / trials - p) / math.sqrt(p * (1 - p) / trials)
         assert abs(z) <= Z_BOUND, (size, observed[size], p, z)
+
+
+def belief_state(beliefs, forceful=(), epsilon=0.5):
+    kinds = {u: AgentKind.FORCEFUL if u in forceful else AgentKind.REGULAR for u in beliefs}
+    return BeliefState(beliefs, kinds, epsilon)
+
+
+# no two users share two edges, so the two users an exchange moves name its
+# edge; the last edge in ascending order is the only one into user 10
+BELIEF_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 7), (5, 8), (6, 8), (7, 8), (8, 9), (9, 10)]
+
+# the 0.999 quantile of the chi-square law with len(BELIEF_EDGES) - 1 = 11 degrees of freedom
+CHI2_11_Q999 = 31.264
+
+
+def test_belief_edge_picks_are_uniform():
+    graph = SocialGraph(BELIEF_EDGES)
+    init = belief_state({u: u / 16 for u in graph.nodes})
+    rng = RngStream(2010)
+    picks = Counter()
+    draws = 6000
+    for _ in range(draws):
+        # one exchange per call, every call drawing from the same stream
+        final, _ = run_belief_process(graph, init, 1, rng)
+        picks[tuple(sorted(u for u in graph.nodes if final.beliefs[u] != init.beliefs[u]))] += 1
+    assert sorted(picks) == BELIEF_EDGES
+    expected = draws / len(BELIEF_EDGES)
+    chi2 = math.fsum((picks[edge] - expected) ** 2 / expected for edge in BELIEF_EDGES)
+    assert chi2 <= CHI2_11_Q999, (chi2, picks)
+
+
+def test_all_regular_mean_belief_stays_at_its_initial_value():
+    rng = random.Random(2011)
+    graph = random_digraph(rng, 40, 0.1)
+    init = belief_state({u: rng.random() for u in sorted(graph.nodes)})
+    _, trace = run_belief_process(graph, init, 5000, RngStream(2012))
+    # two regular users move to their average, which keeps the sum up to rounding
+    assert max(abs(mean - trace[0]) for mean in trace) <= 1e-12
+
+
+def test_regular_beliefs_converge_to_the_one_forceful_agent():
+    # a ring with edges both ways: connected, and user 1 meets regular users
+    # on either end of its edges
+    n = 10
+    graph = SocialGraph([(u, u % n + 1) for u in range(1, n + 1)] + [(u % n + 1, u) for u in range(1, n + 1)])
+    rng = random.Random(2013)
+    beliefs = {u: rng.random() for u in range(1, n + 1)}
+    beliefs[1] = 0.9
+    final, _ = run_belief_process(graph, belief_state(beliefs, forceful={1}), 20000, RngStream(2014))
+    assert final.beliefs[1] == 0.9
+    assert max(abs(belief - 0.9) for belief in final.beliefs.values()) <= 1e-9

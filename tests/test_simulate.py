@@ -44,7 +44,7 @@ from rumorsim import (
     write_trace_csv,
 )
 from rumorsim import simulate
-from rumorsim.gated import GatedRun
+from rumorsim.gated import GatedRun, admission_test
 
 
 def gated_config(**kwargs):
@@ -512,7 +512,70 @@ class TestSchedulerWork:
         assert trace.final_active() == {1, 2, 3}
 
 
+def constructed(run_class, made):
+    """A subclass of ``run_class`` that appends each run it builds to ``made``."""
+
+    class Constructed(run_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    return Constructed
+
+
 class TestTrials:
+    @pytest.mark.parametrize("policy", list(EvaluationPolicy))
+    @pytest.mark.parametrize("model", [ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
+    def test_one_gate_per_call(self, monkeypatch, model, policy):
+        gates = []
+
+        def recording(*args):
+            gates.append(args)
+            return admission_test(*args)
+
+        monkeypatch.setattr(simulate, "admission_test", recording)
+        rng = random.Random(67)
+        graph = random_digraph(rng, 30, 0.15)
+        profiles = random_profiles(rng, graph.nodes, max_created=3)
+        rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
+        for trials in range(1, 5):
+            del gates[:]
+            cfg = gated_config(
+                model=model, evaluation_policy=policy, trials=trials, threshold=0.2, rumor_path=Path("r.txt")
+            )
+            traces, _ = run_trials(cfg, graph, profiles, rumor)
+            assert len(traces) == trials
+            assert len(gates) == 1
+
+    @pytest.mark.parametrize("policy", list(EvaluationPolicy))
+    @pytest.mark.parametrize(
+        "run_name, params, draws",
+        [
+            ("GatedRun", dict(model=ModelKind.GATED_USER_USER), False),
+            ("GatedRun", dict(model=ModelKind.GATED_USER_CONTENT, rumor_path=Path("r.txt")), False),
+            ("TippingRun", dict(model=ModelKind.TIPPING, theta=0.3), False),
+            ("SirRun", dict(model=ModelKind.SIR, beta=0.4, gamma=0.3), True),
+            ("IcRun", dict(model=ModelKind.IC, ic_default_p=0.4), True),
+        ],
+    )
+    def test_a_model_that_draws_nothing_runs_once(self, monkeypatch, run_name, params, draws, policy):
+        made = []
+        monkeypatch.setattr(simulate, run_name, constructed(getattr(simulate, run_name), made))
+        rng = random.Random(68)
+        graph = random_digraph(rng, 30, 0.15)
+        profiles = random_profiles(rng, graph.nodes, max_created=3)
+        rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
+        for trials in range(1, 9):
+            del made[:]
+            cfg = gated_config(evaluation_policy=policy, trials=trials, threshold=0.2, initials=(1, 2), **params)
+            traces, aggregate = run_trials(cfg, graph, profiles, rumor)
+            assert len(made) == (trials if draws else 1)
+            assert len(traces) == trials
+            if not draws:
+                solo = run_simulation(cfg, graph, profiles, rumor)
+                assert all((trace.changes, trace.counts) == (solo.changes, solo.counts) for trace in traces)
+                assert aggregate == solo.counts
+
     def test_trial_zero_matches_single_run(self, chain_graph):
         cfg = gated_config(model=ModelKind.SIR, beta=0.6, gamma=0.2, trials=3, max_time=8)
         traces, aggregate = run_trials(cfg, chain_graph)
