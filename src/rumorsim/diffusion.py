@@ -326,6 +326,10 @@ class BeliefState:
                 raise ConfigurationError(f"belief for user {uid} must be in [0, 1], got {belief}")
             if uid not in self.kinds:
                 raise ConfigurationError(f"no agent kind for user {uid}")
+            if not isinstance(self.kinds[uid], AgentKind):
+                raise ConfigurationError(
+                    f"agent kind for user {uid} is not an AgentKind: {self.kinds[uid]!r}"
+                )
 
 
 def belief_exchange(state: BeliefState, i, j) -> BeliefState:
@@ -373,6 +377,8 @@ def run_belief_process(
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     if iterations > 0 and not graph.sorted_edges:
         raise ConfigurationError("belief process needs at least one edge")
+    if not init.beliefs:
+        raise ConfigurationError("belief process needs at least one user")
     for node in graph.nodes:
         if node not in init.beliefs:
             raise ConfigurationError(f"no belief for user {node}")

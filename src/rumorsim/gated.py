@@ -71,8 +71,9 @@ def admission_test(
 
     ``rumor`` of None selects user-user comparison, otherwise the follower j
     is compared against the rumor.  A user without a profile scores 0 and is
-    collected into ``missing``.  A metric that is undefined for the pair
-    (pearson on a degenerate overlap shape) raises
+    collected into ``missing``; a gate without a decisions table raises
+    ConfigurationError if ``profiles`` is None.  A metric that is undefined
+    for the pair (pearson on a degenerate overlap shape) raises
     UndefinedCorrelationError naming the edge, or the follower and the rumor.
     """
     if gate.decisions is not None:
@@ -83,6 +84,8 @@ def admission_test(
 
         return admit
 
+    if profiles is None:
+        raise ConfigurationError("a similarity gate without a decisions table requires user profiles")
     metric, threshold = gate.metric, gate.threshold
     test = _pair_test(metric, threshold)
 
@@ -181,6 +184,8 @@ def diffuse_user_content(
     gate: SimilarityGate,
 ) -> DiffuserSet:
     """Spread from ``initials``, admitting followers similar to the rumor."""
+    if rumor is None:
+        raise ConfigurationError("model gated_user_content requires rumor content")
     return _diffuse(graph, profiles, rumor, initials, gate)
 
 

@@ -14,16 +14,15 @@ run's work follows its activity, not max_time.
 One call checks its inputs and builds its gate once, and each trial is a
 fresh run: trial k draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible, and a model that draws nothing runs once.  A
-run records only its deltas; one replay of those deltas, the same for every
-model and for a trace read back from trace.csv, gives the curve and the
-final states.
+trial keeps only its deltas and the graph's node set; its curve, frames and
+final states are read from them on demand, also for a trace.csv read back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping
@@ -67,24 +66,51 @@ _STATE_LABELS = {state: state.value for default, _ in MODEL_STATES.values() for 
 
 @dataclass
 class DiffusionTrace:
-    """Result of one trial: per-step state changes plus derived views.
+    """Result of one trial: its per-step state changes over the graph's users.
 
-    ``changes`` maps step -> [(user_id, new_state_label)] and omits steps
-    where nothing moved.  ``counts`` (one entry per step 0..max_time) and
-    ``final_states`` are replayed from ``changes`` by one function, for a
-    fresh run and for a trace read back from trace.csv alike.
+    ``changes`` maps step -> [(user_id, new_state_label)] for the steps where
+    a user of ``nodes`` (the graph's own set, all starting in the model's
+    default state) moved; ``counts`` and ``final_states`` are read on demand.
     """
 
     model: ModelKind
     max_time: int
     changes: dict
-    counts: list
-    final_states: dict
+    nodes: frozenset
     clamped_agents: int = 0
 
+    @cached_property
+    def counts(self) -> list:
+        """Per step 0..max_time, the users that have left the default state; a recovered one stays."""
+        active, counts = set(), []
+        for t, users in self._activations():
+            # steps without changes repeat the last count
+            counts.extend(repeat(len(active), t - len(counts)))
+            active.update(users)
+            counts.append(len(active))
+        counts.extend(repeat(len(active), self.max_time + 1 - len(counts)))
+        return counts
+
+    @cached_property
+    def final_states(self) -> dict:
+        """Each user's label after the last change, in the order of ``nodes``."""
+        states = dict.fromkeys(self.nodes, self._default)
+        for t in sorted(self.changes):
+            states.update(self.changes[t])
+        return states
+
     def final_active(self) -> set:
-        default = MODEL_STATES[self.model][0].value
-        return {u for u, label in self.final_states.items() if label != default}
+        return {u for u, label in self.final_states.items() if label != self._default}
+
+    @property
+    def _default(self) -> str:
+        return MODEL_STATES[self.model][0].value
+
+    def _activations(self):
+        """Yield (t, the users set to a state other than the default at t) per step with changes, in order."""
+        default = self._default
+        for t in sorted(self.changes):
+            yield t, [uid for uid, label in self.changes[t] if label != default]
 
 
 def run_simulation(
@@ -115,8 +141,8 @@ def run_trials(
         traces = [_drive(cfg, graph, start(base.derive(k))) for k in range(cfg.trials)]
     else:
         traces = [_drive(cfg, graph, start(base.derive(0)))] * cfg.trials
-    per_step = zip(*(trace.counts for trace in traces))
-    aggregate = [math.fsum(column) / len(traces) for column in per_step]
+    # an exact int sum, so each mean is correctly rounded
+    aggregate = [sum(column) / len(traces) for column in zip(*(trace.counts for trace in traces))]
     return traces, aggregate
 
 
@@ -157,34 +183,7 @@ def _drive(cfg, graph, run) -> DiffusionTrace:
         t = run.next_step
         if delta := run.step():
             changes.setdefault(t, []).extend([(u, _STATE_LABELS[state]) for u, state in delta])
-    return _replay(cfg, graph, changes, run.clamped)
-
-
-def _replay(cfg, graph, changes, clamped_agents=0) -> DiffusionTrace:
-    """The one route from a trial's deltas (steps 0..max_time) to its trace.
-
-    Every user starts in the model's default state; ``counts[t]`` is the
-    number of users that have left it by step t, so a recovered user stays
-    on the curve.
-    """
-    default = MODEL_STATES[cfg.model][0].value
-    states = dict.fromkeys(graph.nodes, default)
-    active = set()
-    counts = []
-    for t in sorted(changes):
-        # steps without changes repeat the last count
-        counts.extend(repeat(len(active), t - len(counts)))
-        for uid, label in changes[t]:
-            if uid not in states:
-                raise ConfigurationError(f"trace references unknown user {uid}")
-            states[uid] = label
-            if label != default:
-                active.add(uid)
-        counts.append(len(active))
-    counts.extend(repeat(len(active), cfg.max_time + 1 - len(counts)))
-    return DiffusionTrace(
-        cfg.model, cfg.max_time, dict(changes), counts, states, clamped_agents=clamped_agents
-    )
+    return DiffusionTrace(cfg.model, cfg.max_time, changes, graph.nodes, run.clamped)
 
 
 def write_trace_csv(traces, path) -> None:
@@ -223,6 +222,7 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
     A change outside steps 0..cfg.max_time raises ConfigurationError: the
     trace was run with a longer horizon than this config.  So does a label
     that is not a state of cfg.model: the trace was run with another model.
+    So does a user outside the graph.
     """
     outside = [t for t in changes if not 0 <= t <= cfg.max_time]
     if outside:
@@ -237,7 +237,9 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
                     f"trace sets user {uid} to {label!r} at step {t}, not a state of model "
                     f"{cfg.model.value} ({', '.join(labels)})"
                 )
-    return _replay(cfg, graph, changes)
+            if uid not in graph.nodes:
+                raise ConfigurationError(f"trace references unknown user {uid}")
+    return DiffusionTrace(cfg.model, cfg.max_time, dict(changes), graph.nodes)
 
 
 def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
@@ -245,19 +247,18 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
 
     Nodes are colored red once they have diffused (or been infected /
     adopted) and blue otherwise, so the frame sequence animates the spread.
+    A ``frame_<digits>.dot`` already in ``out_dir`` whose number exceeds
+    max_time, left by a longer trial, is removed.
     """
     out = Path(out_dir)
     nodes_sorted = sorted(graph.nodes)
     # the edge lines are the same in every frame
     adjacency = graph.adjacency.items()
     edge_lines = "".join(f"  {a} -> {b};\n" for a, followers in adjacency for b in followers) + "}\n"
-    default = MODEL_STATES[trace.model][0].value
-    active = set()
-    paths = []
+    activations = dict(trace._activations())
+    active, paths = set(), []
     for t in range(trace.max_time + 1):
-        for uid, label in trace.changes.get(t, ()):
-            if label != default:
-                active.add(uid)
+        active.update(activations.get(t, ()))
         frame_path = out / f"frame_{t:04d}.dot"
         with _open_output(frame_path) as fh:
             fh.write("digraph diffusion {\n")
@@ -265,6 +266,10 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
             fh.write(edge_lines)
         paths.append(frame_path)
     write_curve_csv(trace.counts, out / "curve.csv")
+    for stale in out.glob("frame_*.dot"):
+        number = stale.name[len("frame_") : -len(".dot")]
+        if number.isdecimal() and int(number) > trace.max_time:
+            stale.unlink()
     return paths
 
 

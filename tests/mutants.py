@@ -134,6 +134,15 @@ MUTANTS = [
         "under every-step a follower with a higher id waits for the next step instead of this one",
     ),
     Mutant(
+        "content-diffusion-without-rumor-check",
+        "src/rumorsim/gated.py",
+        "    if rumor is None:\n"
+        '        raise ConfigurationError("model gated_user_content requires rumor content")\n',
+        "",
+        ("tests/test_gated.py",),
+        "diffuse_user_content without a rumor silently runs the user-user gate",
+    ),
+    Mutant(
         "levenshtein-bound-rejects-at-threshold",
         "src/rumorsim/similarity.py",
         "if _levenshtein_similarity(abs(m - n), m, n) < threshold:",
@@ -153,11 +162,28 @@ MUTANTS = [
     Mutant(
         "replay-drops-recovered-users",
         "src/rumorsim/simulate.py",
-        "            states[uid] = label\n            if label != default:\n                active.add(uid)\n",
-        "            states[uid] = label\n            if label != 'recovered' and label != default:\n"
-        "                active.add(uid)\n            else:\n                active.discard(uid)\n",
+        "            active.update(users)\n",
+        "            active.update(users)\n"
+        "            active.difference_update(uid for uid, label in self.changes[t] if label == 'recovered')\n",
         ("tests/test_golden.py",),
-        "the replay counts a recovered user as inactive, so the curve can fall",
+        "the curve counts a recovered user as inactive, so it can fall",
+    ),
+    Mutant(
+        "rebuild-trace-accepts-unknown-users",
+        "src/rumorsim/simulate.py",
+        "            if uid not in graph.nodes:\n"
+        '                raise ConfigurationError(f"trace references unknown user {uid}")\n',
+        "",
+        ("tests/test_simulate.py",),
+        "a trace read back from trace.csv may name a user outside the graph",
+    ),
+    Mutant(
+        "stale-frame-removal-keeps-the-next-frame",
+        "src/rumorsim/simulate.py",
+        "int(number) > trace.max_time",
+        "int(number) > trace.max_time + 1",
+        ("tests/test_simulate.py",),
+        "a shorter export leaves the longer run's frame max_time + 1 in place",
     ),
     Mutant(
         "trials-share-one-stream",

@@ -293,6 +293,11 @@ class TestBeliefExchange:
         with pytest.raises(ConfigurationError):
             BeliefState(beliefs={1: 0.5}, kinds={1: AgentKind.REGULAR}, epsilon=-0.1)
 
+    def test_a_kind_that_is_not_an_agent_kind_is_rejected(self):
+        # a plain string would match neither kind, so every exchange would be a no-op
+        with pytest.raises(ConfigurationError, match="agent kind for user 2 is not an AgentKind: 'regular'"):
+            BeliefState(beliefs={1: 0.2, 2: 0.8}, kinds={1: AgentKind.REGULAR, 2: "regular"}, epsilon=0.5)
+
 
 class TestBeliefProcess:
     def make_ring(self, n):
@@ -363,3 +368,7 @@ class TestBeliefProcess:
         init = regular_pair_state(0.2, 0.8)
         with pytest.raises(ConfigurationError):
             run_belief_process(chain_graph, init, 3, RngStream(1))
+
+    def test_a_state_without_users_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="belief process needs at least one user"):
+            run_belief_process(SocialGraph([]), BeliefState({}, {}, 0.5), 0, RngStream(1))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    FIXTURE_DIR,
     brute_cosine,
     bfs_reachable,
     dp_levenshtein_similarity,
@@ -23,6 +24,7 @@ from rumorsim import (
     ConfigurationError,
     EvaluationPolicy,
     Metric,
+    ModelKind,
     ParseError,
     RumorContent,
     SimilarityGate,
@@ -35,6 +37,10 @@ from rumorsim import (
     diffuse_user_user,
     filtered_edge_set,
     load_decisions,
+    load_edges,
+    load_rumor,
+    load_users,
+    metric_sweep,
     run_trials,
     score,
 )
@@ -123,6 +129,52 @@ class TestValidation:
         gate = SimilarityGate(Metric.PEARSON, 0.5)
         with pytest.raises(UndefinedCorrelationError, match=r"^pearson gate on user 2 against the rumor: "):
             diffuse_user_content(chain_graph, news_profiles, rumor, [1], gate)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            pytest.param(
+                lambda g, p, r, gate: diffuse_user_content(g, p, None, (1,), gate),
+                "model gated_user_content requires rumor content",
+                id="content-without-rumor",
+            ),
+            pytest.param(
+                lambda g, p, r, gate: metric_sweep(
+                    g, p, None, (1,), (gate.metric,), gate.threshold, model=ModelKind.GATED_USER_CONTENT
+                ),
+                "model gated_user_content requires rumor content",
+                id="sweep-without-rumor",
+            ),
+            pytest.param(
+                lambda g, p, r, gate: diffuse_user_user(g, None, (1,), gate),
+                "requires user profiles",
+                id="user-without-profiles",
+            ),
+            pytest.param(
+                lambda g, p, r, gate: diffuse_user_content(g, None, r, (1,), gate),
+                "requires user profiles",
+                id="content-without-profiles",
+            ),
+            pytest.param(
+                lambda g, p, r, gate: metric_sweep(g, None, None, (1,), (gate.metric,), gate.threshold),
+                "requires user profiles",
+                id="sweep-without-profiles",
+            ),
+            pytest.param(
+                lambda g, p, r, gate: filtered_edge_set(g, None, None, gate),
+                "requires user profiles",
+                id="edge-set-without-profiles",
+            ),
+        ],
+    )
+    def test_a_missing_input_of_a_live_gate_is_a_configuration_error(self, entry, message):
+        # without these checks the first two ran the user-user gate and the
+        # rest failed with an AttributeError on None
+        graph = load_edges(FIXTURE_DIR / "edges.csv")
+        profiles = load_users(FIXTURE_DIR / "users.csv")
+        rumor = load_rumor(FIXTURE_DIR / "rumor.txt")
+        with pytest.raises(ConfigurationError, match=message):
+            entry(graph, profiles, rumor, SimilarityGate())
 
 
 class TestDecisionsOverride:

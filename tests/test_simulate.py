@@ -4,6 +4,7 @@ trace round-tripping, frame export, and config parsing."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 from collections import Counter
@@ -594,6 +595,39 @@ class TestTrials:
                 sum(trace.counts[t] for trace in traces) / 4, abs=1e-12
             )
 
+    def test_the_mean_curve_is_the_correctly_rounded_mean_of_each_step(self):
+        rng = random.Random(69)
+        g = random_digraph(rng, 40, 0.1)
+        for trials in (3, 7, 10):
+            cfg = gated_config(model=ModelKind.SIR, beta=0.3, gamma=0.3, trials=trials, max_time=15, seed=trials)
+            traces, aggregate = run_trials(cfg, g)
+            assert aggregate == [math.fsum(column) / trials for column in zip(*(t.counts for t in traces))]
+
+    @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
+    def test_a_trial_keeps_only_its_changes_and_the_node_set(self, model):
+        rng = random.Random(70)
+        g = random_digraph(rng, 30, 0.15)
+        profiles = random_profiles(rng, g.nodes, max_created=3)
+        rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
+        cfg = gated_config(
+            model=model, rumor_path=Path("rumor.txt"), initials=(1, 2), trials=3, max_time=12,
+            threshold=0.2, beta=0.4, gamma=0.3, ic_default_p=0.4, theta=0.2,
+        )
+        traces, _ = run_trials(cfg, g, profiles, rumor)
+        default = simulate.MODEL_STATES[model][0].value
+        for trace in traces:
+            fields = [f.name for f in dataclasses.fields(trace)]
+            assert fields == ["model", "max_time", "changes", "nodes", "clamped_agents"]
+            assert trace.nodes is g.nodes
+            assert "final_states" not in vars(trace)
+        for trace in traces:
+            # read on demand: the replay of the changes, keyed in the graph's node order
+            expected = dict.fromkeys(g.nodes, default)
+            for t in sorted(trace.changes):
+                expected.update(trace.changes[t])
+            assert list(trace.final_states.items()) == list(expected.items())
+        assert any(len(trace.changes) > 1 for trace in traces)
+
     def test_different_trials_draw_different_streams(self):
         rng = random.Random(66)
         g = random_digraph(rng, 40, 0.1)
@@ -780,6 +814,20 @@ class TestExportFrames:
         curve = (tmp_path / "curve.csv").read_text(encoding="utf-8").splitlines()
         assert curve[0] == "step,diffusers"
         assert len(curve) == 1 + 5
+
+    def test_a_shorter_export_leaves_no_frame_of_a_longer_one(self, tmp_path, chain_graph):
+        profiles = uniform_profiles(chain_graph)
+        out = tmp_path / "frames"
+        export_frames(run_simulation(gated_config(max_time=20), chain_graph, profiles), chain_graph, out)
+        (out / "frame_9.dot").write_text("stale\n", encoding="utf-8")
+        (out / "frame_123456.dot").write_text("stale\n", encoding="utf-8")
+        # files that are not numbered frames stay
+        kept = {"frame_x.dot", "frame_.dot", "frame_0030.png", "notes.txt"}
+        for name in kept:
+            (out / name).write_text("kept\n", encoding="utf-8")
+        frames = export_frames(run_simulation(gated_config(max_time=8), chain_graph, profiles), chain_graph, out)
+        assert [p.name for p in frames] == [f"frame_{t:04d}.dot" for t in range(9)]
+        assert {p.name for p in out.iterdir()} == {p.name for p in frames} | {"curve.csv"} | kept
 
 
 class TestConfigFile:
