@@ -11,6 +11,7 @@ import csv
 import gc
 import json
 import os
+import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
-from .similarity import TopicSet, tokenize_topics
+from .similarity import TopicSet
 
 UserId = int
 
@@ -30,7 +31,7 @@ EDGES_HEADER = ["from_user_id", "to_user_id"]
 USERS_HEADER = ["user_id", "topics", "created_at", "is_diffuser"]
 
 _BOOL_VALUES = {"0": False, "1": True, "false": False, "true": True}
-_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,13 +74,14 @@ class SocialGraph:
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
         pairs = tuple(edges)
-        self._build([a for a, _ in pairs], [b for _, b in pairs], nodes)
-
-    def _build(self, froms: list, tos: list, nodes: Iterable = ()) -> None:
-        """The one graph build, from the two id columns of an edge list."""
+        froms, tos = [a for a, _ in pairs], [b for _, b in pairs]
         loop = min(compress(froms, map(eq, froms, tos)), default=None)
         if loop is not None:
             raise ConfigurationError(f"self-loop on user {loop}")
+        self._build(froms, tos, nodes)
+
+    def _build(self, froms: list, tos: list, nodes: Iterable = ()) -> None:
+        """The one graph build, from the two id columns of an edge list without self-loops."""
         self.nodes = frozenset(chain(nodes, froms, tos))
         self._out = _runs(sorted(self.nodes), froms, tos)
         # strictly ascending pairs, as save_edges writes them, fill every run
@@ -205,47 +207,65 @@ def _bulk_edge_rows(path) -> tuple | None:
     """The (from ids, to ids) columns of a plain edges file, parsed in bulk; ids held once each.
 
     Returns None, raising no ParseError, when the file is anything but a
-    header and lines of two comma-separated integers >= 0, blank lines
+    header and lines of two comma-separated runs of ASCII digits, blank lines
     allowed; ``load_edges`` then reads it row by row, which names the line at
     fault.
     """
     header = ",".join(EDGES_HEADER)
     limit = csv.field_size_limit()
-    ids = {}
+    ids = _IdTexts()
     froms, tos = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n") != header:
                 return None
-            while batch := fh.readlines(1 << 16):
-                if not _BLANK_LINES.isdisjoint(batch):
-                    batch = [line for line in batch if line not in _BLANK_LINES]
-                    if not batch:
-                        continue
-                fields = ",".join(batch).split(",")
-                # a line with one comma gives two fields, its line end in the
-                # second; any other comma count moves some line end into an
-                # even position or changes the number of fields
-                firsts = "".join(fields[::2])
-                if (
-                    len(fields) != 2 * len(batch)
-                    or "\n" in firsts
-                    or "\r" in firsts
-                    # int() ignores padding the CSV reader rejects as too long
-                    or max(map(len, batch)) > limit
+            # each batch ends at a line end, or at the end of the file
+            while text := fh.read(1 << 16):
+                text += fh.readline()
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                if text[0] == "\n" or "\n\n" in text or text[-1] != "\n":
+                    # blank lines go, and the file's last line gets its line end
+                    text = "".join([line + "\n" for line in text.split("\n") if line])
+                if text.translate(_NO_DIGITS) != ",\n" * text.count("\n") or (
+                    # only the CSV reader rejects a field over its size limit
+                    len(text) > limit and max(map(len, text.split("\n"))) > limit
                 ):
                     return None
-                values = list(map(int, fields))
-                if min(values) < 0:
-                    return None
-                # the first object seen for each id stands for every later
-                # one, so the batch's own ints are freed with the batch
-                values = list(map(ids.setdefault, values, values))
-                froms += values[::2]
-                tos += values[1::2]
+                fields = text.replace("\n", ",").split(",")
+                # the empty text after the last line end
+                fields.pop()
+                froms += map(ids.__getitem__, fields[::2])
+                tos += map(ids.__getitem__, fields[1::2])
     except ValueError:
         return None
     return froms, tos
+
+
+class _IdTexts(dict):
+    """One load's id texts, each to its int; ``int()`` runs once per distinct text.
+
+    Every text of one id (``7``, ``07``) maps to the int object parsed first,
+    which is also held under itself: an int key never equals a text key.
+    """
+
+    def __missing__(self, text):
+        value = int(text)
+        value = self[text] = self.setdefault(value, value)
+        return value
+
+
+class _TopicLabels(dict):
+    """One load's raw topic fragments, each to its label, normalized once per distinct fragment.
+
+    The labels are those ``tokenize_topics`` gives: a comma is neither cased
+    nor case-ignorable, so lowercasing a fragment equals lowercasing the whole
+    string, and whitespace ends a case context as the string's end does.
+    """
+
+    def __missing__(self, fragment):
+        label = self[fragment] = sys.intern(fragment.strip().lower())
+        return label
 
 
 def save_edges(graph: SocialGraph, path) -> None:
@@ -258,16 +278,18 @@ def save_edges(graph: SocialGraph, path) -> None:
 def load_users(path) -> dict:
     """Load user profiles from CSV with header user_id,topics,created_at,is_diffuser.
 
-    Topics go through ``tokenize_topics``.  A duplicate user id, an
-    unparsable created_at, or an is_diffuser outside {0,1,true,false} raises
-    ParseError naming the offending line.
+    Topics are normalized as ``tokenize_topics`` does, once per distinct
+    fragment.  A duplicate user id, an unparsable created_at, or an
+    is_diffuser outside {0,1,true,false} raises ParseError naming the
+    offending line.
     """
+    labels = _TopicLabels()
     profiles = {}
     for line_no, row in _read_rows(path, USERS_HEADER):
         uid = _parse_user_id(path, line_no, row[0])
         if uid in profiles:
             raise ParseError(path, line_no, f"duplicate user id {uid}")
-        topics = tokenize_topics(row[1])
+        topics = frozenset(filter(None, map(labels.__getitem__, row[1].split(","))))
         try:
             created_at = int(row[2])
         except ValueError:

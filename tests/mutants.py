@@ -160,6 +160,30 @@ MUTANTS = [
         "a non-integer user id escapes as ValueError, not as ParseError naming the line",
     ),
     Mutant(
+        "id-text-not-interned",
+        "src/rumorsim/graph.py",
+        "value = self[text] = self.setdefault(value, value)",
+        "self[text] = value",
+        ("tests/test_graph.py",),
+        "each text of an id (123, 0123) loads as its own int object",
+    ),
+    Mutant(
+        "edge-batch-keeps-lone-cr",
+        "src/rumorsim/graph.py",
+        r'text = text.replace("\r\n", "\n").replace("\r", "\n")',
+        r'text = text.replace("\r\n", "\n")',
+        ("tests/test_graph.py",),
+        "a batch with a lone CR line end is refused, so a plain file leaves the bulk route",
+    ),
+    Mutant(
+        "topic-fragment-not-stripped",
+        "src/rumorsim/graph.py",
+        "sys.intern(fragment.strip().lower())",
+        "sys.intern(fragment.lower())",
+        ("tests/test_graph.py",),
+        "a padded topic fragment keeps its padding as part of the label",
+    ),
+    Mutant(
         "replay-drops-recovered-users",
         "src/rumorsim/simulate.py",
         "            active.update(users)\n",

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import gc
 import random
+import sys
 
 import pytest
 
@@ -37,9 +38,10 @@ from rumorsim import (
     run_cli,
     run_trials,
     save_edges,
+    tokenize_topics,
     validate,
 )
-from rumorsim.graph import LoadStats, _bulk_edge_rows, _open_input
+from rumorsim.graph import USERS_HEADER, LoadStats, _bulk_edge_rows, _open_input
 
 
 def write(path, text):
@@ -180,6 +182,22 @@ class TestLoadUsers:
         assert profiles[2] == UserProfile(2, frozenset({"sports"}), 3, False)
         assert profiles[3].topics == frozenset()
         assert profiles[3].observed_diffuser is True
+
+    def test_topics_are_tokenize_topics_labels_held_once(self, tmp_path):
+        # case, padding, empty fragments, NBSP, dotted capital I and final sigma
+        pieces = ["A", "a", "Σ", "σ", "ς", "İ", "i", "\u0307", ".", "'", ",", ",", " ", "  ", "\t", "\u00a0", "\u2003", "News"]
+        rng = random.Random(173)
+        for k in range(20):
+            raws = ["AΣ,Σ, ΑΣ.,Σ.Σ ,İ", "", " , ,"]
+            raws += ["".join(rng.choice(pieces) for _ in range(rng.randrange(14))) for _ in range(200)]
+            path = tmp_path / f"users_{k}.csv"
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([USERS_HEADER] + [[uid, raw, 0, 0] for uid, raw in enumerate(raws)])
+            profiles = load_users(path)
+            for uid, raw in enumerate(raws):
+                topics = profiles[uid].topics
+                assert topics == tokenize_topics(raw), repr(raw)
+                assert all(label is sys.intern(label) for label in topics), repr(raw)
 
     def test_duplicate_id_names_the_id(self, tmp_path):
         path = write(
@@ -358,6 +376,87 @@ class TestLoaderDifferential:
             load_edges(path)
         assert err.value.line_no == 3
         assert load_outcome(load_edges, path) == load_outcome(rowwise_load_edges, path)
+
+
+BATCH = 1 << 16
+EDGES_LINE = "from_user_id,to_user_id\n"
+
+
+def plain_lines(rng, size):
+    """Plain edge lines, ``size`` characters in all; ids below 50, so repeats and self-loops occur."""
+    lines = []
+    while size > 12:
+        lines.append(f"{rng.randrange(50)},{rng.randrange(50)}\n")
+        size -= len(lines[-1])
+    # leading zeros on the last line's second id fill the size exactly
+    first = str(rng.randrange(50))
+    lines.append(f"{first},{str(rng.randrange(50)).zfill(size - len(first) - 2)}\n")
+    return "".join(lines)
+
+
+def read_batches(path):
+    """The texts ``_bulk_edge_rows`` reads after the header, batch by batch."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        return list(iter(lambda: fh.read(BATCH) + fh.readline(), ""))
+
+
+class TestBatchBoundaries:
+    """A line end, a blank line or a long line on the read boundary, in every batch of a file."""
+
+    # (piece, cut, rest): the read stops after piece[:cut], the batch then
+    # finishes its line, and the last ``rest`` characters start the next batch
+    PIECES = [
+        pytest.param("1,2\r\n", 4, 0, True, id="crlf split"),
+        pytest.param("1,2\r\n", 3, 0, True, id="crlf after the read"),
+        pytest.param("1,2\r3,4\n", 4, 0, True, id="lone cr ends the read"),
+        pytest.param("1,2\r", 3, 0, True, id="lone cr after the read"),
+        pytest.param("1,2\n\n", 4, 0, True, id="blank line ends a batch"),
+        pytest.param("1,2\r\n\r\n3,4\n", 4, 6, True, id="blank line starts a batch"),
+        pytest.param("0" * 70_000 + "7,8\n", 10, 0, True, id="long line"),
+        pytest.param("7" + " " * 70_000 + ",8\n", 10, 0, False, id="long padded line"),
+        pytest.param("0" * 140_000 + "7,8\n", 10, 0, False, id="line over the field limit"),
+    ]
+
+    @pytest.mark.parametrize("piece, cut, rest, plain", PIECES)
+    def test_matches_the_reference_on_every_boundary(self, tmp_path, piece, cut, rest, plain):
+        # the long plain lines are ids with tens of thousands of leading zeros
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rng = random.Random(len(piece) * 10 + cut)
+            text = EDGES_LINE + plain_lines(rng, BATCH - cut)
+            for _ in range(3):
+                text += piece + plain_lines(rng, BATCH - cut - rest)
+            path = tmp_path / "edges.csv"
+            path.write_bytes((text + piece + plain_lines(rng, 500)).encode("utf-8"))
+            batches = read_batches(path)
+            assert len(batches) == 5
+            for batch in batches[:4]:
+                assert batch[BATCH - cut : BATCH] == piece[:cut]
+                assert batch.endswith(piece[: len(piece) - rest])
+            assert load_outcome(load_edges, path) == load_outcome(rowwise_load_edges, path)
+            assert (_bulk_edge_rows(path) is not None) is plain
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_every_text_of_one_id_loads_as_one_int_object(self, tmp_path):
+        # ids of 257 and up: CPython shares the objects of smaller ints anyway
+        big = 123456789
+        rng = random.Random(5)
+        lines = []
+        for k, text in enumerate([str(big), f"0{big}", f"00{big}"]):
+            # each text in its own batch, as a source and as a follower
+            lines += [plain_lines(rng, BATCH), f"{text},{1000 + k}\n{2000 + k},{text}\n"]
+        path = write(tmp_path / "edges.csv", EDGES_LINE + "".join(lines))
+        assert len(read_batches(path)) == 4
+        fallback = write(tmp_path / "fallback.csv", path.read_text(encoding="utf-8") + f"+{big},5\n")
+        assert _bulk_edge_rows(path) is not None and _bulk_edge_rows(fallback) is None
+        for g in (load_edges(path), load_edges(fallback)):
+            (one,) = [u for u in g.nodes if u == big]
+            found = [u for u in g._out if u == big] + [v for run in g._out.values() for v in run if v == big]
+            assert len(found) == 4
+            assert all(u is one for u in found)
 
 
 class TestInputOrder:
@@ -643,9 +742,9 @@ class TestCollectorPausedDuringLoads:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_loads_pause_the_collector_and_restore_its_state(self, tmp_path, monkeypatch, enabled):
         seen = []
-        build, tokenize = SocialGraph._build, rumorsim.graph.tokenize_topics
+        build = SocialGraph._build
         monkeypatch.setattr(SocialGraph, "_build", lambda *args: seen.append(gc.isenabled()) or build(*args))
-        monkeypatch.setattr(rumorsim.graph, "tokenize_topics", lambda raw: seen.append(gc.isenabled()) or tokenize(raw))
+        monkeypatch.setattr(rumorsim.graph, "UserProfile", lambda *args: seen.append(gc.isenabled()) or UserProfile(*args))
         bad = write(tmp_path / "users.csv", "user_id,topics,created_at,is_diffuser\n1,a,0,0\n1,b,0,0\n")
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
