@@ -1,147 +1,112 @@
-"""Deterministic rumor-diffusion simulation and evaluation on directed social graphs."""
+"""Deterministic rumor-diffusion simulation and evaluation on directed social graphs.
 
-from .cli import main, run_cli
-from .config import EvaluationPolicy, ModelKind, SimulationConfig, load_config
-from .diffusion import (
-    AdoptionState,
-    AgentKind,
-    BeliefState,
-    EdgeProbability,
-    EpidemicState,
-    SirParams,
-    TippingParams,
-    belief_exchange,
-    ic_step,
-    run_belief_process,
-    sir_step,
-    tipping_step,
-)
-from .errors import (
-    ConfigurationError,
-    EmptyEvaluationError,
-    ParseError,
-    RumorSimError,
-    UndefinedCorrelationError,
-    UnknownUserError,
-)
-from .evaluate import (
-    EvalReport,
-    evaluate,
-    metric_sweep,
-    sweep_rows,
-    write_eval_json,
-)
-from .gated import (
-    DiffuserSet,
-    SimilarityGate,
-    diffuse_user_content,
-    diffuse_user_user,
-    filtered_edge_set,
-    load_decisions,
-)
-from .graph import (
-    RumorContent,
-    SocialGraph,
-    UserProfile,
-    ValidationReport,
-    load_edges,
-    load_rumor,
-    load_users,
-    save_edges,
-    validate,
-)
-from .rng import RngStream
-from .similarity import (
-    Metric,
-    canonical_topic_string,
-    cosine,
-    dice,
-    jaccard,
-    levenshtein,
-    overlap_scores,
-    pearson,
-    score,
-    tokenize_topics,
-    vector_cosine,
-)
-from .simulate import (
-    DiffusionTrace,
-    export_frames,
-    read_trace_csv,
-    rebuild_trace,
-    run_simulation,
-    run_trials,
-    write_curve_csv,
-    write_summary_json,
-    write_trace_csv,
-)
+Each public name is read from its module on first use (PEP 562), so a
+process imports only the modules it touches: loading a graph does not import
+the scheduler, the evaluation harness or the CLI.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdoptionState",
-    "AgentKind",
-    "BeliefState",
-    "ConfigurationError",
-    "DiffuserSet",
-    "DiffusionTrace",
-    "EdgeProbability",
-    "EmptyEvaluationError",
-    "EpidemicState",
-    "EvalReport",
-    "EvaluationPolicy",
-    "Metric",
-    "ModelKind",
-    "ParseError",
-    "RngStream",
-    "RumorContent",
-    "RumorSimError",
-    "SimilarityGate",
-    "SimulationConfig",
-    "SirParams",
-    "SocialGraph",
-    "TippingParams",
-    "UndefinedCorrelationError",
-    "UnknownUserError",
-    "UserProfile",
-    "ValidationReport",
-    "belief_exchange",
-    "canonical_topic_string",
-    "cosine",
-    "dice",
-    "diffuse_user_content",
-    "diffuse_user_user",
-    "evaluate",
-    "export_frames",
-    "filtered_edge_set",
-    "ic_step",
-    "jaccard",
-    "levenshtein",
-    "load_config",
-    "load_decisions",
-    "load_edges",
-    "load_rumor",
-    "load_users",
-    "main",
-    "metric_sweep",
-    "overlap_scores",
-    "pearson",
-    "read_trace_csv",
-    "rebuild_trace",
-    "run_belief_process",
-    "run_cli",
-    "run_simulation",
-    "run_trials",
-    "save_edges",
-    "score",
-    "sir_step",
-    "sweep_rows",
-    "tipping_step",
-    "tokenize_topics",
-    "validate",
-    "vector_cosine",
-    "write_curve_csv",
-    "write_eval_json",
-    "write_summary_json",
-    "write_trace_csv",
-]
+# the one list of public names, by the module that defines each
+_EXPORTS = {
+    "cli": ("main", "run_cli"),
+    "config": ("EvaluationPolicy", "ModelKind", "SimulationConfig", "load_config"),
+    "diffusion": (
+        "AdoptionState",
+        "AgentKind",
+        "BeliefState",
+        "EdgeProbability",
+        "EpidemicState",
+        "SirParams",
+        "TippingParams",
+        "belief_exchange",
+        "ic_step",
+        "run_belief_process",
+        "sir_step",
+        "tipping_step",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "EmptyEvaluationError",
+        "ParseError",
+        "RumorSimError",
+        "UndefinedCorrelationError",
+        "UnknownUserError",
+    ),
+    "evaluate": ("EvalReport", "evaluate", "metric_sweep", "sweep_rows", "write_eval_json"),
+    "gated": (
+        "DiffuserSet",
+        "SimilarityGate",
+        "diffuse_user_content",
+        "diffuse_user_user",
+        "filtered_edge_set",
+        "load_decisions",
+    ),
+    "graph": (
+        "RumorContent",
+        "SocialGraph",
+        "UserProfile",
+        "ValidationReport",
+        "load_edges",
+        "load_rumor",
+        "load_users",
+        "save_edges",
+        "validate",
+    ),
+    "rng": ("RngStream",),
+    "similarity": (
+        "Metric",
+        "canonical_topic_string",
+        "cosine",
+        "dice",
+        "jaccard",
+        "levenshtein",
+        "overlap_scores",
+        "pearson",
+        "score",
+        "tokenize_topics",
+        "vector_cosine",
+    ),
+    "simulate": (
+        "DiffusionTrace",
+        "export_frames",
+        "read_trace_csv",
+        "rebuild_trace",
+        "run_simulation",
+        "run_trials",
+        "write_curve_csv",
+        "write_summary_json",
+        "write_trace_csv",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())
+
+
+class _Package(ModuleType):
+    # The import system binds each submodule it loads as an attribute of its
+    # package. `evaluate` is both a module and the function it exports, and the
+    # package name means the function, so that one binding is left out.
+    def __setattr__(self, name, value):
+        if not (name in _OWNER and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -14,19 +14,11 @@ from pathlib import Path
 
 from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
-from .evaluate import metric_sweep, write_eval_json
-from .gated import load_decisions
 from .graph import _write_lines, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
-from .simulate import (
-    export_frames,
-    read_trace_csv,
-    rebuild_trace,
-    run_trials,
-    write_curve_csv,
-    write_summary_json,
-    write_trace_csv,
-)
+
+# The scheduler, the evaluation harness and the decisions reader are imported
+# by the commands that run them, so similarity and validate never load them.
 
 SIMS_HEADER = ["from_user_id", "to_user_id", "cosine", "jaccard", "dice", "average"]
 
@@ -90,15 +82,19 @@ def _load_inputs(cfg) -> tuple:
     graph = load_edges(cfg.edges_path)
     if cfg.model not in GATED_MODELS:
         return graph, None, None, None
-    return (
-        graph,
-        load_users(cfg.users_path),
-        load_rumor(cfg.rumor_path) if cfg.rumor_path else None,
-        load_decisions(cfg.decisions_path) if cfg.decisions_path else None,
-    )
+    profiles = load_users(cfg.users_path)
+    rumor = load_rumor(cfg.rumor_path) if cfg.rumor_path else None
+    decisions = None
+    if cfg.decisions_path:
+        from .gated import load_decisions
+
+        decisions = load_decisions(cfg.decisions_path)
+    return graph, profiles, rumor, decisions
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import run_trials, write_curve_csv, write_summary_json, write_trace_csv
+
     cfg = load_config(args.config, _overrides(args))
     graph, profiles, rumor, decisions = _load_inputs(cfg)
     start = time.perf_counter()
@@ -116,6 +112,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .evaluate import metric_sweep, write_eval_json
+
     cfg = load_config(args.config, _overrides(args))
     if cfg.model not in GATED_MODELS:
         raise ConfigurationError(
@@ -162,6 +160,8 @@ def _sims_lines(graph, profiles):
 
 
 def _cmd_export(args) -> int:
+    from .simulate import export_frames, read_trace_csv, rebuild_trace
+
     cfg = load_config(args.config)
     graph = load_edges(cfg.edges_path)
     changes = read_trace_csv(args.trace, args.trial)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, ParseError
-from .gated import SimilarityGate
 from .graph import _open_input
 from .similarity import Metric
 
@@ -74,9 +73,6 @@ class SimulationConfig:
             raise ConfigurationError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.model is ModelKind.GATED_USER_CONTENT and self.rumor_path is None:
             raise ConfigurationError("model gated_user_content requires rumor_path")
-
-    def gate(self, decisions=None) -> SimilarityGate:
-        return SimilarityGate(self.metric, self.threshold, decisions)
 
     def model_param(self, name: str) -> float:
         value = getattr(self, name)

@@ -39,7 +39,7 @@ from .diffusion import (
     TippingRun,
 )
 from .errors import ConfigurationError, ParseError
-from .gated import GatedRun, GateState, _check_initials, admission_test
+from .gated import GatedRun, GateState, SimilarityGate, _check_initials, admission_test
 from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_lines
 from .rng import RngStream
 
@@ -156,7 +156,7 @@ def _starter(cfg, graph, profiles, rumor, decisions):
         _check_initials(graph, cfg.initials, profiles)
         content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
         # seeds and every evented user have a profile: nothing is ever missing
-        admit = admission_test(profiles, content, cfg.gate(decisions), set())
+        admit = admission_test(profiles, content, SimilarityGate(cfg.metric, cfg.threshold, decisions), set())
         every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
         return lambda rng: GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
 

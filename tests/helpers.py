@@ -18,6 +18,7 @@ from rumorsim import (
     EpidemicState,
     EvaluationPolicy,
     ModelKind,
+    SimilarityGate,
     SocialGraph,
     UserProfile,
     overlap_scores,
@@ -175,7 +176,7 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     """
     content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
     missing = set()
-    admit = admission_test(profiles, content, cfg.gate(decisions), missing)
+    admit = admission_test(profiles, content, SimilarityGate(cfg.metric, cfg.threshold, decisions), missing)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
     active = set(cfg.initials)
     schedule = []

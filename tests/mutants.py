@@ -234,6 +234,30 @@ MUTANTS = [
         "tipping runs once per trial; no output changes, so only the run-count test sees it",
     ),
     Mutant(
+        "package-imports-the-cli",
+        "src/rumorsim/__init__.py",
+        "from types import ModuleType\n",
+        "from types import ModuleType\n\nfrom .cli import main, run_cli\n",
+        ("tests/test_imports.py",),
+        "import rumorsim loads argparse and every module, as the eager package did",
+    ),
+    Mutant(
+        "config-imports-the-gate",
+        "src/rumorsim/config.py",
+        "from .errors import ConfigurationError, ParseError\n",
+        "from .errors import ConfigurationError, ParseError\nfrom .gated import SimilarityGate\n",
+        ("tests/test_imports.py",),
+        "loading a config loads the gate module, so every process that reads inputs does",
+    ),
+    Mutant(
+        "package-evaluate-is-the-module",
+        "src/rumorsim/__init__.py",
+        "sys.modules[__name__].__class__ = _Package\n",
+        "",
+        ("tests/test_imports.py",),
+        "once a command has imported rumorsim.evaluate, rumorsim.evaluate names the module, not the function",
+    ),
+    Mutant(
         "ic-draw-at-most-p",
         DIFFUSION,
         "if draw() < p and states[target] is susceptible:",
