@@ -63,6 +63,10 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.metrics:
             raise ConfigurationError("metrics must list at least one metric")
+        # one eval.json row per metric; an alias (jaccard_set) names its metric
+        for k, metric in enumerate(self.metrics):
+            if metric in self.metrics[:k]:
+                raise ConfigurationError(f"metrics lists metric {metric.value!r} twice")
         if self.max_time < 1:
             raise ConfigurationError(f"max_time must be >= 1, got {self.max_time}")
         if self.trials < 1:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
 from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
-from .similarity import Metric, _pair_test
+from .similarity import Metric, _levenshtein_levels, _pair_test
 
 DECISIONS_HEADER = ["from_user_id", "to_user_id", "pass"]
 
@@ -84,8 +84,7 @@ def admission_test(
 
         return admit
 
-    if profiles is None:
-        raise ConfigurationError("a similarity gate without a decisions table requires user profiles")
+    _require_profiles(profiles)
     metric, threshold = gate.metric, gate.threshold
     test = _pair_test(metric, threshold)
 
@@ -222,6 +221,11 @@ def load_decisions(path) -> dict:
     return table
 
 
+def _require_profiles(profiles: Mapping | None) -> None:
+    if profiles is None:
+        raise ConfigurationError("a similarity gate without a decisions table requires user profiles")
+
+
 def _check_initials(graph: SocialGraph, initials, profiles: Mapping | None = None) -> None:
     """Reject an empty seed list or a seed outside the graph or, if given, the profiles."""
     if not initials:
@@ -244,13 +248,18 @@ def _diffuse(
 
     ``rumor`` of None compares each follower with its source.  The final
     member set does not depend on processing order; the fixed order just
-    makes the insertion log reproducible.
+    makes the insertion log reproducible.  A live Levenshtein gate decides
+    each level in rounds (``_diffuse_in_rounds``), with the same result.
     """
     _check_initials(graph, initials, profiles)
     missing = set()
-    admit = admission_test(profiles, rumor, gate, missing)
     log = sorted(set(initials))
     members = set(log)
+    if gate.decisions is None and gate.metric is Metric.LEVENSHTEIN:
+        _require_profiles(profiles)
+        _diffuse_in_rounds(graph, _admission_rounds(profiles, rumor, gate.threshold, missing), log, members)
+        return DiffuserSet(members, log, missing)
+    admit = admission_test(profiles, rumor, gate, missing)
     queue = deque(log)
     while queue:
         i = queue.popleft()
@@ -262,3 +271,82 @@ def _diffuse(
                 log.append(j)
                 queue.append(j)
     return DiffuserSet(members, log, missing)
+
+
+def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: float, missing: set) -> Callable:
+    """The batch form of ``admission_test`` for a live Levenshtein gate.
+
+    Returns ``level()``, which returns ``decide(pairs)`` for the (i, j)
+    pairs of one BFS level: the list of their admit(i, j) decisions, made
+    with one batch call.  Missing profiles and the rumor's one decision per
+    follower are handled as ``admission_test`` handles them.
+    """
+    levels = _levenshtein_levels(threshold)
+    unscored = 0.0 >= threshold
+    # against the rumor every level has the one pattern, and a follower one decision
+    content = None if rumor is None else levels()
+    decided = {}
+
+    def level() -> Callable[[list], list]:
+        test = content or levels()
+
+        def decide(pairs) -> list:
+            passed, scored, where = [], [], []
+            for i, j in pairs:
+                if j in decided:
+                    passed.append(decided[j])
+                    continue
+                pi = profiles.get(i) if rumor is None else rumor
+                pj = profiles.get(j)
+                if pi is None or pj is None:
+                    missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
+                    passed.append(unscored)
+                else:
+                    where.append(len(passed))
+                    scored.append((pi.topics, pj.topics))
+                    passed.append(None)
+            for k, ok in zip(where, test(scored)):
+                passed[k] = ok
+            if rumor is not None:
+                decided.update(zip((j for _, j in pairs), passed))
+            return passed
+
+        return decide
+
+    return level
+
+
+def _diffuse_in_rounds(graph: SocialGraph, level_admit: Callable, log: list, members: set) -> None:
+    """``_diffuse``'s breadth-first loop, each level decided in rounds.
+
+    ``log`` holds the initials, the first level; it and ``members`` grow in
+    place.  Round r decides every follower not yet reached against its r-th
+    source in the level, in queue order, with one ``decide`` call, so a
+    follower is tested against its sources up to the first that passes, as
+    in the one-pair-at-a-time loop.  The admitted followers join the log in
+    order of (queue position of the admitting source, follower id), the
+    order that loop admits them in, so it gives the same members, log and
+    tested pairs.
+    """
+    level = list(log)
+    while level:
+        decide = level_admit()
+        # rounds[r]: each follower's r-th source in the level, as (position, follower)
+        rounds, seen = [], {}
+        for position, i in enumerate(level):
+            for j in graph.out_neighbors(i):
+                if j not in members:
+                    r = seen[j] = seen.get(j, -1) + 1
+                    if r == len(rounds):
+                        rounds.append([])
+                    rounds[r].append((position, j))
+        admitted = []
+        for candidates in rounds:
+            candidates = [c for c in candidates if c[1] not in members]
+            for (position, j), passed in zip(candidates, decide([(level[p], j) for p, j in candidates])):
+                if passed:
+                    members.add(j)
+                    admitted.append((position, j))
+        admitted.sort()
+        level = [j for _, j in admitted]
+        log.extend(level)

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import random
+from collections import deque
 from pathlib import Path
 
 from rumorsim import (
@@ -142,6 +143,31 @@ def bfs_levels(initials, edges):
                     nxt.add(v)
         levels.append(nxt)
     return levels[:-1]
+
+
+def sequential_closure(graph, profiles, rumor, initials, gate):
+    """The gated closure one pair at a time: a FIFO worklist over ``admission_test``.
+
+    Returns (members, insertion log, missing profiles, decided pairs), the
+    pairs in the order the gate was asked about them.
+    """
+    missing = set()
+    admit = admission_test(profiles, rumor, gate, missing)
+    log = sorted(set(initials))
+    members = set(log)
+    decided = []
+    queue = deque(log)
+    while queue:
+        i = queue.popleft()
+        for j in graph.out_neighbors(i):
+            if j in members:
+                continue
+            decided.append((i, j))
+            if admit(i, j):
+                members.add(j)
+                log.append(j)
+                queue.append(j)
+    return members, log, missing, decided
 
 
 def shuffled_closure(graph, initials, admit, rng):

@@ -145,8 +145,8 @@ MUTANTS = [
     Mutant(
         "levenshtein-bound-rejects-at-threshold",
         "src/rumorsim/similarity.py",
-        "if _levenshtein_similarity(abs(m - n), m, n) < threshold:",
-        "if _levenshtein_similarity(abs(m - n), m, n) <= threshold:",
+        "return _levenshtein_similarity(abs(m - n), m, n) >= threshold",
+        "return _levenshtein_similarity(abs(m - n), m, n) > threshold",
         ("tests/test_similarity.py",),
         "the Levenshtein length bound rejects a pair whose bound equals the threshold",
     ),
@@ -256,6 +256,30 @@ MUTANTS = [
         "",
         ("tests/test_imports.py",),
         "once a command has imported rumorsim.evaluate, rumorsim.evaluate names the module, not the function",
+    ),
+    Mutant(
+        "lane-vp-unmasked",
+        "src/rumorsim/similarity.py",
+        "        vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask\n        if n in ends:\n",
+        "        vp = (hn << 1) | (mask ^ (d0 | hp))\n        if n in ends:\n",
+        ("tests/test_similarity.py",),
+        "VP keeps the bits above each lane's pattern, which climb into the lane above",
+    ),
+    Mutant(
+        "lanes-read-at-the-last-column",
+        "src/rumorsim/similarity.py",
+        "ends.setdefault(len(text), []).append(k)",
+        "ends.setdefault(max(map(len, texts)), []).append(k)",
+        ("tests/test_similarity.py",),
+        "every lane of a pass is read after the pass's longest text, not at its own last column",
+    ),
+    Mutant(
+        "round-admissions-by-id",
+        "src/rumorsim/gated.py",
+        "        admitted.sort()\n",
+        "        admitted.sort(key=lambda admission: admission[1])\n",
+        ("tests/test_gated.py",),
+        "a level's admitted followers join the log by id alone, not after their admitting source",
     ),
     Mutant(
         "ic-draw-at-most-p",

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from itertools import count, groupby
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from helpers import (
     oracle_corpus,
     random_digraph,
     random_profiles,
+    sequential_closure,
     shuffled_closure,
 )
 from rumorsim import (
@@ -312,7 +314,24 @@ class TestOracleAgreement:
 
             return admit_recorded
 
+        def recording_rounds(*args):
+            level = rounds(*args)
+            gate_no = next(gates)
+
+            def level_recorded():
+                decide = level()
+
+                def decide_recorded(pairs):
+                    checks.extend((gate_no, i) for i, _ in pairs)
+                    return decide(pairs)
+
+                return decide_recorded
+
+            return level_recorded
+
+        rounds = gated._admission_rounds
         monkeypatch.setattr(gated, "admission_test", recording)
+        monkeypatch.setattr(gated, "_admission_rounds", recording_rounds)
         monkeypatch.setattr(simulate, "admission_test", recording)
         rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
         rng = random.Random(511)
@@ -337,12 +356,58 @@ class TestOracleAgreement:
             for name, run in runs.items():
                 del built[:], checks[:]
                 run()
+                # a closure decides in rounds: one table per source, and
                 # against the rumor the one source is the rumor
-                limit = 1 if name == "content" else sum(1 for _ in groupby(checks))
+                if name == "content":
+                    limit = 1
+                elif name == "closure":
+                    limit = len(set(checks))
+                else:
+                    limit = sum(1 for _ in groupby(checks))
                 assert len(built) <= limit, name
                 saved[name] = saved.get(name, 0) + len(checks) - len(built)
         # every kind of run reuses a table somewhere
         assert all(n > 0 for n in saved.values()), saved
+
+    @pytest.mark.parametrize("content", [False, True], ids=["user", "content"])
+    def test_levenshtein_rounds_equal_the_one_pair_at_a_time_closure(self, monkeypatch, content):
+        decided = []
+
+        def recording(*args):
+            level = rounds(*args)
+
+            def level_recorded():
+                decide = level()
+                return lambda pairs: decided.extend(pairs) or decide(pairs)
+
+            return level_recorded
+
+        rounds = gated._admission_rounds
+        monkeypatch.setattr(gated, "_admission_rounds", recording)
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"})) if content else None
+        shuffler = random.Random(512)
+        compared = Counter()
+        for graph, profiles, initials in oracle_corpus(seed=513, count=16, max_nodes=120):
+            # a fifth of the users, none of them an initial, have no profile
+            absent = set(shuffler.sample(sorted(graph.nodes - set(initials)), len(graph.nodes) // 5))
+            present = {u: p for u, p in profiles.items() if u not in absent}
+            for tau in TAU_GRID:
+                gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
+                members, log, missing, pairs = sequential_closure(graph, present, rumor, initials, gate)
+                del decided[:]
+                result = _diffuse(graph, present, rumor, initials, gate)
+                assert result.members == members
+                assert result.insertion_log == log
+                assert result.missing_profiles == missing
+                assert Counter(decided) == Counter(pairs)
+                compared.update(
+                    reached=len(log) > len(set(initials)),
+                    missing=bool(missing),
+                    retested=len(pairs) > len({j for _, j in pairs}),
+                )
+        # the corpus reaches past the initials, meets users without a profile
+        # and tests followers against more than one source
+        assert compared["reached"] > 30 and compared["missing"] > 30 and compared["retested"] > 5, compared
 
     def test_fixpoint_equals_fully_independent_oracle(self):
         # off-lattice threshold so float noise cannot flip a gate decision

@@ -39,7 +39,14 @@ from rumorsim import (
     vector_cosine,
 )
 from rumorsim import similarity
-from rumorsim.similarity import _edit_distance, _levenshtein_similarity, _pair_test, _pattern
+from rumorsim.similarity import (
+    _byte_pattern,
+    _edit_distance,
+    _edit_distances,
+    _levenshtein_similarity,
+    _pair_test,
+    _pattern,
+)
 
 ABC = frozenset("abc")
 BCD = frozenset("bcd")
@@ -255,6 +262,58 @@ class TestOracleEquivalence:
                 expected = dp_levenshtein(s1, s2)
                 assert _edit_distance(_pattern(s1), len(s1), s2) == expected, (len(s1), len(s2))
                 assert _edit_distance(_pattern(s2), len(s2), s1) == expected, (len(s2), len(s1))
+
+
+# m + 1 bits fill a whole number of bytes at 7, 15, 63 and 127; the rest sit around them
+LANE_PATTERN_LENGTHS = [0, 7, 8, 15, 16, 63, 64, 65, 127, 128, 200]
+LANE_ALPHABETS = ["ab", "abcdefghijklmnopqrstuvwxyz, ", "aé中𝄞\u0301ß "]
+
+
+def run_lanes(pairs):
+    """``_edit_distances`` on (pattern, text) pairs, one lane each."""
+    return _edit_distances([(_byte_pattern(p), len(p), t) for p, t in pairs])
+
+
+class TestLaneKernel:
+    """``_edit_distances`` gives each lane the distance ``_edit_distance`` and the full matrix give."""
+
+    @pytest.mark.parametrize("alphabet", LANE_ALPHABETS)
+    def test_lanes_at_every_width_edge(self, alphabet):
+        # each pass has lanes of one pattern length, with texts shorter, as
+        # long and longer, so at 7, 15, 63 and 127 every carry out of a lane's
+        # pattern lands in the lane above
+        rng = random.Random(421)
+        for m in LANE_PATTERN_LENGTHS:
+            pairs = [
+                ("".join(rng.choices(alphabet, k=m)), "".join(rng.choices(alphabet, k=n)))
+                for n in sorted({0, 1, m // 2, m, m + 1, 2 * m + 3})
+            ]
+            expected = [dp_levenshtein(p, t) for p, t in pairs]
+            assert [_edit_distance(_pattern(p), len(p), t) for p, t in pairs] == expected, m
+            assert run_lanes(pairs) == expected, m
+            # the same lanes reversed: each lane is read at its own last column
+            assert run_lanes(pairs[::-1]) == expected[::-1], m
+
+    @pytest.mark.parametrize("lanes", [1, 2, 256])
+    def test_passes_of_mixed_lengths(self, lanes):
+        rng = random.Random(422)
+        pairs = []
+        for k in range(256):
+            alphabet = LANE_ALPHABETS[k % len(LANE_ALPHABETS)]
+            m = LANE_PATTERN_LENGTHS[k % len(LANE_PATTERN_LENGTHS)]
+            pairs.append(("".join(rng.choices(alphabet, k=m)), "".join(rng.choices(alphabet, k=rng.randint(0, 80)))))
+        expected = [_edit_distance(_pattern(p), len(p), t) for p, t in pairs]
+        # the full matrix on every lane length, every alphabet, text lengths from 0 up
+        assert [dp_levenshtein(p, t) for p, t in pairs[:33]] == expected[:33]
+        got = []
+        for start in range(0, len(pairs), lanes):
+            got += run_lanes(pairs[start : start + lanes])
+        assert got == expected
+
+    def test_empty_patterns_and_texts(self):
+        pairs = [("", ""), ("", "abc"), ("abc", ""), ("", "é" * 9), ("ab" * 8, "")]
+        assert run_lanes(pairs) == [0, 3, 3, 9, 16]
+        assert run_lanes([("", "")]) == [0]
 
 
 class TestProperties:

@@ -910,6 +910,9 @@ class TestConfigFile:
             ("metrics = cosine, vibes", "config key metrics must be one of cosine, pearson, "
              "jaccard, jaccard_vector, dice, levenshtein, average; got 'vibes'"),
             ("metrics = , ,", "metrics must list at least one metric"),
+            # a metric listed twice wrote two eval.json rows for it
+            ("metrics = cosine, dice, cosine", "metrics lists metric 'cosine' twice"),
+            ("metrics = jaccard, jaccard_set", "metrics lists metric 'jaccard' twice"),
             ("max_time = 0", "max_time must be >= 1, got 0"),
             # the policy is reported as normalised: lowercased, '_' -> '-'
             ("evaluation_policy = Every_Sometimes", "config key evaluation_policy must be one "
@@ -949,6 +952,10 @@ class TestConfigFile:
         assert cfg.initials == (3, 1)
         assert cfg.rumor_path == Path("/abs/rumor.txt")
         assert cfg.decisions_path is None
+
+    def test_both_jaccard_forms_may_be_swept(self, tmp_path):
+        cfg = load_config(self.write(tmp_path, self.base_text() + "metrics = jaccard, jaccard_vector\n"))
+        assert cfg.metrics == (Metric.JACCARD_SET, Metric.JACCARD_VECTOR)
 
     def test_user_content_requires_rumor_path(self, tmp_path):
         with pytest.raises(ConfigurationError):
