@@ -234,7 +234,7 @@ class TippingRun:
         for v in sorted(self.touched):
             adopted = adopted_in[v]
             # the exact ratio test of a full sweep, so rounding cannot differ
-            if adopted >= 1 and adopted / in_degree[v] >= theta:
+            if adopted / in_degree[v] >= theta:
                 delta.append((v, AdoptionState.ADOPTED))
         self.touched = set()
         for v, state in delta:
@@ -354,9 +354,9 @@ def belief_exchange(state: BeliefState, i, j) -> BeliefState:
         avg = (xi + xj) / 2.0
         beliefs[i] = avg
         beliefs[j] = avg
-    elif ki is AgentKind.REGULAR and kj is AgentKind.FORCEFUL:
+    elif ki is AgentKind.REGULAR:
         beliefs[i] = state.epsilon * xi + (1.0 - state.epsilon) * xj
-    elif ki is AgentKind.FORCEFUL and kj is AgentKind.REGULAR:
+    elif kj is AgentKind.REGULAR:
         beliefs[j] = state.epsilon * xj + (1.0 - state.epsilon) * xi
     # forceful vs forceful: no movement
     return BeliefState(beliefs, state.kinds, state.epsilon)

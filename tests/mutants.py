@@ -94,6 +94,30 @@ MUTANTS = [
         "ic_step forgets the edges it tried, so a later step tries them again",
     ),
     Mutant(
+        "ic-step-tries-attempted-edges",
+        DIFFUSION,
+        "for t in graph.out_neighbors(u) if (u, t) not in attempted], infected",
+        "for t in graph.out_neighbors(u)], infected",
+        ("tests/test_diffusion.py",),
+        "ic_step draws for an edge already in attempted, and may infect its target again",
+    ),
+    Mutant(
+        "ic-step-refuses-every-edge-attempted",
+        DIFFUSION,
+        "if not attempted <= graph.edges:",
+        "if not attempted < graph.edges:",
+        ("tests/test_diffusion.py",),
+        "ic_step rejects an attempted set equal to the whole edge set",
+    ),
+    Mutant(
+        "belief-of-one-rejected",
+        DIFFUSION,
+        "if not 0.0 <= belief <= 1.0:",
+        "if not 0.0 <= belief < 1.0:",
+        ("tests/test_diffusion.py",),
+        "a belief of exactly 1.0 is refused as out of [0, 1]",
+    ),
+    Mutant(
         "forceful-weights-swapped",
         DIFFUSION,
         "beliefs[i] = state.epsilon * xi + (1.0 - state.epsilon) * xj",
@@ -208,6 +232,32 @@ MUTANTS = [
         "int(number) > trace.max_time + 1",
         ("tests/test_simulate.py",),
         "a shorter export leaves the longer run's frame max_time + 1 in place",
+    ),
+    Mutant(
+        "export-edge-lines-descending",
+        "src/rumorsim/simulate.py",
+        "for a, followers in adjacency for b in followers)",
+        "for a, followers in reversed(adjacency) for b in reversed(followers))",
+        ("tests/test_golden.py",),
+        "export writes each frame's edge lines in descending order",
+    ),
+    Mutant(
+        "derive-counts-its-calls",
+        "src/rumorsim/rng.py",
+        "        return RngStream(_mix64((self.seed + (index + 1) * _GOLDEN) & _MASK64))\n",
+        "        global _DERIVED\n"
+        '        _DERIVED = globals().get("_DERIVED", 0) + 1\n'
+        "        return RngStream(_mix64((self.seed + (index + _DERIVED) * _GOLDEN) & _MASK64))\n",
+        ("tests/test_cli.py",),
+        "a child stream depends on how many streams the process derived before, so a rerun differs",
+    ),
+    Mutant(
+        "validate-drops-the-overflow-count",
+        "src/rumorsim/cli.py",
+        'f" (+{len(ids) - 20} more)" if len(ids) > 20 else ""',
+        '""',
+        ("tests/test_cli.py",),
+        "validate lists the first 20 ids of a longer finding with no count of the rest",
     ),
     Mutant(
         "trials-share-one-stream",

@@ -65,15 +65,22 @@ class TestSimulate:
             )
         assert blobs["first"] == blobs["second"]
 
-    def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, diffusers", [
+        pytest.param((), "6", id="gated"),
+        pytest.param(("--model", "sir", "--beta", "0.3", "--gamma", "0.2", "--trials", "3"), "1.66667", id="sir"),
+        pytest.param(("--model", "gated_user_content", "--evaluation-policy", "every-step"), "6", id="content"),
+        pytest.param(("--model", "ic", "--ic-default-p", "0.5", "--trials", "3"), "2.33333", id="ic"),
+        pytest.param(("--model", "tipping", "--theta", "0.3"), "10", id="tipping"),
+    ])
+    def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, capsys, flags, diffusers):
         out = tmp_path / "out"
         runs = []
         for _ in range(2):
-            code, stdout, _ = run(capsys, "simulate", CFG, "--out-dir", str(out))
+            code, stdout, _ = run(capsys, "simulate", CFG, *flags, "--out-dir", str(out))
             assert code == 0
             runs.append([(out / name).read_bytes() for name in ("trace.csv", "curve.csv", "summary.json")])
             # the runtime goes to stdout, not into any output file
-            assert re.fullmatch(r".*6 of 10 users in \d+\.\d{6} s\n", stdout)
+            assert re.fullmatch(rf".* {re.escape(diffusers)} of 10 users in \d+\.\d{{6}} s\n", stdout)
         assert runs[0] == runs[1]
         assert "runtime_seconds" not in json.loads(runs[0][2])
 
@@ -421,6 +428,19 @@ class TestValidate:
         assert "profiles with an empty topic set: 1 [2]" in stdout
         assert "users touching no edge: 1 [9]" in stdout
         assert "inputs are consistent" not in stdout
+
+    def test_a_long_finding_lists_its_first_20_ids_and_counts_the_rest(self, tmp_path, capsys):
+        # user 1 follows users 2..30, and only user 1 has a profile
+        (tmp_path / "edges.csv").write_text(
+            "from_user_id,to_user_id\n" + "".join(f"1,{k}\n" for k in range(2, 31)), encoding="utf-8"
+        )
+        (tmp_path / "users.csv").write_text("user_id,topics,created_at,is_diffuser\n1,news,0,1\n", encoding="utf-8")
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text("edges_path = edges.csv\nusers_path = users.csv\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "validate", str(cfg))
+        assert code == 0
+        shown = ", ".join(str(k) for k in range(2, 22))
+        assert f"edge endpoints without a profile: 29 [{shown} (+9 more)]\n" in stdout
 
 
 class TestFailureModes:

@@ -3,6 +3,7 @@ belief exchange, and the seeded random stream they all draw from."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -216,9 +217,23 @@ class TestIcStep:
         # every draw corresponds to exactly one first-time edge attempt
         assert rng.draws == len(attempted)
 
+    def test_an_attempted_edge_is_neither_drawn_nor_tried(self):
+        g = SocialGraph([(1, 2), (1, 3)])
+        rng = CountingRng(4)
+        after, attempted = ic_step(g, seed_states(g, {1}), EdgeProbability(1.0), {(1, 2)}, rng)
+        assert after == {1: R, 2: S, 3: I}
+        assert attempted == {(1, 2), (1, 3)}
+        assert rng.draws == 1
+
     def test_attempted_must_be_subset_of_edges(self, chain_graph):
-        with pytest.raises(ConfigurationError):
-            ic_step(chain_graph, seed_states(chain_graph, {1}), EdgeProbability(0.5), {(9, 9)}, RngStream(1))
+        states = seed_states(chain_graph, {1})
+        rng = CountingRng(1)
+        # every edge already tried: the seed recovers without a draw
+        after, attempted = ic_step(chain_graph, states, EdgeProbability(1.0), set(chain_graph.edges), rng)
+        assert (after, attempted, rng.draws) == ({1: R, 2: S, 3: S}, chain_graph.edges, 0)
+        for extra in ({(9, 9)}, chain_graph.edges | {(3, 1)}):
+            with pytest.raises(ConfigurationError):
+                ic_step(chain_graph, states, EdgeProbability(0.5), extra, RngStream(1))
 
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -286,8 +301,11 @@ class TestBeliefExchange:
             belief_exchange(state, 1, 5)
 
     def test_state_validation(self):
-        with pytest.raises(ConfigurationError):
-            BeliefState(beliefs={1: 1.5}, kinds={1: AgentKind.REGULAR}, epsilon=0.5)
+        # both ends of [0, 1] are beliefs; the next float above 1 is not
+        BeliefState(beliefs={1: 0.0, 2: 1.0}, kinds=dict.fromkeys((1, 2), AgentKind.REGULAR), epsilon=0.5)
+        for belief in (1.5, math.nextafter(1.0, 2.0)):
+            with pytest.raises(ConfigurationError):
+                BeliefState(beliefs={1: belief}, kinds={1: AgentKind.REGULAR}, epsilon=0.5)
         with pytest.raises(ConfigurationError):
             BeliefState(beliefs={1: 0.5}, kinds={}, epsilon=0.5)
         with pytest.raises(ConfigurationError):

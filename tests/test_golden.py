@@ -294,7 +294,9 @@ def test_golden_table_covers_every_input_and_config():
 # SHA-256 of the CLI outputs per input: summary.json, re-serialised without
 # its final newline, from a simulate run that sets every config key to a
 # non-default value (some in the file, some as flags); sims.csv from
-# similarity; eval.json from an evaluate sweep over six metrics.  The
+# similarity; eval.json from an evaluate sweep over six metrics; export, one
+# digest over every DOT frame in name order and then curve.csv, from an
+# export of that simulate's trace.  The
 # ``/pearson`` entry pins a Pearson gate instead: summary.json from an
 # every-step user-user simulate and eval.json from an evaluate, both with
 # metric pearson, on an input where Pearson is defined on every edge the gate
@@ -305,11 +307,13 @@ CLI_GOLDEN = {
         "summary.json": "e82d63e61eb98699d5fdf3aa5de92ba0a227001ab0e9bad34373600dc6a441a7",
         "sims.csv": "298dfed990f0e65ba238a3cbc7ed0c1f2ba6f774449b76684fc02ebcaac7a42b",
         "eval.json": "f0a422c952235f0a7cadbcc2197f3edaca852583e5bf2d43754d342714d0a3d0",
+        "export": "32687a87b837bdae8a44830723cd349d0d321012c7303650cf0cebc32e53d10e",
     },
     "corpus1": {
         "summary.json": "552c2eddbbe617a5b43f6aaaec658e422674fff902b982a09e28c198dff2eb0b",
         "sims.csv": "6f9b283c99e4e433cf0cde1fb724fbe68787562de588809039a27bcd47a32044",
         "eval.json": "9cf09bfdf5af63d3b36dc9de8671080adda41cdabafe69bd18ffeb8bbd1313f4",
+        "export": "ba40c75f7251ce4018d1421b192aa0ea377a9232c6061baabd850da5321bc62c",
     },
     "corpus1/pearson": {
         "summary.json": "9b5463c11b5396132dafde25ad274f2f8f4921c52c3895283de966e63d20fd6c",
@@ -378,6 +382,7 @@ def cli_digests(key, root):
             ["similarity", "base.cfg", "--out-dir", "sims"],
             ["evaluate", "base.cfg", "--out-dir", "eval", "--threshold", str(cfg.threshold),
              "--metrics", "cosine, jaccard_vector, average, jaccard, dice, levenshtein"],
+            ["export", "sim/trace.csv", "frames", "--config", "all.cfg"],
         ]
     for argv in commands:
         assert run_cli(argv) == 0, argv
@@ -388,6 +393,8 @@ def cli_digests(key, root):
     }
     if gate != "pearson":
         blobs["sims.csv"] = (root / "sims" / "sims.csv").read_bytes()
+        frames = sorted((root / "frames").glob("frame_*.dot"))
+        blobs["export"] = b"".join(path.read_bytes() for path in [*frames, root / "frames" / "curve.csv"])
     return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 

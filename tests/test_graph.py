@@ -483,8 +483,11 @@ class TestInputOrder:
             self.write_rows(tmp_path / "shuffled.csv", shuffled),
             self.write_rows(tmp_path / "crlf.csv", rows, "\r\n"),
             self.write_rows(tmp_path / "shuffled_crlf.csv", shuffled, "\r\n"),
+            self.write_rows(tmp_path / "cr.csv", rows, "\r"),
         ]
         for path in copies:
+            # every copy is plain, so it parses on the bulk route
+            assert _bulk_edge_rows(path) is not None, path.name
             g = load_edges(path)
             assert graph_attrs(g) == graph_attrs(original)
             assert g.load_stats == stats
