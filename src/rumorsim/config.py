@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, _check_probability
 from .graph import _open_input
 from .similarity import Metric
 
@@ -73,8 +73,7 @@ class SimulationConfig:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError(f"threshold must be in [0, 1], got {self.threshold}")
+        _check_probability("threshold", self.threshold)
         if self.model is ModelKind.GATED_USER_CONTENT and self.rumor_path is None:
             raise ConfigurationError("model gated_user_content requires rumor_path")
 

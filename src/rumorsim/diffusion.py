@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import ConfigurationError, UnknownUserError
+from .errors import ConfigurationError, UnknownUserError, _check_probability
 from .graph import SocialGraph
 from .rng import RngStream
 
@@ -45,11 +45,6 @@ class AdoptionState(Enum):
 class AgentKind(Enum):
     REGULAR = "regular"
     FORCEFUL = "forceful"
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
 
 
 def _require_states(graph: SocialGraph, states: Mapping) -> None:
@@ -322,8 +317,7 @@ class BeliefState:
     def __post_init__(self):
         _check_probability("epsilon", self.epsilon)
         for uid, belief in self.beliefs.items():
-            if not 0.0 <= belief <= 1.0:
-                raise ConfigurationError(f"belief for user {uid} must be in [0, 1], got {belief}")
+            _check_probability(f"belief for user {uid}", belief)
             if uid not in self.kinds:
                 raise ConfigurationError(f"no agent kind for user {uid}")
             if not isinstance(self.kinds[uid], AgentKind):

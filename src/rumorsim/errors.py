@@ -18,6 +18,12 @@ class ParseError(ConfigurationError):
         self.line_no = line_no
 
 
+def _check_probability(name: str, value: float) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
+
+
 class UnknownUserError(ConfigurationError):
     """Lookup of a user id that is not present in the graph or state map."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
-from .errors import ConfigurationError, ParseError, UndefinedCorrelationError
+from .errors import ConfigurationError, ParseError, UndefinedCorrelationError, _check_probability
 from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
 from .similarity import Metric, _levenshtein_levels, _pair_test
 
@@ -40,8 +40,7 @@ class SimilarityGate:
     decisions: Mapping | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError(f"threshold must be in [0, 1], got {self.threshold}")
+        _check_probability("threshold", self.threshold)
 
 
 @dataclass

@@ -11,11 +11,10 @@ import csv
 import gc
 import json
 import os
-import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, lt, ne
 from pathlib import Path
@@ -23,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
-from .similarity import TopicSet
+from .similarity import TopicSet, _topic_label, tokenize_topics
 
 UserId = int
 
@@ -255,19 +254,6 @@ class _IdTexts(dict):
         return value
 
 
-class _TopicLabels(dict):
-    """One load's raw topic fragments, each to its label, normalized once per distinct fragment.
-
-    The labels are those ``tokenize_topics`` gives: a comma is neither cased
-    nor case-ignorable, so lowercasing a fragment equals lowercasing the whole
-    string, and whitespace ends a case context as the string's end does.
-    """
-
-    def __missing__(self, fragment):
-        label = self[fragment] = sys.intern(fragment.strip().lower())
-        return label
-
-
 def save_edges(graph: SocialGraph, path) -> None:
     """Write the edge list back to CSV in sorted order (round-trips exactly)."""
     lines = (f"{a},{b}\n" for a, followers in graph.adjacency.items() for b in followers)
@@ -278,18 +264,18 @@ def save_edges(graph: SocialGraph, path) -> None:
 def load_users(path) -> dict:
     """Load user profiles from CSV with header user_id,topics,created_at,is_diffuser.
 
-    Topics are normalized as ``tokenize_topics`` does, once per distinct
-    fragment.  A duplicate user id, an unparsable created_at, or an
+    Topics are normalized as ``tokenize_topics`` does, each distinct fragment
+    once per load.  A duplicate user id, an unparsable created_at, or an
     is_diffuser outside {0,1,true,false} raises ParseError naming the
     offending line.
     """
-    labels = _TopicLabels()
+    labels = cache(_topic_label)
     profiles = {}
     for line_no, row in _read_rows(path, USERS_HEADER):
         uid = _parse_user_id(path, line_no, row[0])
         if uid in profiles:
             raise ParseError(path, line_no, f"duplicate user id {uid}")
-        topics = frozenset(filter(None, map(labels.__getitem__, row[1].split(","))))
+        topics = frozenset(filter(None, map(labels, row[1].split(","))))
         try:
             created_at = int(row[2])
         except ValueError:
@@ -304,7 +290,7 @@ def load_users(path) -> dict:
 
 
 def load_rumor(path) -> RumorContent:
-    """Read rumor topics, one label per line; labels are normalized and deduped.
+    """Read rumor topics: every line is comma-separated labels, normalized as ``tokenize_topics`` does.
 
     A leading byte-order mark raises ParseError rather than join the first label.
     """
@@ -312,7 +298,7 @@ def load_rumor(path) -> RumorContent:
         lines = fh.readlines()
     if lines and lines[0].startswith("\ufeff"):
         raise ParseError(path, 1, "starts with a byte-order mark (U+FEFF); save the file without it")
-    return RumorContent(frozenset(label for line in lines if (label := line.strip().lower())))
+    return RumorContent(tokenize_topics(",".join(lines)))
 
 
 @dataclass

@@ -29,7 +29,7 @@ import math
 import sys
 from enum import Enum
 from functools import cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -58,16 +58,18 @@ class Metric(Enum):
             raise ValueError(f"unknown metric name: {name!r}") from None
 
 
+def _topic_label(fragment: str) -> str:
+    """One topic fragment trimmed, lowercased and interned, so every set holding the label shares one string."""
+    return sys.intern(fragment.strip().lower())
+
+
 def tokenize_topics(raw: str) -> TopicSet:
     """Split a comma-separated topic string into a normalized label set.
 
-    Labels are trimmed and lowercased; empty fragments are dropped and
-    duplicates collapse.  Each label is interned, so every set holding it
-    shares one string.
+    Each fragment becomes its ``_topic_label``; empty labels are dropped and
+    duplicates collapse.
     """
-    # lowercasing the whole string equals lowercasing each fragment: a comma
-    # is neither cased nor case-ignorable, so no case context crosses it
-    return frozenset(map(sys.intern, filter(None, map(str.strip, raw.lower().split(",")))))
+    return frozenset(filter(None, map(_topic_label, raw.split(","))))
 
 
 def canonical_topic_string(topics: TopicSet) -> str:
@@ -201,31 +203,36 @@ def _pattern(s: str) -> dict:
     return peq
 
 
-def _edit_distance(peq: dict, m: int, text: str) -> int:
-    """Edit distance between the length-``m`` pattern of ``peq`` and ``text``, any lengths.
+def _advance(vp: int, vn: int, eqs, mask: int, ones: int) -> tuple:
+    """Myers' recurrence: (VP, VN) advanced one column per match vector of ``eqs``.
 
     Hyyrö's form of Myers' algorithm: bit i of the vectors is row i + 1 of
-    the DP matrix, and each character of the text advances one column.  VP/VN
-    hold the +1/-1 vertical deltas of the column and HP/HN the horizontal
-    ones; row 0 grows by one per column, the carry-in 1 of HP.  Carries and
-    shifts move bits only upwards, so the low m bits stay exact whatever lies
-    above them.  VP is masked to m bits each column.  VN, an AND of the
-    shifted HP and D0, needs no mask: D0's one bit above the pattern, the
-    carry out of row m, needs VP's top bit set, and then HP's top bit is
-    clear.  ``mask ^ x`` is ``~x`` on the low m bits without making a
-    negative int.  The bottom cell is the top cell, len(text), plus
-    the vertical deltas of the last column.
+    the DP matrix, and each match vector, the pattern bits where the
+    column's text character occurs, advances one column.  VP/VN hold the
+    +1/-1 vertical deltas of the column and HP/HN the horizontal ones; row 0
+    grows by one per column, the carry-in ``ones`` of HP.  Carries and
+    shifts move bits only upwards, so the low m bits stay exact whatever
+    lies above them.  VP is masked to the pattern bits of ``mask`` each
+    column.  VN, an AND of the shifted HP and D0, needs no mask: D0's one bit
+    above the pattern, the carry out of row m, needs VP's top bit set, and
+    then HP's top bit is clear.  ``mask ^ x`` is ``~x`` on the pattern bits
+    without making a negative int.  After n columns the bottom cell is the
+    top cell, n, plus the vertical deltas of the last column.
     """
-    mask = (1 << m) - 1
-    vp, vn = mask, 0
-    for ch in text:
-        eq = peq.get(ch, 0)
+    for eq in eqs:
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
         hp = vn | (mask ^ (d0 | vp))
         hn = vp & d0
-        hp = (hp << 1) | 1
+        hp = (hp << 1) | ones
         vn = hp & d0
         vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask
+    return vp, vn
+
+
+def _edit_distance(peq: dict, m: int, text: str) -> int:
+    """Edit distance between the length-``m`` pattern of ``peq`` and ``text``, any lengths, through ``_advance``."""
+    mask = (1 << m) - 1
+    vp, vn = _advance(mask, 0, map(peq.get, text, repeat(0)), mask, 1)
     return len(text) + vp.bit_count() - vn.bit_count()
 
 
@@ -244,14 +251,15 @@ def _edit_distances(lanes) -> list:
 
     Each lane is the least whole number of bytes that holds m + 1 bits: one
     above its pattern takes the carry out of row m, so no sum carries into
-    the next lane.  Each step is ``_edit_distance``'s on all lanes at once,
-    with ``mask`` the lanes' pattern bits and ``ones`` their row-0
+    the next lane.  Each column is one ``_advance`` step on all lanes at
+    once, with ``mask`` the lanes' pattern bits and ``ones`` their row-0
     carry-ins.  The only bit that leaves a lane is that carry, passed on to
     HP and shifted up: where m + 1 bits fill the lane it lands on the next
     lane's carry-in, which is set anyway.  A column's match vector joins the
     lanes' byte tables, zero bytes past a text's end, so a lane runs on
-    after its text and is read at its own last column, from its own bytes.
-    Returns the distances in lane order.
+    after its text.  The recurrence runs up to each distinct text length in
+    turn, and the lanes whose texts end there are read, each from its own
+    bytes.  Returns the distances in lane order.
     """
     tables, lengths, texts = zip(*lanes)
     widths = [m // 8 + 1 for m in lengths]
@@ -259,26 +267,21 @@ def _edit_distances(lanes) -> list:
     offsets = list(accumulate(widths, initial=0))
     mask = int.from_bytes(b"".join(((1 << m) - 1).to_bytes(w, "little") for m, w in zip(lengths, widths)), "little")
     ones = int.from_bytes(b"".join(b"\1".ljust(width, b"\0") for width in widths), "little")
-    # a lane whose text is empty is read before the first column
-    distances = list(lengths)
     ends = {}
     for k, text in enumerate(texts):
         ends.setdefault(len(text), []).append(k)
-    vp, vn = mask, 0
-    for n, column in enumerate(zip_longest(*texts), 1):
-        eq = int.from_bytes(b"".join(map(dict.get, tables, column, zeros)), "little")
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | (mask ^ (d0 | vp))
-        hn = vp & d0
-        hp = (hp << 1) | ones
-        vn = hp & d0
-        vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask
-        if n in ends:
-            vps, vns = vp.to_bytes(offsets[-1], "little"), vn.to_bytes(offsets[-1], "little")
-            for k in ends[n]:
-                lane = slice(offsets[k], offsets[k + 1])
-                up, down = int.from_bytes(vps[lane], "little"), int.from_bytes(vns[lane], "little")
-                distances[k] = n + up.bit_count() - down.bit_count()
+    columns = zip_longest(*texts)
+    distances = [0] * len(texts)
+    vp, vn, done = mask, 0, 0
+    for n in sorted(ends):
+        joined = (b"".join(map(dict.get, tables, column, zeros)) for column in islice(columns, n - done))
+        vp, vn = _advance(vp, vn, map(int.from_bytes, joined, repeat("little")), mask, ones)
+        done = n
+        vps, vns = vp.to_bytes(offsets[-1], "little"), vn.to_bytes(offsets[-1], "little")
+        for k in ends[n]:
+            lane = slice(offsets[k], offsets[k + 1])
+            up, down = int.from_bytes(vps[lane], "little"), int.from_bytes(vns[lane], "little")
+            distances[k] = n + up.bit_count() - down.bit_count()
     return distances
 
 

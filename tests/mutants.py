@@ -110,12 +110,20 @@ MUTANTS = [
         "ic_step rejects an attempted set equal to the whole edge set",
     ),
     Mutant(
-        "belief-of-one-rejected",
-        DIFFUSION,
-        "if not 0.0 <= belief <= 1.0:",
-        "if not 0.0 <= belief < 1.0:",
+        "probability-of-one-rejected",
+        "src/rumorsim/errors.py",
+        "if not 0.0 <= value <= 1.0:",
+        "if not 0.0 <= value < 1.0:",
         ("tests/test_diffusion.py",),
-        "a belief of exactly 1.0 is refused as out of [0, 1]",
+        "a belief, or any other value checked to lie in [0, 1], of exactly 1.0 is refused",
+    ),
+    Mutant(
+        "probability-without-lower-bound",
+        "src/rumorsim/errors.py",
+        "if not 0.0 <= value <= 1.0:",
+        "if not value <= 1.0:",
+        ("tests/test_diffusion.py",),
+        "a negative threshold, probability, epsilon or belief is accepted",
     ),
     Mutant(
         "forceful-weights-swapped",
@@ -201,11 +209,27 @@ MUTANTS = [
     ),
     Mutant(
         "topic-fragment-not-stripped",
-        "src/rumorsim/graph.py",
+        "src/rumorsim/similarity.py",
         "sys.intern(fragment.strip().lower())",
         "sys.intern(fragment.lower())",
-        ("tests/test_graph.py",),
+        ("tests/test_graph.py", "tests/test_similarity.py"),
         "a padded topic fragment keeps its padding as part of the label",
+    ),
+    Mutant(
+        "rumor-line-is-one-label",
+        "src/rumorsim/graph.py",
+        'return RumorContent(tokenize_topics(",".join(lines)))',
+        "return RumorContent(frozenset(filter(None, map(_topic_label, lines))))",
+        ("tests/test_graph.py",),
+        "a rumor.txt line with commas loads as one label, not as a users.csv topics field does",
+    ),
+    Mutant(
+        "validate-clean-without-missing-profiles",
+        "src/rumorsim/graph.py",
+        "return not (self.missing_profiles or self.empty_topics or self.isolated_nodes)",
+        "return not self.missing_profiles",
+        ("tests/test_graph.py",),
+        "a report holding only empty topics or only isolated users reads as clean",
     ),
     Mutant(
         "replay-drops-recovered-users",
@@ -224,6 +248,14 @@ MUTANTS = [
         "",
         ("tests/test_simulate.py",),
         "a trace read back from trace.csv may name a user outside the graph",
+    ),
+    Mutant(
+        "rebuild-trace-accepts-negative-steps",
+        "src/rumorsim/simulate.py",
+        "outside = [t for t in changes if not 0 <= t <= cfg.max_time]",
+        "outside = [t for t in changes if t > cfg.max_time]",
+        ("tests/test_simulate.py",),
+        "a trace read back from trace.csv may hold a change before step 0",
     ),
     Mutant(
         "stale-frame-removal-keeps-the-next-frame",
@@ -250,6 +282,22 @@ MUTANTS = [
         "        return RngStream(_mix64((self.seed + (index + _DERIVED) * _GOLDEN) & _MASK64))\n",
         ("tests/test_cli.py",),
         "a child stream depends on how many streams the process derived before, so a rerun differs",
+    ),
+    Mutant(
+        "rumor-read-without-a-rumor-path",
+        "src/rumorsim/cli.py",
+        "rumor = load_rumor(cfg.rumor_path) if cfg.rumor_path else None",
+        "rumor = load_rumor(cfg.rumor_path)",
+        ("tests/test_cli.py",),
+        "a gated run whose config names no rumor_path tries to open None",
+    ),
+    Mutant(
+        "io-error-names-a-missing-file",
+        "src/rumorsim/cli.py",
+        'detail = f"{exc.strerror}: {filename}" if filename else str(exc)',
+        'detail = f"{exc.strerror}: {filename}"',
+        ("tests/test_cli.py",),
+        "an OSError without a file name is reported as '<strerror>: None'",
     ),
     Mutant(
         "validate-drops-the-overflow-count",
@@ -292,10 +340,18 @@ MUTANTS = [
         "import rumorsim loads argparse and every module, as the eager package did",
     ),
     Mutant(
+        "seed-without-upper-bound",
+        "src/rumorsim/config.py",
+        "if not 0 <= self.seed < (1 << 64):",
+        "if not 0 <= self.seed:",
+        ("tests/test_simulate.py",),
+        "a config seed of 2**64 or more is accepted, though no stream can be seeded with it",
+    ),
+    Mutant(
         "config-imports-the-gate",
         "src/rumorsim/config.py",
-        "from .errors import ConfigurationError, ParseError\n",
-        "from .errors import ConfigurationError, ParseError\nfrom .gated import SimilarityGate\n",
+        "from .errors import ConfigurationError, ParseError, _check_probability\n",
+        "from .errors import ConfigurationError, ParseError, _check_probability\nfrom .gated import SimilarityGate\n",
         ("tests/test_imports.py",),
         "loading a config loads the gate module, so every process that reads inputs does",
     ),
@@ -310,10 +366,26 @@ MUTANTS = [
     Mutant(
         "lane-vp-unmasked",
         "src/rumorsim/similarity.py",
-        "        vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask\n        if n in ends:\n",
-        "        vp = (hn << 1) | (mask ^ (d0 | hp))\n        if n in ends:\n",
-        ("tests/test_similarity.py",),
+        "vp = ((hn << 1) | (mask ^ (d0 | hp))) & mask",
+        "vp = (hn << 1) | (mask ^ (d0 | hp))",
+        ("tests/test_similarity.py::TestLaneKernel",),
         "VP keeps the bits above each lane's pattern, which climb into the lane above",
+    ),
+    Mutant(
+        "recurrence-d0-without-vn-one-pair",
+        "src/rumorsim/similarity.py",
+        "d0 = (((eq & vp) + vp) ^ vp) | eq | vn",
+        "d0 = (((eq & vp) + vp) ^ vp) | eq",
+        ("tests/test_similarity.py::TestOracleEquivalence::test_kernel_matches_full_matrix_for_either_length_as_pattern",),
+        "the shared recurrence leaves the last column's -1 deltas out of D0; seen by the one-pair kernel's test",
+    ),
+    Mutant(
+        "recurrence-d0-without-vn-lanes",
+        "src/rumorsim/similarity.py",
+        "d0 = (((eq & vp) + vp) ^ vp) | eq | vn",
+        "d0 = (((eq & vp) + vp) ^ vp) | eq",
+        ("tests/test_similarity.py::TestLaneKernel::test_lanes_at_every_width_edge",),
+        "the same bug, seen by the lane kernel's test",
     ),
     Mutant(
         "lanes-read-at-the-last-column",

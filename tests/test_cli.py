@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import rumorsim.simulate
 from helpers import FIXTURE_DIR, csv_sims_bytes, random_digraph, random_profiles
 from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli, save_edges
 from rumorsim.cli import build_parser, main
@@ -41,6 +42,19 @@ class TestSimulate:
         assert (out / "trace.csv").exists()
         assert (out / "curve.csv").exists()
         assert (out / "summary.json").exists()
+
+    def test_a_user_user_run_reads_no_rumor(self, tmp_path, capsys):
+        shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")
+        cfg = tmp_path / "cfg" / "sim.cfg"
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace("rumor_path = rumor.txt\n", ""), encoding="utf-8")
+        (tmp_path / "cfg" / "rumor.txt").unlink()
+        code, stdout, _ = run(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path / "without"))
+        assert code == 0
+        assert "mean final diffusers 6 of 10 users" in stdout
+        run(capsys, "simulate", CFG, "--out-dir", str(tmp_path / "with"))
+        # summary.json echoes the config, rumor_path included
+        for name in ("trace.csv", "curve.csv"):
+            assert (tmp_path / "without" / name).read_bytes() == (tmp_path / "with" / name).read_bytes(), name
 
     def test_curve_has_a_row_per_step_and_never_decreases(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -451,6 +465,15 @@ class TestFailureModes:
         assert code == 2
         assert "io error" in stderr
         assert "nowhere.csv" in stderr
+
+    def test_an_io_error_without_a_file_name_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(rumorsim.simulate, "_write_lines", full)
+        code, _, stderr = run(capsys, "simulate", CFG, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert stderr == "io error: [Errno 28] No space left on device\n"
 
     def test_unknown_command_is_exit_1_with_usage(self, capsys):
         code, _, stderr = run(capsys, "transmogrify", CFG)

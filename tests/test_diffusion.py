@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,10 @@ from rumorsim import (
     ConfigurationError,
     EdgeProbability,
     EpidemicState,
+    Metric,
     RngStream,
+    SimilarityGate,
+    SimulationConfig,
     SirParams,
     SocialGraph,
     TippingParams,
@@ -240,6 +244,30 @@ class TestIcStep:
             EdgeProbability(default=1.2)
         with pytest.raises(ConfigurationError):
             EdgeProbability(default=0.5, overrides={(1, 2): -0.4})
+
+
+# every value checked to lie in [0, 1], under the name its message gives it
+PROBABILITIES = [
+    pytest.param("threshold", lambda x: SimulationConfig(Path("e"), Path("u"), threshold=x), id="config-threshold"),
+    pytest.param("threshold", lambda x: SimilarityGate(Metric.COSINE, threshold=x), id="gate-threshold"),
+    pytest.param("beta", lambda x: SirParams(beta=x, gamma=0.5), id="beta"),
+    pytest.param("gamma", lambda x: SirParams(beta=0.5, gamma=x), id="gamma"),
+    pytest.param("theta", lambda x: TippingParams(theta=x), id="theta"),
+    pytest.param("default edge probability", lambda x: EdgeProbability(default=x), id="ic-default-p"),
+    pytest.param("probability for edge (1, 2)", lambda x: EdgeProbability(0.5, {(1, 2): x}), id="ic-edge-p"),
+    pytest.param("epsilon", lambda x: BeliefState({1: 0.5}, {1: AgentKind.REGULAR}, epsilon=x), id="epsilon"),
+    pytest.param("belief for user 1", lambda x: BeliefState({1: x}, {1: AgentKind.REGULAR}, epsilon=0.5), id="belief"),
+]
+
+
+@pytest.mark.parametrize("value", [-0.25, 1.25])
+@pytest.mark.parametrize("name, build", PROBABILITIES)
+def test_a_probability_outside_0_1_is_rejected_by_name(name, build, value):
+    build(0.0)
+    build(1.0)
+    with pytest.raises(ConfigurationError) as exc:
+        build(value)
+    assert str(exc.value) == f"{name} must be in [0, 1], got {value}"
 
 
 def regular_pair_state(xi, xj):

@@ -20,6 +20,7 @@ from rumorsim import (
     EdgeProbability,
     EpidemicState,
     EvaluationPolicy,
+    Metric,
     ModelKind,
     ParseError,
     RngStream,
@@ -38,6 +39,7 @@ from rumorsim import (
     run_cli,
     run_trials,
     save_edges,
+    score,
     tokenize_topics,
     validate,
 )
@@ -829,6 +831,16 @@ class TestLoadRumor:
         path = write(tmp_path / "rumor.txt", "News\n Politics \n\nnews\n")
         rumor = load_rumor(path)
         assert rumor.topics == frozenset({"news", "politics"})
+        assert load_rumor(FIXTURE_DIR / "rumor.txt").topics == frozenset({"news", "politics"})
+
+    def test_a_line_with_commas_holds_labels_as_a_users_csv_topics_field_does(self, tmp_path):
+        rumor = load_rumor(write(tmp_path / "rumor.txt", "Politics, Elections\n"))
+        assert rumor.topics == frozenset({"politics", "elections"})
+        users = write(tmp_path / "users.csv", 'user_id,topics,created_at,is_diffuser\n1," ELECTIONS,politics",0,0\n')
+        profile = load_users(users)[1]
+        assert score(Metric.COSINE, profile, rumor) == 1.0
+        # the same interned strings as the profile's labels
+        assert all(a is b for a, b in zip(sorted(rumor.topics), sorted(profile.topics)))
 
     def test_byte_order_mark_is_rejected_on_line_1(self, tmp_path):
         # str.strip() keeps U+FEFF, so the first label would silently become "\ufeffnews"
@@ -860,4 +872,18 @@ class TestValidate:
         assert report.missing_profiles == [3]
         assert report.empty_topics == [2]
         assert report.isolated_nodes == [9]
+        assert not report.is_empty
+
+    @pytest.mark.parametrize(
+        "profiles, finding",
+        [
+            pytest.param({1: frozenset({"a"}), 2: frozenset()}, "empty_topics", id="empty-topics"),
+            pytest.param(
+                {1: frozenset({"a"}), 2: frozenset({"b"}), 9: frozenset({"c"})}, "isolated_nodes", id="isolated"
+            ),
+        ],
+    )
+    def test_one_kind_of_finding_alone_is_not_clean(self, profiles, finding):
+        report = validate(SocialGraph([(1, 2)]), {u: UserProfile(u, t, 0, False) for u, t in profiles.items()})
+        assert [name for name, ids in dataclasses.asdict(report).items() if ids] == [finding]
         assert not report.is_empty

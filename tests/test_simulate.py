@@ -685,6 +685,11 @@ class TestTraceSerialization:
         with pytest.raises(ConfigurationError, match="trace references unknown user 99"):
             rebuild_trace(gated_config(), chain_graph, {0: [(1, "diffuser")], 3: [(99, "diffuser")]})
 
+    def test_rebuild_rejects_a_change_before_step_0(self, chain_graph):
+        message = r"trace has a change at step -1, outside 0\.\.max_time \(max_time = 10\)"
+        with pytest.raises(ConfigurationError, match=message):
+            rebuild_trace(gated_config(), chain_graph, {-1: [(2, "diffuser")], 0: [(1, "diffuser")]})
+
     @pytest.mark.parametrize(
         "model, label",
         [
@@ -914,6 +919,7 @@ class TestConfigFile:
             ("metrics = cosine, dice, cosine", "metrics lists metric 'cosine' twice"),
             ("metrics = jaccard, jaccard_set", "metrics lists metric 'jaccard' twice"),
             ("max_time = 0", "max_time must be >= 1, got 0"),
+            ("seed = 18446744073709551616", "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
             # the policy is reported as normalised: lowercased, '_' -> '-'
             ("evaluation_policy = Every_Sometimes", "config key evaluation_policy must be one "
              "of once, every-step; got 'every-sometimes'"),
