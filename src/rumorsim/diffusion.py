@@ -202,11 +202,11 @@ class IcRun:
 class TippingRun:
     """Threshold-adoption state advanced one step at a time over its frontier.
 
-    Keeps, per node not yet adopted, the number of adopted in-neighbors.  A
-    step rechecks only the nodes whose count changed in the previous step (at
-    first, every node with an adopted in-neighbor); any other node would face
-    the same test it already failed.  The test needs only in-degrees, counted
-    once from the out-adjacency, so the in-adjacency is never built.
+    Counts, per node not yet adopted, its adopted in-neighbors by pushing
+    each adoption to the adopter's followers.  A step rechecks only the nodes
+    whose count changed in the previous step (at first, every node with an
+    adopted in-neighbor); any other node would face the same test it already
+    failed.  The test needs in-degrees only, counted from the out-adjacency.
     """
 
     clamped = 0

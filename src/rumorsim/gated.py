@@ -124,44 +124,55 @@ class GatedRun:
     activations made earlier in that step.  With ``every_step`` a woken user
     that failed waits and is rechecked only over the edge from an in-neighbor
     that activates later, so each edge's gate runs at most once.
+
+    Spreading pushes along the out-adjacency, as the classical runs do: each
+    activation records itself with every follower still asleep, and at its
+    wake-up a user tests the sources recorded with it in ascending id.
     """
 
     def __init__(self, graph: SocialGraph, profiles: Mapping, initials, admit, max_time, every_step):
         self.graph = graph
         self.admit = admit
         self.every_step = every_step
-        self.active = set(initials)
-        wakeups = [(profiles[u].created_at, u, False) for u in graph.nodes - self.active if u in profiles]
+        seeds = set(initials)
+        wakeups = [(profiles[u].created_at, u, False) for u in graph.nodes - seeds if u in profiles]
         # (step, user, admitted) events, popped in step then id order
         self.events = [event for event in wakeups if 0 <= event[0] <= max_time]
         self.clamped = len(wakeups) - len(self.events)
         heapq.heapify(self.events)
+        # each user with a wake-up still ahead to its in-neighbors active so far
+        self.asleep = {u: [] for _, u, _ in self.events}
         # woken users whose active in-neighbors have all failed the gate so far
         self.waiting = set()
+        for i in seeds:
+            self._spread(i, 0)
         self.next_step = self.events[0][0] if self.events else None
 
     def step(self) -> list:
         """Run step ``next_step``; returns its [(user, GateState.DIFFUSER)] changes by ascending id."""
-        events, active, waiting, admit = self.events, self.active, self.waiting, self.admit
-        sources, followers, t = self.graph.in_neighbors, self.graph.out_neighbors, self.next_step
+        events, asleep, admit, t = self.events, self.asleep, self.admit, self.next_step
         delta = []
         while events and events[0][0] == t:
             _, j, admitted = heapq.heappop(events)
-            # live view: sources activated earlier in this same step count
-            if not admitted and not any(i in active and admit(i, j) for i in sources(j)):
-                waiting.add(j)
+            # live view: sources activated earlier in this same step were recorded too
+            if not admitted and not any(admit(i, j) for i in sorted(asleep.pop(j))):
+                self.waiting.add(j)
                 continue
-            active.add(j)
             delta.append((j, GateState.DIFFUSER))
-            if self.every_step:
-                # a waiting follower activates later in this step if its id is
-                # higher, else next step; one not awake yet checks at wake-up
-                for k in followers(j):
-                    if k in waiting and admit(j, k):
-                        waiting.remove(k)
-                        heapq.heappush(events, (t + (k < j), k, True))
+            self._spread(j, t)
         self.next_step = events[0][0] if events else None
         return delta
+
+    def _spread(self, j, t) -> None:
+        """Record ``j``, active at step t, with each follower asleep; with ``every_step``, recheck each waiting one."""
+        asleep, waiting = self.asleep, self.waiting
+        for k in self.graph.out_neighbors(j):
+            if k in asleep:
+                asleep[k].append(j)
+            # a waiting follower activates later in this step if its id is higher, else next step
+            elif self.every_step and k in waiting and self.admit(j, k):
+                waiting.remove(k)
+                heapq.heappush(self.events, (t + (k < j), k, True))
 
 
 def diffuse_user_user(

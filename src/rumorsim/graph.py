@@ -67,8 +67,9 @@ class SocialGraph:
     ascending order fill every follower run as they come, checked in one
     pass; any other input takes one dedup pass, with the same result.
     Neighbours come back as read-only ascending tuples, shared with the
-    graph.  The in-adjacency is built on the first ``in_neighbors`` call,
-    and the pair views ``sorted_edges`` and ``edges`` on first access.
+    graph.  No reversed copy is kept: every model spreads along the
+    out-adjacency.  The pair views ``sorted_edges`` and ``edges`` are built
+    on first access.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -88,12 +89,6 @@ class SocialGraph:
         if not all(map(lt, zip(froms, tos), zip(islice(froms, 1, None), islice(tos, 1, None)))):
             _dedup(self._out)
         self.load_stats: LoadStats | None = None
-
-    @cached_property
-    def _in(self) -> dict:
-        # the sources come in ascending order, so every in-run fills ascending
-        sources, targets = self._columns()
-        return _runs(self._out, targets, sources)
 
     @cached_property
     def sorted_edges(self) -> tuple:
@@ -124,13 +119,6 @@ class SocialGraph:
         """Users that follow u, ascending. Raises UnknownUserError for foreign ids."""
         try:
             return self._out[u]
-        except KeyError:
-            raise UnknownUserError(f"unknown user id {u}") from None
-
-    def in_neighbors(self, u: UserId) -> tuple:
-        """Users that u follows (possible influence sources), ascending."""
-        try:
-            return self._in[u]
         except KeyError:
             raise UnknownUserError(f"unknown user id {u}") from None
 

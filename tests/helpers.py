@@ -8,6 +8,7 @@ production code is checked against an independent route, not against itself.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 import random
@@ -24,7 +25,7 @@ from rumorsim import (
     UserProfile,
     overlap_scores,
 )
-from rumorsim.gated import admission_test
+from rumorsim.gated import GateState, admission_test
 from rumorsim.graph import EDGES_HEADER, LoadStats, _parse_user_id, _read_rows
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "ten_node"
@@ -190,6 +191,52 @@ def shuffled_closure(graph, initials, admit, rng):
     return members
 
 
+def in_adjacency(graph):
+    """Each user to the ascending tuple of the users it follows, built from ``graph.adjacency``."""
+    sources = {u: [] for u in graph.adjacency}
+    # adjacency walks its users in ascending order, so every run fills ascending
+    for a, followers in graph.adjacency.items():
+        for b in followers:
+            sources[b].append(a)
+    return {u: tuple(run) for u, run in sources.items()}
+
+
+def pull_gated_run(graph, profiles, initials, admit, max_time, every_step):
+    """``GatedRun`` by pulling: at wake-up a user scans its in-neighbours for an active one that passes.
+
+    Takes ``GatedRun``'s arguments and keeps its event heap and its
+    every-step recheck; only the direction differs.  Runs until no event is
+    left and returns (changes by step, clamped), the steps without changes
+    left out.
+    """
+    sources = in_adjacency(graph)
+    active = set(initials)
+    wakeups = [(profiles[u].created_at, u, False) for u in graph.nodes - active if u in profiles]
+    events = [event for event in wakeups if 0 <= event[0] <= max_time]
+    clamped = len(wakeups) - len(events)
+    heapq.heapify(events)
+    waiting = set()
+    changes = {}
+    while events:
+        t = events[0][0]
+        delta = []
+        while events and events[0][0] == t:
+            _, j, admitted = heapq.heappop(events)
+            if not admitted and not any(i in active and admit(i, j) for i in sources[j]):
+                waiting.add(j)
+                continue
+            active.add(j)
+            delta.append((j, GateState.DIFFUSER))
+            if every_step:
+                for k in graph.out_neighbors(j):
+                    if k in waiting and admit(j, k):
+                        waiting.remove(k)
+                        heapq.heappush(events, (t + (k < j), k, True))
+        if delta:
+            changes[t] = delta
+    return changes, clamped
+
+
 def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     """Gated scheduler by brute force: recheck every awake inactive user each step.
 
@@ -214,6 +261,7 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
             schedule.append((u, profiles[u].created_at))
         else:
             clamped += 1
+    sources = in_adjacency(graph)
     changes = {}
     counts = []
     for t in range(cfg.max_time + 1):
@@ -222,7 +270,7 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
             awake = created_at <= t if every_step else created_at == t
             if not awake or j in active:
                 continue
-            for i in graph.in_neighbors(j):
+            for i in sources[j]:
                 if i in active and admit(i, j):
                     active.add(j)
                     delta.append((j, "diffuser"))
@@ -248,6 +296,7 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
     S, I, R = EpidemicState.SUSCEPTIBLE, EpidemicState.INFECTED, EpidemicState.RECOVERED
     initials = set(cfg.initials)
     nodes = sorted(graph.nodes)
+    sources = in_adjacency(graph)
     if cfg.model is ModelKind.TIPPING:
         theta = cfg.theta
         states = {u: AdoptionState.ADOPTED if u in initials else AdoptionState.NOT_ADOPTED for u in nodes}
@@ -260,7 +309,7 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
         for node in nodes:
             if states[node] is S:
                 hit = False
-                for nb in graph.in_neighbors(node):
+                for nb in sources[node]:
                     if states[nb] is I and rng.random() < cfg.beta:
                         hit = True
                 if hit:
@@ -287,11 +336,10 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
     def tipping_sweep(states):
         new_states = dict(states)
         for node in nodes:
-            sources = graph.in_neighbors(node)
-            if states[node] is AdoptionState.ADOPTED or not sources:
+            if states[node] is AdoptionState.ADOPTED or not sources[node]:
                 continue
-            adopted = sum(1 for nb in sources if states[nb] is AdoptionState.ADOPTED)
-            if adopted >= 1 and adopted / len(sources) >= theta:
+            adopted = sum(1 for nb in sources[node] if states[nb] is AdoptionState.ADOPTED)
+            if adopted >= 1 and adopted / len(sources[node]) >= theta:
                 new_states[node] = AdoptionState.ADOPTED
         return new_states
 

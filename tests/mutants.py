@@ -160,10 +160,35 @@ MUTANTS = [
     Mutant(
         "every-step-follower-always-waits",
         "src/rumorsim/gated.py",
-        "heapq.heappush(events, (t + (k < j), k, True))",
-        "heapq.heappush(events, (t + 1, k, True))",
+        "heapq.heappush(self.events, (t + (k < j), k, True))",
+        "heapq.heappush(self.events, (t + 1, k, True))",
         ("tests/test_simulate.py",),
         "under every-step a follower with a higher id waits for the next step instead of this one",
+    ),
+    Mutant(
+        "initials-not-recorded",
+        "src/rumorsim/gated.py",
+        "        for i in seeds:\n            self._spread(i, 0)\n",
+        "",
+        ("tests/test_simulate.py",),
+        "the seeds are not recorded with their followers, so no wake-up sees a seed as its source",
+    ),
+    Mutant(
+        "recorded-sources-in-recording-order",
+        "src/rumorsim/gated.py",
+        "sorted(asleep.pop(j))",
+        "asleep.pop(j)",
+        ("tests/test_simulate.py::TestEventDrivenScheduler::test_admits_exactly_as_the_pull_reference",),
+        "a waking user tests its sources in the order they activated, not in ascending id; the decision"
+        " is the same, so only the admit-call sequence shows it",
+    ),
+    Mutant(
+        "graph-keeps-a-reversed-copy",
+        "src/rumorsim/graph.py",
+        "        self._out = _runs(sorted(self.nodes), froms, tos)\n",
+        "        self._out = _runs(sorted(self.nodes), froms, tos)\n        self._in = _runs(self._out, tos, froms)\n",
+        ("tests/test_graph.py::TestNoReversedCopy",),
+        "the graph builds and keeps its in-adjacency beside the out-adjacency",
     ),
     Mutant(
         "content-diffusion-without-rumor-check",
@@ -212,8 +237,16 @@ MUTANTS = [
         "src/rumorsim/similarity.py",
         "sys.intern(fragment.strip().lower())",
         "sys.intern(fragment.lower())",
-        ("tests/test_graph.py", "tests/test_similarity.py"),
-        "a padded topic fragment keeps its padding as part of the label",
+        ("tests/test_graph.py::TestLoadUsers::test_topics_are_tokenize_topics_labels_held_once",),
+        "a padded topic fragment keeps its padding as part of the label; seen by the load_users test",
+    ),
+    Mutant(
+        "topic-fragment-not-stripped-tokenize",
+        "src/rumorsim/similarity.py",
+        "sys.intern(fragment.strip().lower())",
+        "sys.intern(fragment.lower())",
+        ("tests/test_similarity.py::TestTokenize::test_matches_the_per_fragment_reference",),
+        "the same bug, seen by the tokenize_topics test",
     ),
     Mutant(
         "rumor-line-is-one-label",

@@ -17,7 +17,7 @@ from itertools import compress, product
 
 import pytest
 
-from helpers import bfs_reachable, random_digraph
+from helpers import bfs_reachable, in_adjacency, random_digraph
 from rumorsim import (
     AgentKind,
     BeliefState,
@@ -115,7 +115,8 @@ def sir_final_sizes(graph, initials, params):
     that left the susceptible state.
     """
     nodes = sorted(graph.nodes)
-    sources = [[nodes.index(a) for a in graph.in_neighbors(u)] for u in nodes]
+    in_adj = in_adjacency(graph)
+    sources = [[nodes.index(a) for a in in_adj[u]] for u in nodes]
     beta, gamma = params.beta, params.gamma
     live = {tuple(I if u in initials else S for u in nodes): 1.0}
     final = defaultdict(float)

@@ -12,7 +12,7 @@ import pytest
 
 import rumorsim.cli
 import rumorsim.graph
-from helpers import FIXTURE_DIR, random_digraph, rowwise_load_edges
+from helpers import FIXTURE_DIR, generator_tokenize_topics, in_adjacency, random_digraph, rowwise_load_edges
 from rumorsim import (
     AgentKind,
     BeliefState,
@@ -40,7 +40,6 @@ from rumorsim import (
     run_trials,
     save_edges,
     score,
-    tokenize_topics,
     validate,
 )
 from rumorsim.graph import USERS_HEADER, LoadStats, _bulk_edge_rows, _open_input
@@ -55,7 +54,7 @@ class TestSocialGraph:
     def test_adjacency_is_sorted_both_ways(self):
         g = SocialGraph([(5, 1), (5, 9), (5, 3), (2, 1), (7, 1)])
         assert g.out_neighbors(5) == (1, 3, 9)
-        assert g.in_neighbors(1) == (2, 5, 7)
+        assert list(g.adjacency) == [1, 2, 3, 5, 7, 9]
 
     def test_adjacency_matches_brute_force_on_random_graphs(self):
         rng = random.Random(431)
@@ -68,25 +67,20 @@ class TestSocialGraph:
             assert g.edges == set(pairs)
             for u in g.nodes:
                 assert g.out_neighbors(u) == tuple(sorted({b for a, b in pairs if a == u}))
-                assert g.in_neighbors(u) == tuple(sorted({a for a, b in pairs if b == u}))
 
     def test_out_neighbors_unknown_user(self):
         g = SocialGraph([(1, 2)])
         with pytest.raises(UnknownUserError):
             g.out_neighbors(99)
-        with pytest.raises(UnknownUserError):
-            g.in_neighbors(99)
 
     def test_out_neighbors_is_pure(self):
         # callers cannot mutate the graph through a neighbour run
         g = SocialGraph([(1, 2), (1, 3)])
         before = graph_attrs(g)
-        for run in (g.out_neighbors(1), g.in_neighbors(3)):
-            with pytest.raises(AttributeError):
-                run.append(42)
+        with pytest.raises(AttributeError):
+            g.out_neighbors(1).append(42)
         assert graph_attrs(g) == before
         assert g.out_neighbors(1) == (2, 3)
-        assert g.in_neighbors(3) == (1,)
 
     def test_constructor_rejects_self_loop(self):
         with pytest.raises(ConfigurationError):
@@ -186,19 +180,26 @@ class TestLoadUsers:
         assert profiles[3].observed_diffuser is True
 
     def test_topics_are_tokenize_topics_labels_held_once(self, tmp_path):
-        # case, padding, empty fragments, NBSP, dotted capital I and final sigma
+        # case, padding, empty fragments, NBSP, dotted capital I and final sigma;
+        # the expected labels are literals, then the per-fragment reference
+        fixed = {
+            "AΣ,Σ, ΑΣ.,Σ.Σ ,İ": frozenset({"aς", "σ", "ας.", "σ.ς", "i\u0307"}),
+            "": frozenset(),
+            " , ,": frozenset(),
+        }
         pieces = ["A", "a", "Σ", "σ", "ς", "İ", "i", "\u0307", ".", "'", ",", ",", " ", "  ", "\t", "\u00a0", "\u2003", "News"]
         rng = random.Random(173)
         for k in range(20):
-            raws = ["AΣ,Σ, ΑΣ.,Σ.Σ ,İ", "", " , ,"]
-            raws += ["".join(rng.choice(pieces) for _ in range(rng.randrange(14))) for _ in range(200)]
+            drawn = ["".join(rng.choice(pieces) for _ in range(rng.randrange(14))) for _ in range(200)]
+            raws = [*fixed, *drawn]
+            expected = [*fixed.values(), *map(generator_tokenize_topics, drawn)]
             path = tmp_path / f"users_{k}.csv"
             with path.open("w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows([USERS_HEADER] + [[uid, raw, 0, 0] for uid, raw in enumerate(raws)])
             profiles = load_users(path)
-            for uid, raw in enumerate(raws):
+            for uid, (raw, labels) in enumerate(zip(raws, expected)):
                 topics = profiles[uid].topics
-                assert topics == tokenize_topics(raw), repr(raw)
+                assert topics == labels, repr(raw)
                 assert all(label is sys.intern(label) for label in topics), repr(raw)
 
     def test_duplicate_id_names_the_id(self, tmp_path):
@@ -274,7 +275,7 @@ class TestRowLineNumbers:
 
 
 def graph_attrs(g):
-    return g.sorted_edges, g.edges, g.nodes, g._out, g._in
+    return g.sorted_edges, g.edges, g.nodes, g._out
 
 
 def load_outcome(loader, path):
@@ -511,8 +512,7 @@ class TestInputOrder:
                 assert g.nodes == built.nodes
                 for u in built.nodes:
                     assert g.out_neighbors(u) == built.out_neighbors(u)
-                    assert g.in_neighbors(u) == built.in_neighbors(u)
-                    assert type(g.out_neighbors(u)) is type(g.in_neighbors(u)) is tuple
+                    assert type(g.out_neighbors(u)) is tuple
             assert loaded.load_stats == reference.load_stats
 
     def test_constructor_matches_the_loader(self, tmp_path, rows):
@@ -618,53 +618,76 @@ class TestEdgeSetOnDemand:
         assert chain_graph.__dict__["edges"] == {(1, 2), (2, 3)}
 
 
-class TestInAdjacencyOnDemand:
-    """``in_neighbors`` builds the in-adjacency; only the gated runs call it.
-
-    SIR, IC, tipping, evaluate, similarity and validate never do.
-    """
+class TestNoReversedCopy:
+    """A graph keeps its out-adjacency and no reversed copy; every model spreads along it."""
 
     PARAMS = TestEdgeSetOnDemand.PARAMS
+    # everything a graph may hold: its two stored fields, its load record and the pair views
+    FIELDS = {"nodes", "_out", "load_stats", "sorted_edges", "edges"}
 
-    def test_runs_and_commands_that_never_build_it(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def loaded(self):
+        """The fixture config, its users and rumor, and ``fresh``: a loader that keeps every graph it builds."""
         cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        profiles = load_users(cfg.users_path)
-        rumor = load_rumor(cfg.rumor_path)
         graphs = []
 
         def fresh(path=cfg.edges_path):
             graphs.append(load_edges(path))
             return graphs[-1]
 
-        for model in (ModelKind.SIR, ModelKind.IC, ModelKind.TIPPING):
-            run_trials(dataclasses.replace(cfg, model=model, **self.PARAMS[model]), fresh(), profiles, rumor)
+        return cfg, load_users(cfg.users_path), load_rumor(cfg.rumor_path), fresh, graphs
+
+    def assert_none_reversed(self, graphs):
+        for g in graphs:
+            sources = in_adjacency(g)
+            # the fixture is not symmetric, so a reversed map differs from the stored one
+            assert sources != g.adjacency
+            assert vars(g).keys() <= self.FIELDS
+            assert not [value for value in vars(g).values() if value == sources]
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_no_run_leaves_one(self, loaded, model):
+        cfg, profiles, rumor, fresh, graphs = loaded
+        for policy in EvaluationPolicy:
+            run_cfg = dataclasses.replace(cfg, model=model, evaluation_policy=policy, **self.PARAMS.get(model, {}))
+            run_trials(run_cfg, fresh(), profiles, rumor)
+        assert len(graphs) == len(EvaluationPolicy)
+        self.assert_none_reversed(graphs)
+
+    def test_no_library_call_leaves_one(self, loaded):
+        cfg, profiles, rumor, fresh, graphs = loaded
         for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
             metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
         validate(fresh(), profiles)
+        graph = fresh()
+        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
+        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
+        states = {u: EpidemicState.INFECTED if u in cfg.initials else EpidemicState.SUSCEPTIBLE for u in graph.nodes}
+        ic_step(graph, states, EdgeProbability(0.5), set(), RngStream(1))
+        assert len(graphs) == 4
+        self.assert_none_reversed(graphs)
+
+    def test_no_command_leaves_one(self, loaded, tmp_path, monkeypatch, capsys):
+        fresh, graphs = loaded[3:]
         monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
         config = str(FIXTURE_DIR / "sim.cfg")
-        for argv in (
-            ["simulate", config, "--model", "sir", "--beta", "0.5", "--gamma", "0.2"],
-            ["simulate", config, "--model", "ic", "--ic-default-p", "0.5"],
-            ["simulate", config, "--model", "tipping", "--theta", "0.3"],
-            ["evaluate", config],
-            ["similarity", config],
+        for name, argv in (
+            ("once", ["simulate", config, "--evaluation-policy", "once"]),
+            ("every-step", ["simulate", config, "--evaluation-policy", "every-step"]),
+            ("content", ["simulate", config, "--model", "gated_user_content"]),
+            ("sir", ["simulate", config, "--model", "sir", "--beta", "0.5", "--gamma", "0.2"]),
+            ("ic", ["simulate", config, "--model", "ic", "--ic-default-p", "0.5"]),
+            ("tipping", ["simulate", config, "--model", "tipping", "--theta", "0.3"]),
+            ("evaluate", ["evaluate", config]),
+            ("similarity", ["similarity", config]),
         ):
-            assert run_cli([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+            assert run_cli([*argv, "--out-dir", str(tmp_path / name)]) == 0
         assert run_cli(["validate", config]) == 0
+        trace = str(tmp_path / "every-step" / "trace.csv")
+        assert run_cli(["export", trace, str(tmp_path / "export"), "--config", config]) == 0
         capsys.readouterr()
-        assert len(graphs) == 12
-        assert not [g for g in graphs if "_in" in g.__dict__]
-
-    @pytest.mark.parametrize("model", [ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT])
-    def test_runs_that_read_sources_build_it(self, model):
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        graph = load_edges(cfg.edges_path)
-        run_cfg = dataclasses.replace(cfg, model=model, **self.PARAMS.get(model, {}))
-        run_trials(run_cfg, graph, load_users(cfg.users_path), load_rumor(cfg.rumor_path))
-        assert graph.__dict__["_in"] == {
-            u: tuple(a for a, b in graph.sorted_edges if b == u) for u in graph.nodes
-        }
+        assert len(graphs) == 10
+        self.assert_none_reversed(graphs)
 
 
 class TestEdgePairsOnDemand:

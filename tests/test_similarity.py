@@ -71,9 +71,10 @@ class TestTokenize:
         assert tokenize_topics("") == frozenset()
         assert tokenize_topics(" , ,") == frozenset()
 
-    def test_whole_string_lowercasing_equals_per_fragment(self):
-        # final sigma depends on its neighbours; a comma or the whitespace
-        # around it must not change how a fragment's ends lowercase
+    def test_matches_the_per_fragment_reference(self):
+        # final sigma depends on its neighbours: each fragment is trimmed, then
+        # lowercased, so a comma or the whitespace around it cannot change how
+        # a fragment's ends lowercase
         assert tokenize_topics("AΣ,Σ, ΑΣ.,Σ.Σ ,İ") == generator_tokenize_topics("AΣ,Σ, ΑΣ.,Σ.Σ ,İ")
         pieces = ["A", "a", "Σ", "σ", "ς", "İ", "i", "\u0307", ".", "'", ",", ",", " ", "  ", "\t", "\u00a0", "\u2003", "x"]
         rng = random.Random(151)

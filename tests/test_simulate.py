@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     csv_trace_bytes,
     oracle_corpus,
+    pull_gated_run,
     random_digraph,
     random_profiles,
     rescan_gated_run,
@@ -231,8 +232,18 @@ class CountingTable(dict):
         return super().get(key, default)
 
 
+def recorded(admit, calls):
+    """``admit`` that appends each (source, follower) it is asked about to ``calls``."""
+
+    def recording(i, j):
+        calls.append((i, j))
+        return admit(i, j)
+
+    return recording
+
+
 class TestEventDrivenScheduler:
-    """The gated scheduler against the brute-force rescan in helpers."""
+    """The gated scheduler against the brute-force rescan and the pull scheduler in helpers."""
 
     def random_case(self, rng):
         graph = random_digraph(rng, rng.randint(2, 30), rng.choice([0.05, 0.1, 0.2]))
@@ -287,6 +298,37 @@ class TestEventDrivenScheduler:
         # the cases do reach activations by recheck and cut-off chains
         assert late > 0
         assert cut > 0
+
+    def test_admits_exactly_as_the_pull_reference(self):
+        rng = random.Random(75)
+        rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
+        several = clamped = 0
+        for graph, profiles, initials in oracle_corpus(seed=607, count=40, max_nodes=80, max_created=6):
+            decisions = {e: rng.random() < 0.4 for e in sorted(graph.edges)}
+            # horizons below the last wake-up clamp some users
+            max_time = rng.randint(2, 8)
+            for content in (None, rumor):
+                for table in (decisions, None):
+                    gate = SimilarityGate(Metric.COSINE, 0.3, table)
+                    for every_step in (False, True):
+                        pushed, pulled = [], []
+                        admit = recorded(admission_test(profiles, content, gate, set()), pushed)
+                        run = GatedRun(graph, profiles, initials, admit, max_time, every_step)
+                        changes = {}
+                        while run.next_step is not None:
+                            t = run.next_step
+                            if delta := run.step():
+                                changes[t] = delta
+                        admit = recorded(admission_test(profiles, content, gate, set()), pulled)
+                        assert (changes, run.clamped) == pull_gated_run(
+                            graph, profiles, initials, admit, max_time, every_step
+                        )
+                        assert pushed == pulled
+                        # a wake-up that tests more than one source
+                        several += any(a[1] == b[1] for a, b in zip(pulled, pulled[1:]))
+                        clamped += run.clamped > 0
+        assert several > 0
+        assert clamped > 0
 
     def test_gate_lookups_bounded_by_twice_the_edges(self):
         rng = random.Random(71)
@@ -358,10 +400,6 @@ class CountingGraph(SocialGraph):
     def __init__(self, edges, nodes=()):
         super().__init__(edges, nodes)
         self.lookups = 0
-
-    def in_neighbors(self, u):
-        self.lookups += 1
-        return super().in_neighbors(u)
 
     def out_neighbors(self, u):
         self.lookups += 1
