@@ -294,12 +294,10 @@ def ic_step(
     # the spreaders and their untried out-edges only: a graph of every
     # untried edge would cost a whole-graph build per step
     infected = [u for u in graph.nodes if states[u] is EpidemicState.INFECTED]
-    untried = SocialGraph(
-        [(u, t) for u in infected for t in graph.out_neighbors(u) if (u, t) not in attempted], infected
-    )
-    run = IcRun(untried, states, probs, rng)
+    untried = [(u, t) for u in infected for t in graph.out_neighbors(u) if (u, t) not in attempted]
+    run = IcRun(SocialGraph(untried, infected), states, probs, rng)
     run.step()
-    return run.states, set(attempted).union(untried.sorted_edges)
+    return run.states, set(attempted).union(untried)
 
 
 @dataclass(frozen=True)
@@ -369,14 +367,15 @@ def run_belief_process(
     """
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
-    if iterations > 0 and not graph.sorted_edges:
+    # every edge, ascending; built here so the graph caches no pair view
+    edges = [(a, b) for a, followers in graph.adjacency.items() for b in followers]
+    if iterations > 0 and not edges:
         raise ConfigurationError("belief process needs at least one edge")
     if not init.beliefs:
         raise ConfigurationError("belief process needs at least one user")
     for node in graph.nodes:
         if node not in init.beliefs:
             raise ConfigurationError(f"no belief for user {node}")
-    edges = graph.sorted_edges
     state = init
     trace = [_mean_belief(state)]
     for _ in range(iterations):

@@ -142,7 +142,7 @@ class GatedRun:
         heapq.heapify(self.events)
         # each user with a wake-up still ahead to its in-neighbors active so far
         self.asleep = {u: [] for _, u, _ in self.events}
-        # woken users whose active in-neighbors have all failed the gate so far
+        # with every_step, woken users whose active in-neighbors have all failed the gate so far
         self.waiting = set()
         for i in seeds:
             self._spread(i, 0)
@@ -156,7 +156,8 @@ class GatedRun:
             _, j, admitted = heapq.heappop(events)
             # live view: sources activated earlier in this same step were recorded too
             if not admitted and not any(admit(i, j) for i in sorted(asleep.pop(j))):
-                self.waiting.add(j)
+                if self.every_step:
+                    self.waiting.add(j)
                 continue
             delta.append((j, GateState.DIFFUSER))
             self._spread(j, t)
@@ -164,13 +165,13 @@ class GatedRun:
         return delta
 
     def _spread(self, j, t) -> None:
-        """Record ``j``, active at step t, with each follower asleep; with ``every_step``, recheck each waiting one."""
+        """Record ``j``, active at step t, with each follower asleep, and recheck each waiting one."""
         asleep, waiting = self.asleep, self.waiting
         for k in self.graph.out_neighbors(j):
             if k in asleep:
                 asleep[k].append(j)
             # a waiting follower activates later in this step if its id is higher, else next step
-            elif self.every_step and k in waiting and self.admit(j, k):
+            elif k in waiting and self.admit(j, k):
                 waiting.remove(k)
                 heapq.heappush(self.events, (t + (k < j), k, True))
 

@@ -15,7 +15,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import eq, lt, ne
 from pathlib import Path
 from types import MappingProxyType
@@ -68,8 +68,8 @@ class SocialGraph:
     pass; any other input takes one dedup pass, with the same result.
     Neighbours come back as read-only ascending tuples, shared with the
     graph.  No reversed copy is kept: every model spreads along the
-    out-adjacency.  The pair views ``sorted_edges`` and ``edges`` are built
-    on first access.
+    out-adjacency.  The one pair view, ``edges``, is built on first access;
+    ``sorted(graph.edges)`` lists the pairs in ascending order.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -91,19 +91,9 @@ class SocialGraph:
         self.load_stats: LoadStats | None = None
 
     @cached_property
-    def sorted_edges(self) -> tuple:
-        """The edge set as a tuple in ascending (a, b) order, built on first access."""
-        return tuple(zip(*self._columns()))
-
-    @cached_property
     def edges(self) -> frozenset:
-        """The edge set, built on first access."""
-        return frozenset(zip(*self._columns()))
-
-    def _columns(self) -> tuple:
-        """The sources and the targets of every edge, as two iterators in ascending (a, b) order."""
-        out = self._out
-        return chain.from_iterable(map(repeat, out, map(len, out.values()))), chain.from_iterable(out.values())
+        """The edge set, built from the adjacency on first access."""
+        return frozenset((a, b) for a, followers in self._out.items() for b in followers)
 
     @property
     def adjacency(self) -> Mapping:

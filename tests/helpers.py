@@ -378,7 +378,7 @@ def csv_sims_bytes(graph, profiles):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["from_user_id", "to_user_id", "cosine", "jaccard", "dice", "average"])
-    for a, b in graph.sorted_edges:
+    for a, b in sorted(graph.edges):
         pa, pb = profiles.get(a), profiles.get(b)
         scores = (0.0,) * 4 if pa is None or pb is None else overlap_scores(pa.topics, pb.topics)
         writer.writerow((a, b, *scores))

@@ -88,7 +88,7 @@ MUTANTS = [
     Mutant(
         "ic-step-retries-tried-edges",
         DIFFUSION,
-        "return run.states, set(attempted).union(untried.sorted_edges)",
+        "return run.states, set(attempted).union(untried)",
         "return run.states, set(attempted)",
         ("tests/test_diffusion.py",),
         "ic_step forgets the edges it tried, so a later step tries them again",
@@ -96,8 +96,8 @@ MUTANTS = [
     Mutant(
         "ic-step-tries-attempted-edges",
         DIFFUSION,
-        "for t in graph.out_neighbors(u) if (u, t) not in attempted], infected",
-        "for t in graph.out_neighbors(u)], infected",
+        "for t in graph.out_neighbors(u) if (u, t) not in attempted]",
+        "for t in graph.out_neighbors(u)]",
         ("tests/test_diffusion.py",),
         "ic_step draws for an edge already in attempted, and may infect its target again",
     ),
@@ -187,8 +187,33 @@ MUTANTS = [
         "src/rumorsim/graph.py",
         "        self._out = _runs(sorted(self.nodes), froms, tos)\n",
         "        self._out = _runs(sorted(self.nodes), froms, tos)\n        self._in = _runs(self._out, tos, froms)\n",
-        ("tests/test_graph.py::TestNoReversedCopy",),
+        ("tests/test_footprint.py::test_a_graph_holds_its_adjacency_and_nothing_else",),
         "the graph builds and keeps its in-adjacency beside the out-adjacency",
+    ),
+    Mutant(
+        "validate-counts-the-pair-view",
+        "src/rumorsim/cli.py",
+        'f"{len(graph.nodes)} users, {graph.edge_count} edges "',
+        'f"{len(graph.nodes)} users, {len(graph.edges)} edges "',
+        ("tests/test_footprint.py::test_a_graph_holds_its_adjacency_and_nothing_else",),
+        "the validate command counts edges through the pair view, which stays cached on the graph",
+    ),
+    Mutant(
+        "belief-pairs-in-descending-source-order",
+        DIFFUSION,
+        "for a, followers in graph.adjacency.items() for b in followers]",
+        "for a, followers in reversed(graph.adjacency.items()) for b in followers]",
+        ("tests/test_diffusion.py::TestBeliefProcess::test_equals_a_reference_loop_over_the_sorted_edges",),
+        "the belief process lists its pairs by descending source, so the same draw picks another edge;"
+        " the picks stay uniform, so the chi-square test does not see it",
+    ),
+    Mutant(
+        "once-run-keeps-waiting-users",
+        "src/rumorsim/gated.py",
+        "                if self.every_step:\n                    self.waiting.add(j)\n",
+        "                self.waiting.add(j)\n",
+        ("tests/test_simulate.py::TestEventDrivenScheduler::test_only_every_step_keeps_the_woken_users_that_failed",),
+        "a once run keeps every woken user that failed in a set nothing reads",
     ),
     Mutant(
         "content-diffusion-without-rumor-check",

@@ -256,7 +256,7 @@ class TestSimilarity:
         assert run(capsys, "similarity", str(cfg), "--out-dir", str(out))[0] == 0
         with (out / "sims.csv").open(encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert [(int(a), int(b)) for a, b, *_ in rows] == list(graph.sorted_edges)
+        assert [(int(a), int(b)) for a, b, *_ in rows] == sorted(graph.edges)
         missing = 0
         for a, b, *fields in rows:
             pa, pb = profiles.get(int(a)), profiles.get(int(b))

@@ -45,7 +45,7 @@ def live_edge_probabilities(graph, initials, probs):
     IC activates exactly the nodes reachable from the initials when each edge
     is kept, independently, with its probability (Kempe, Kleinberg & Tardos 2003).
     """
-    edges = graph.sorted_edges
+    edges = sorted(graph.edges)
     weights = [probs.get(edge) for edge in edges]
     exact = dict.fromkeys(graph.nodes, 0.0)
     for live in product((False, True), repeat=len(edges)):

@@ -393,6 +393,32 @@ class TestBeliefProcess:
         # mean is preserved by regular/regular exchanges
         assert trace[-1] == pytest.approx(trace[0], abs=1e-9)
 
+    def test_equals_a_reference_loop_over_the_sorted_edges(self):
+        rng = random.Random(32)
+        isolated = unfollowed = 0
+        for case in range(40):
+            g = random_digraph(rng, rng.randint(3, 24), rng.choice([0.04, 0.1, 0.25]))
+            edges = sorted(g.edges)
+            if not edges:
+                continue
+            targets = {b for _, b in edges}
+            isolated += any(not g.out_neighbors(u) and u not in targets for u in g.nodes)
+            unfollowed += any(not g.out_neighbors(u) and u in targets for u in g.nodes)
+            kinds = {u: rng.choice(list(AgentKind)) for u in g.nodes}
+            init = BeliefState({u: rng.random() for u in sorted(g.nodes)}, kinds, rng.random())
+            stream, reference = RngStream(case), RngStream(case)
+            final, trace = run_belief_process(g, init, 50, stream)
+            state, expected = init, [math.fsum(init.beliefs.values()) / len(init.beliefs)]
+            for _ in range(50):
+                a, b = edges[reference.randrange(len(edges))]
+                state = belief_exchange(state, a, b)
+                expected.append(math.fsum(state.beliefs.values()) / len(state.beliefs))
+            assert (final, trace) == (state, expected)
+            # both streams stand at the same draw
+            assert stream.random() == reference.random()
+        assert isolated > 0
+        assert unfollowed > 0
+
     def test_empty_edge_set_rejected_when_rounds_requested(self):
         g = SocialGraph([], nodes=[1, 2])
         init = BeliefState(

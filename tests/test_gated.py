@@ -286,7 +286,7 @@ class TestOracleAgreement:
         rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
         shuffler = random.Random(509)
         for graph, profiles, _ in oracle_corpus(seed=510, count=12, max_nodes=60):
-            edges = list(graph.sorted_edges)
+            edges = sorted(graph.edges)
             order = edges + edges[::-1] + shuffler.sample(edges, len(edges))
             for tau in TAU_GRID:
                 gate = SimilarityGate(Metric.LEVENSHTEIN, tau)

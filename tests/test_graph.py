@@ -10,34 +10,21 @@ import sys
 
 import pytest
 
-import rumorsim.cli
 import rumorsim.graph
-from helpers import FIXTURE_DIR, generator_tokenize_topics, in_adjacency, random_digraph, rowwise_load_edges
+from helpers import FIXTURE_DIR, generator_tokenize_topics, random_digraph, rowwise_load_edges
 from rumorsim import (
-    AgentKind,
-    BeliefState,
     ConfigurationError,
-    EdgeProbability,
-    EpidemicState,
-    EvaluationPolicy,
     Metric,
-    ModelKind,
     ParseError,
-    RngStream,
     SocialGraph,
     UnknownUserError,
     UserProfile,
-    ic_step,
     load_config,
     load_decisions,
     load_edges,
     load_rumor,
     load_users,
-    metric_sweep,
     read_trace_csv,
-    run_belief_process,
-    run_cli,
-    run_trials,
     save_edges,
     score,
     validate,
@@ -275,7 +262,7 @@ class TestRowLineNumbers:
 
 
 def graph_attrs(g):
-    return g.sorted_edges, g.edges, g.nodes, g._out
+    return g.nodes, list(g.adjacency.items())
 
 
 def load_outcome(loader, path):
@@ -479,7 +466,6 @@ class TestInputOrder:
         original = load_edges(self.write_rows(tmp_path / "sorted.csv", rows))
         stats = original.load_stats
         assert stats.duplicate_edges > 0 and stats.self_loops_skipped > 0
-        assert list(original.sorted_edges) == sorted(original.edges)
         shuffled = rows[:]
         random.Random(59).shuffle(shuffled)
         copies = [
@@ -508,7 +494,7 @@ class TestInputOrder:
             loaded = load_edges(path)
             reference = rowwise_load_edges(path)
             for g in (loaded, reference):
-                assert g.sorted_edges == built.sorted_edges
+                assert g.edges == built.edges
                 assert g.nodes == built.nodes
                 for u in built.nodes:
                     assert g.out_neighbors(u) == built.out_neighbors(u)
@@ -565,7 +551,7 @@ class TestAscendingInput:
         passes = self.dedup_passes(monkeypatch)
         g = SocialGraph(pairs)
         assert passes == [1]
-        assert g.sorted_edges == tuple(sorted(set(pairs)))
+        assert [(a, b) for a, followers in g.adjacency.items() for b in followers] == sorted(set(pairs))
         assert graph_attrs(g) == graph_attrs(SocialGraph(sorted(set(pairs))))
 
     def test_a_self_loop_in_ascending_pairs_is_rejected(self, monkeypatch):
@@ -573,197 +559,6 @@ class TestAscendingInput:
         with pytest.raises(ConfigurationError, match="self-loop on user 3"):
             SocialGraph([(1, 2), (3, 3), (4, 5), (6, 6)])
         assert passes == []
-
-
-class TestEdgeSetOnDemand:
-    """Only ``ic_step`` builds the frozenset ``edges``; other callers walk the adjacency."""
-
-    PARAMS = {
-        ModelKind.SIR: dict(beta=0.5, gamma=0.2),
-        ModelKind.IC: dict(ic_default_p=0.5),
-        ModelKind.TIPPING: dict(theta=0.3),
-    }
-
-    def test_commands_and_runs_never_build_it(self, tmp_path, monkeypatch, capsys):
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        profiles = load_users(cfg.users_path)
-        rumor = load_rumor(cfg.rumor_path)
-        graphs = []
-
-        def fresh(path=cfg.edges_path):
-            graphs.append(load_edges(path))
-            return graphs[-1]
-
-        for model in ModelKind:
-            run_cfg = dataclasses.replace(cfg, model=model, **self.PARAMS.get(model, {}))
-            run_trials(run_cfg, fresh(), profiles, rumor)
-        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
-            metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
-        validate(fresh(), profiles)
-        graph = fresh()
-        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
-        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
-        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
-        config = str(FIXTURE_DIR / "sim.cfg")
-        for command in ("simulate", "evaluate", "similarity"):
-            assert run_cli([command, config, "--out-dir", str(tmp_path / command)]) == 0
-        assert run_cli(["validate", config]) == 0
-        capsys.readouterr()
-        assert len(graphs) == len(ModelKind) + 8
-        assert not [g for g in graphs if "edges" in g.__dict__]
-
-    def test_ic_step_builds_it(self, chain_graph):
-        states = {1: EpidemicState.INFECTED, 2: EpidemicState.SUSCEPTIBLE, 3: EpidemicState.SUSCEPTIBLE}
-        ic_step(chain_graph, states, EdgeProbability(0.5), set(), RngStream(1))
-        assert chain_graph.__dict__["edges"] == {(1, 2), (2, 3)}
-
-
-class TestNoReversedCopy:
-    """A graph keeps its out-adjacency and no reversed copy; every model spreads along it."""
-
-    PARAMS = TestEdgeSetOnDemand.PARAMS
-    # everything a graph may hold: its two stored fields, its load record and the pair views
-    FIELDS = {"nodes", "_out", "load_stats", "sorted_edges", "edges"}
-
-    @pytest.fixture
-    def loaded(self):
-        """The fixture config, its users and rumor, and ``fresh``: a loader that keeps every graph it builds."""
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        graphs = []
-
-        def fresh(path=cfg.edges_path):
-            graphs.append(load_edges(path))
-            return graphs[-1]
-
-        return cfg, load_users(cfg.users_path), load_rumor(cfg.rumor_path), fresh, graphs
-
-    def assert_none_reversed(self, graphs):
-        for g in graphs:
-            sources = in_adjacency(g)
-            # the fixture is not symmetric, so a reversed map differs from the stored one
-            assert sources != g.adjacency
-            assert vars(g).keys() <= self.FIELDS
-            assert not [value for value in vars(g).values() if value == sources]
-
-    @pytest.mark.parametrize("model", list(ModelKind))
-    def test_no_run_leaves_one(self, loaded, model):
-        cfg, profiles, rumor, fresh, graphs = loaded
-        for policy in EvaluationPolicy:
-            run_cfg = dataclasses.replace(cfg, model=model, evaluation_policy=policy, **self.PARAMS.get(model, {}))
-            run_trials(run_cfg, fresh(), profiles, rumor)
-        assert len(graphs) == len(EvaluationPolicy)
-        self.assert_none_reversed(graphs)
-
-    def test_no_library_call_leaves_one(self, loaded):
-        cfg, profiles, rumor, fresh, graphs = loaded
-        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
-            metric_sweep(fresh(), profiles, rumor, cfg.initials, cfg.metrics, cfg.threshold, model)
-        validate(fresh(), profiles)
-        graph = fresh()
-        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
-        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
-        states = {u: EpidemicState.INFECTED if u in cfg.initials else EpidemicState.SUSCEPTIBLE for u in graph.nodes}
-        ic_step(graph, states, EdgeProbability(0.5), set(), RngStream(1))
-        assert len(graphs) == 4
-        self.assert_none_reversed(graphs)
-
-    def test_no_command_leaves_one(self, loaded, tmp_path, monkeypatch, capsys):
-        fresh, graphs = loaded[3:]
-        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
-        config = str(FIXTURE_DIR / "sim.cfg")
-        for name, argv in (
-            ("once", ["simulate", config, "--evaluation-policy", "once"]),
-            ("every-step", ["simulate", config, "--evaluation-policy", "every-step"]),
-            ("content", ["simulate", config, "--model", "gated_user_content"]),
-            ("sir", ["simulate", config, "--model", "sir", "--beta", "0.5", "--gamma", "0.2"]),
-            ("ic", ["simulate", config, "--model", "ic", "--ic-default-p", "0.5"]),
-            ("tipping", ["simulate", config, "--model", "tipping", "--theta", "0.3"]),
-            ("evaluate", ["evaluate", config]),
-            ("similarity", ["similarity", config]),
-        ):
-            assert run_cli([*argv, "--out-dir", str(tmp_path / name)]) == 0
-        assert run_cli(["validate", config]) == 0
-        trace = str(tmp_path / "every-step" / "trace.csv")
-        assert run_cli(["export", trace, str(tmp_path / "export"), "--config", config]) == 0
-        capsys.readouterr()
-        assert len(graphs) == 10
-        self.assert_none_reversed(graphs)
-
-
-class TestEdgePairsOnDemand:
-    """The out-adjacency is the stored form; ``sorted_edges`` and ``edges`` are built on first access.
-
-    No command builds either: export, similarity and validate walk the
-    adjacency.  Of the library callers, the belief process builds
-    ``sorted_edges`` and ``ic_step`` builds ``edges``.
-    """
-
-    PARAMS = TestEdgeSetOnDemand.PARAMS
-    PAIR_VIEWS = ("sorted_edges", "edges")
-
-    @staticmethod
-    def file_adjacency(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            pairs = {(int(a), int(b)) for a, b in list(csv.reader(fh))[1:]}
-        nodes = {u for pair in pairs for u in pair}
-        return {u: tuple(sorted(b for a, b in pairs if a == u)) for u in nodes}
-
-    def test_runs_and_commands_that_never_build_them(self, tmp_path, monkeypatch, capsys):
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        profiles = load_users(cfg.users_path)
-        rumor = load_rumor(cfg.rumor_path)
-        graphs = []
-
-        def fresh(path=cfg.edges_path):
-            graphs.append(load_edges(path))
-            return graphs[-1]
-
-        for model in (ModelKind.GATED_USER_USER, ModelKind.GATED_USER_CONTENT):
-            run_cfg = dataclasses.replace(cfg, model=model, evaluation_policy=EvaluationPolicy.ONCE)
-            run_trials(run_cfg, fresh(), profiles, rumor)
-        validate(fresh(), profiles)
-        monkeypatch.setattr(rumorsim.cli, "load_edges", fresh)
-        config = str(FIXTURE_DIR / "sim.cfg")
-        trace = tmp_path / "simulate" / "trace.csv"
-        for argv in (
-            ["simulate", config, "--evaluation-policy", "once", "--out-dir", str(tmp_path / "simulate")],
-            ["similarity", config, "--out-dir", str(tmp_path / "similarity")],
-            ["validate", config],
-            ["export", str(trace), str(tmp_path / "export"), "--config", config],
-        ):
-            assert run_cli(argv) == 0
-        capsys.readouterr()
-        assert len(graphs) == 7
-        assert not [g for g in graphs if set(self.PAIR_VIEWS) & g.__dict__.keys()]
-
-    @pytest.mark.parametrize("model", list(ModelKind))
-    def test_runs_read_the_loaded_adjacency(self, model):
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        graph = load_edges(cfg.edges_path)
-        expected = self.file_adjacency(cfg.edges_path)
-        assert graph.__dict__["_out"] == expected
-        run_cfg = dataclasses.replace(
-            cfg, model=model, evaluation_policy=EvaluationPolicy.EVERY_STEP, **self.PARAMS.get(model, {})
-        )
-        run_trials(run_cfg, graph, load_users(cfg.users_path), load_rumor(cfg.rumor_path))
-        assert graph.__dict__["_out"] == expected
-        assert list(graph.adjacency) == sorted(expected)
-
-    @pytest.mark.parametrize("view", PAIR_VIEWS)
-    def test_reading_a_pair_view_builds_it_alone(self, view):
-        cfg = load_config(FIXTURE_DIR / "sim.cfg")
-        graph = load_edges(cfg.edges_path)
-        pairs = [(a, b) for a, followers in sorted(self.file_adjacency(cfg.edges_path).items()) for b in followers]
-        expected = {"sorted_edges": tuple(pairs), "edges": frozenset(pairs)}[view]
-        assert getattr(graph, view) == expected
-        assert type(graph.__dict__[view]) is type(expected)
-        assert graph.__dict__.keys() & set(self.PAIR_VIEWS) == {view}
-
-    def test_the_belief_process_builds_sorted_edges(self):
-        graph = load_edges(FIXTURE_DIR / "edges.csv")
-        kinds = {u: AgentKind.REGULAR for u in graph.nodes}
-        run_belief_process(graph, BeliefState(dict.fromkeys(kinds, 0.5), kinds, 0.5), 3, RngStream(1))
-        assert graph.__dict__.keys() & set(self.PAIR_VIEWS) == {"sorted_edges"}
 
 
 class TestCollectorPausedDuringLoads:

@@ -330,6 +330,23 @@ class TestEventDrivenScheduler:
         assert several > 0
         assert clamped > 0
 
+    def test_only_every_step_keeps_the_woken_users_that_failed(self):
+        gate = SimilarityGate(Metric.COSINE, 0.3)
+        max_time = 3
+        left = 0
+        for graph, profiles, initials in oracle_corpus(seed=608, count=20, max_nodes=60, max_created=5):
+            woken = {u for u in graph.nodes - set(initials) if u in profiles and profiles[u].created_at <= max_time}
+            for every_step in (False, True):
+                admit = admission_test(profiles, None, gate, set())
+                run = GatedRun(graph, profiles, initials, admit, max_time, every_step)
+                active = set()
+                while run.next_step is not None:
+                    active.update(u for u, _ in run.step())
+                # only every-step rechecks a user that failed, so only it keeps one waiting
+                assert run.waiting == (woken - active if every_step else set())
+                left += every_step and bool(run.waiting)
+        assert left > 0
+
     def test_gate_lookups_bounded_by_twice_the_edges(self):
         rng = random.Random(71)
         n = 300
@@ -451,7 +468,7 @@ class TestEventDrivenClassicalRuns:
         for case in range(80):
             graph = random_digraph(rng, rng.randint(2, 40), rng.choice([0.08, 0.2]))
             # about half the edges get their own probability, the rest the default
-            edge_p = {e: rng.choice([0.0, 0.2, 0.9, 1.0]) for e in graph.sorted_edges if rng.random() < 0.5}
+            edge_p = {e: rng.choice([0.0, 0.2, 0.9, 1.0]) for e in sorted(graph.edges) if rng.random() < 0.5}
             monkeypatch.setattr(simulate, "EdgeProbability", lambda p: EdgeProbability(p, edge_p))
             initials = tuple(rng.sample(sorted(graph.nodes), min(len(graph.nodes), rng.randint(1, 3))))
             cfg = gated_config(
