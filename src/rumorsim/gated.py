@@ -122,30 +122,31 @@ class GatedRun:
     created_at lies outside 0..max_time never wakes and counts in
     ``clamped``.  A step checks its users in ascending id, each seeing the
     activations made earlier in that step.  With ``every_step`` a woken user
-    that failed waits and is rechecked only over the edge from an in-neighbor
-    that activates later, so each edge's gate runs at most once.
+    that failed is rechecked only over the edge from an in-neighbor that
+    activates later, so each edge's gate runs at most once.
 
-    Spreading pushes along the out-adjacency, as the classical runs do: each
-    activation records itself with every follower still asleep, and at its
-    wake-up a user tests the sources recorded with it in ascending id.
+    Spreading pushes along the out-adjacency, as the classical runs do, and
+    the run holds state only for reached users: the first activation to reach
+    a follower before its wake-up schedules that wake-up, and a waking user
+    tests each activation that reached it, in ascending id.
     """
 
     def __init__(self, graph: SocialGraph, profiles: Mapping, initials, admit, max_time, every_step):
         self.graph = graph
+        self.profiles = profiles
         self.admit = admit
+        self.max_time = max_time
         self.every_step = every_step
-        seeds = set(initials)
-        wakeups = [(profiles[u].created_at, u, False) for u in graph.nodes - seeds if u in profiles]
+        # the active users and, with every_step, the users whose admitted event is pending
+        self.decided = seeds = set(initials)
+        self.clamped = sum(not 0 <= profiles[u].created_at <= max_time for u in graph.nodes - seeds if u in profiles)
         # (step, user, admitted) events, popped in step then id order
-        self.events = [event for event in wakeups if 0 <= event[0] <= max_time]
-        self.clamped = len(wakeups) - len(self.events)
-        heapq.heapify(self.events)
-        # each user with a wake-up still ahead to its in-neighbors active so far
-        self.asleep = {u: [] for _, u, _ in self.events}
-        # with every_step, woken users whose active in-neighbors have all failed the gate so far
-        self.waiting = set()
-        for i in seeds:
-            self._spread(i, 0)
+        self.events = []
+        # each reached user whose wake-up is still ahead to its in-neighbors active so far
+        self.asleep = {}
+        # the seeds spread before any event pops, as if at a step before 0
+        for i in sorted(seeds):
+            self._spread(i, -1)
         self.next_step = self.events[0][0] if self.events else None
 
     def step(self) -> list:
@@ -156,24 +157,28 @@ class GatedRun:
             _, j, admitted = heapq.heappop(events)
             # live view: sources activated earlier in this same step were recorded too
             if not admitted and not any(admit(i, j) for i in sorted(asleep.pop(j))):
-                if self.every_step:
-                    self.waiting.add(j)
                 continue
+            self.decided.add(j)
             delta.append((j, GateState.DIFFUSER))
             self._spread(j, t)
         self.next_step = events[0][0] if events else None
         return delta
 
     def _spread(self, j, t) -> None:
-        """Record ``j``, active at step t, with each follower asleep, and recheck each waiting one."""
-        asleep, waiting = self.asleep, self.waiting
+        """Record ``j``, active at step t, with each follower asleep, and recheck each that woke and failed."""
+        asleep, decided, profiles, max_time = self.asleep, self.decided, self.profiles, self.max_time
         for k in self.graph.out_neighbors(j):
             if k in asleep:
                 asleep[k].append(j)
-            # a waiting follower activates later in this step if its id is higher, else next step
-            elif k in waiting and self.admit(j, k):
-                waiting.remove(k)
-                heapq.heappush(self.events, (t + (k < j), k, True))
+            elif k not in decided and k in profiles and 0 <= (created_at := profiles[k].created_at) <= max_time:
+                # events pop in (step, id) order, so k's wake-up is still ahead exactly when this holds
+                if (created_at, k) > (t, j):
+                    asleep[k] = [j]
+                    heapq.heappush(self.events, (created_at, k, False))
+                # k woke and failed: rechecked, it activates later in this step if its id is higher, else next step
+                elif self.every_step and self.admit(j, k):
+                    decided.add(k)
+                    heapq.heappush(self.events, (t + (k < j), k, True))
 
 
 def diffuse_user_user(
@@ -275,9 +280,7 @@ def _diffuse(
     while queue:
         i = queue.popleft()
         for j in graph.out_neighbors(i):
-            if j in members:
-                continue
-            if admit(i, j):
+            if j not in members and admit(i, j):
                 members.add(j)
                 log.append(j)
                 queue.append(j)

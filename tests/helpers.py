@@ -201,6 +201,16 @@ def in_adjacency(graph):
     return {u: tuple(run) for u, run in sources.items()}
 
 
+def recorded(admit, calls):
+    """``admit`` that appends each (source, follower) it is asked about to ``calls``."""
+
+    def recording(i, j):
+        calls.append((i, j))
+        return admit(i, j)
+
+    return recording
+
+
 def pull_gated_run(graph, profiles, initials, admit, max_time, every_step):
     """``GatedRun`` by pulling: at wake-up a user scans its in-neighbours for an active one that passes.
 

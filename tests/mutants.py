@@ -86,6 +86,14 @@ MUTANTS = [
         "a node adopts only above theta, not at it",
     ),
     Mutant(
+        "tipping-strict-threshold-exhaustive",
+        DIFFUSION,
+        "adopted / in_degree[v] >= theta",
+        "adopted / in_degree[v] > theta",
+        ("tests/test_exhaustive.py::test_tipping_run_equals_the_full_sweep_reference",),
+        "the same bug, seen by the exhaustive check against the full-sweep reference",
+    ),
+    Mutant(
         "ic-step-retries-tried-edges",
         DIFFUSION,
         "return run.states, set(attempted).union(untried)",
@@ -168,10 +176,34 @@ MUTANTS = [
     Mutant(
         "initials-not-recorded",
         "src/rumorsim/gated.py",
-        "        for i in seeds:\n            self._spread(i, 0)\n",
+        "        for i in sorted(seeds):\n            self._spread(i, -1)\n",
         "",
         ("tests/test_simulate.py",),
         "the seeds are not recorded with their followers, so no wake-up sees a seed as its source",
+    ),
+    Mutant(
+        "seeds-spread-at-step-0",
+        "src/rumorsim/gated.py",
+        "self._spread(i, -1)",
+        "self._spread(i, 0)",
+        ("tests/test_exhaustive.py::test_gated_run_equals_the_pull_reference",),
+        "a follower of a seed with a lower id and created_at 0 is taken as woken already, so it never wakes",
+    ),
+    Mutant(
+        "wake-up-ahead-by-step-alone",
+        "src/rumorsim/gated.py",
+        "if (created_at, k) > (t, j):",
+        "if created_at > t:",
+        ("tests/test_exhaustive.py::test_gated_run_equals_the_pull_reference",),
+        "a follower with a higher id waking in the step its source activates is taken as woken already",
+    ),
+    Mutant(
+        "recheck-leaves-follower-undecided",
+        "src/rumorsim/gated.py",
+        "                    decided.add(k)\n",
+        "",
+        ("tests/test_simulate.py::TestEventDrivenScheduler::test_holds_state_only_for_reached_users",),
+        "a follower whose recheck passed stays undecided, so a second activating source pushes it a second event",
     ),
     Mutant(
         "recorded-sources-in-recording-order",
@@ -206,14 +238,6 @@ MUTANTS = [
         ("tests/test_diffusion.py::TestBeliefProcess::test_equals_a_reference_loop_over_the_sorted_edges",),
         "the belief process lists its pairs by descending source, so the same draw picks another edge;"
         " the picks stay uniform, so the chi-square test does not see it",
-    ),
-    Mutant(
-        "once-run-keeps-waiting-users",
-        "src/rumorsim/gated.py",
-        "                if self.every_step:\n                    self.waiting.add(j)\n",
-        "                self.waiting.add(j)\n",
-        ("tests/test_simulate.py::TestEventDrivenScheduler::test_only_every_step_keeps_the_woken_users_that_failed",),
-        "a once run keeps every woken user that failed in a set nothing reads",
     ),
     Mutant(
         "content-diffusion-without-rumor-check",
@@ -460,6 +484,14 @@ MUTANTS = [
         "        admitted.sort(key=lambda admission: admission[1])\n",
         ("tests/test_gated.py",),
         "a level's admitted followers join the log by id alone, not after their admitting source",
+    ),
+    Mutant(
+        "rounds-retest-admitted-followers",
+        "src/rumorsim/gated.py",
+        "candidates = [c for c in candidates if c[1] not in members]",
+        "candidates = list(candidates)",
+        ("tests/test_exhaustive.py::test_closure_engines_equal_each_other_and_the_fixpoint",),
+        "a follower admitted in one round is decided again against its next source, and joins the log twice",
     ),
     Mutant(
         "ic-draw-at-most-p",

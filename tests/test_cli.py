@@ -631,6 +631,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", *argv],
             capture_output=True,
             text=True,
+            encoding="utf-8",
             env=dict(os.environ, PYTHONPATH=path),
             timeout=60,
         )
@@ -676,6 +677,7 @@ class TestHashSeed:
                 [sys.executable, "-m", "rumorsim", command, CFG, *flags, "--out-dir", str(root / name)],
                 capture_output=True,
                 text=True,
+                encoding="utf-8",
                 env=env,
                 timeout=60,
             )

@@ -63,6 +63,7 @@ def _python(code: str, *argv, cwd=None) -> dict:
         [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,

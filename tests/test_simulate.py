@@ -4,11 +4,13 @@ trace round-tripping, frame export, and config parsing."""
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import os
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +20,7 @@ from helpers import (
     pull_gated_run,
     random_digraph,
     random_profiles,
+    recorded,
     rescan_gated_run,
     stepwise_classical_run,
 )
@@ -45,7 +48,7 @@ from rumorsim import (
     write_curve_csv,
     write_trace_csv,
 )
-from rumorsim import simulate
+from rumorsim import gated, simulate
 from rumorsim.gated import GatedRun, admission_test
 
 
@@ -232,16 +235,6 @@ class CountingTable(dict):
         return super().get(key, default)
 
 
-def recorded(admit, calls):
-    """``admit`` that appends each (source, follower) it is asked about to ``calls``."""
-
-    def recording(i, j):
-        calls.append((i, j))
-        return admit(i, j)
-
-    return recording
-
-
 class TestEventDrivenScheduler:
     """The gated scheduler against the brute-force rescan and the pull scheduler in helpers."""
 
@@ -330,22 +323,51 @@ class TestEventDrivenScheduler:
         assert several > 0
         assert clamped > 0
 
-    def test_only_every_step_keeps_the_woken_users_that_failed(self):
-        gate = SimilarityGate(Metric.COSINE, 0.3)
+    def test_holds_state_only_for_reached_users(self, monkeypatch):
+        """A wake-up is scheduled on first contact, so the run names only users an activation reached."""
+        pushed = []
+
+        def push(events, event):
+            pushed.append(event)
+            heapq.heappush(events, event)
+
+        monkeypatch.setattr(gated, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+        rng = random.Random(608)
         max_time = 3
-        left = 0
-        for graph, profiles, initials in oracle_corpus(seed=608, count=20, max_nodes=60, max_created=5):
-            woken = {u for u in graph.nodes - set(initials) if u in profiles and profiles[u].created_at <= max_time}
+        unreached = rechecks = 0
+        for graph, profiles, initials in oracle_corpus(seed=608, count=20, max_nodes=200, max_created=5):
+            seeds = set(initials)
+            in_range = {u for u in graph.nodes - seeds if 0 <= profiles[u].created_at <= max_time}
+            # each in-range follower of a seed to the seeds it follows
+            reached = {}
+            for i in sorted(seeds):
+                for k in set(graph.out_neighbors(i)) & in_range:
+                    reached.setdefault(k, []).append(i)
+            gate = SimilarityGate(decisions={e: rng.random() < 0.5 for e in sorted(graph.edges)})
             for every_step in (False, True):
+                del pushed[:]
                 admit = admission_test(profiles, None, gate, set())
                 run = GatedRun(graph, profiles, initials, admit, max_time, every_step)
-                active = set()
+                # before any step: a wake-up and a record for each in-range follower of a seed, no other
+                assert {k: sorted(sources) for k, sources in run.asleep.items()} == reached
+                assert sorted(run.events) == sorted((profiles[k].created_at, k, False) for k in reached)
+                assert set(vars(run)) == {
+                    "graph", "profiles", "admit", "max_time", "every_step",
+                    "decided", "clamped", "events", "asleep", "next_step",
+                }
+                active = set(seeds)
                 while run.next_step is not None:
                     active.update(u for u, _ in run.step())
-                # only every-step rechecks a user that failed, so only it keeps one waiting
-                assert run.waiting == (woken - active if every_step else set())
-                left += every_step and bool(run.waiting)
-        assert left > 0
+                # each user that got an event follows an active user, and got at most one of each kind
+                assert {k for _, k, _ in pushed} <= {k for i in active for k in graph.out_neighbors(i)}
+                assert len(pushed) == len({(k, admitted) for _, k, admitted in pushed})
+                assert run.decided == active
+                assert run.asleep == {} and run.events == []
+                unreached += len(in_range - {k for _, k, _ in pushed})
+                rechecks += sum(admitted for _, _, admitted in pushed)
+        # users in range that no activation reached got nothing, and every-step rechecks were admitted
+        assert unreached > 0
+        assert rechecks > 0
 
     def test_gate_lookups_bounded_by_twice_the_edges(self):
         rng = random.Random(71)
@@ -526,8 +548,8 @@ class TestSchedulerWork:
 
     def test_gated_run_visits_only_steps_with_events(self, monkeypatch):
         # 4 wakes at step 0 and activates from seed 5; under every-step its
-        # waiting followers 3 and 2 (lower ids) follow at steps 1 and 2; 9
-        # wakes at step 1000
+        # followers 3 and 2, woken already (lower ids), follow at steps 1 and
+        # 2; 9 wakes at step 1000
         graph = SocialGraph([(5, 4), (4, 3), (3, 2), (5, 9)])
         profiles = uniform_profiles(graph)
         profiles[9] = dataclasses.replace(profiles[9], created_at=1000)
