@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -47,33 +47,23 @@ class SimilarityGate:
 class DiffuserSet:
     """Diffusion result: the member set plus the order members were added.
 
-    ``missing_profiles`` lists users whose similarity had to be treated as 0
-    because no profile was loaded for them.
+    Users without a profile are not listed here; ``validate`` reports them.
     """
 
     members: set
     insertion_log: list
-    missing_profiles: set = field(default_factory=set)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
-def admission_test(
-    profiles: Mapping,
-    rumor: RumorContent | None,
-    gate: SimilarityGate,
-    missing: set,
-) -> Callable:
+def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: SimilarityGate) -> Callable:
     """Build the edge admission predicate admit(i, j) for one gate setup.
 
     ``rumor`` of None selects user-user comparison, otherwise the follower j
-    is compared against the rumor.  A user without a profile scores 0 and is
-    collected into ``missing``; a gate without a decisions table raises
-    ConfigurationError if ``profiles`` is None.  A metric that is undefined
-    for the pair (pearson on a degenerate overlap shape) raises
-    UndefinedCorrelationError naming the edge, or the follower and the rumor.
+    is compared against the rumor.  A user without a profile scores 0, so an
+    edge that touches one passes exactly when the threshold is 0.  A gate
+    without a decisions table raises ConfigurationError if ``profiles`` is
+    None.  A metric that is undefined for the pair (pearson on a degenerate
+    overlap shape) raises UndefinedCorrelationError naming the edge, or the
+    follower and the rumor.
     """
     if gate.decisions is not None:
         table = gate.decisions
@@ -92,7 +82,6 @@ def admission_test(
         pi = profiles.get(i) if rumor is None else rumor
         pj = profiles.get(j)
         if pi is None or pj is None:
-            missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
             return 0.0 >= threshold
         try:
             return test(pi.topics, pj.topics)
@@ -216,7 +205,7 @@ def filtered_edge_set(
     result.  Edges are tested in ascending order, so an undefined metric
     names the smallest edge it fails on.
     """
-    admit = admission_test(profiles, rumor, gate, set())
+    admit = admission_test(profiles, rumor, gate)
     return {(a, b) for a, followers in graph.adjacency.items() for b in followers if admit(a, b)}
 
 
@@ -268,14 +257,13 @@ def _diffuse(
     each level in rounds (``_diffuse_in_rounds``), with the same result.
     """
     _check_initials(graph, initials, profiles)
-    missing = set()
     log = sorted(set(initials))
     members = set(log)
     if gate.decisions is None and gate.metric is Metric.LEVENSHTEIN:
         _require_profiles(profiles)
-        _diffuse_in_rounds(graph, _admission_rounds(profiles, rumor, gate.threshold, missing), log, members)
-        return DiffuserSet(members, log, missing)
-    admit = admission_test(profiles, rumor, gate, missing)
+        _diffuse_in_rounds(graph, _admission_rounds(profiles, rumor, gate.threshold), log, members)
+        return DiffuserSet(members, log)
+    admit = admission_test(profiles, rumor, gate)
     queue = deque(log)
     while queue:
         i = queue.popleft()
@@ -284,16 +272,16 @@ def _diffuse(
                 members.add(j)
                 log.append(j)
                 queue.append(j)
-    return DiffuserSet(members, log, missing)
+    return DiffuserSet(members, log)
 
 
-def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: float, missing: set) -> Callable:
+def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: float) -> Callable:
     """The batch form of ``admission_test`` for a live Levenshtein gate.
 
     Returns ``level()``, which returns ``decide(pairs)`` for the (i, j)
     pairs of one BFS level: the list of their admit(i, j) decisions, made
-    with one batch call.  Missing profiles and the rumor's one decision per
-    follower are handled as ``admission_test`` handles them.
+    with one batch call.  A user without a profile and the rumor's one
+    decision per follower are handled as ``admission_test`` handles them.
     """
     levels = _levenshtein_levels(threshold)
     unscored = 0.0 >= threshold
@@ -313,7 +301,6 @@ def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: 
                 pi = profiles.get(i) if rumor is None else rumor
                 pj = profiles.get(j)
                 if pi is None or pj is None:
-                    missing.update(u for u, p in ((i, pi), (j, pj)) if p is None)
                     passed.append(unscored)
                 else:
                     where.append(len(passed))

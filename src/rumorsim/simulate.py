@@ -155,8 +155,7 @@ def _starter(cfg, graph, profiles, rumor, decisions):
             raise ConfigurationError("model gated_user_content requires rumor content")
         _check_initials(graph, cfg.initials, profiles)
         content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
-        # seeds and every evented user have a profile: nothing is ever missing
-        admit = admission_test(profiles, content, SimilarityGate(cfg.metric, cfg.threshold, decisions), set())
+        admit = admission_test(profiles, content, SimilarityGate(cfg.metric, cfg.threshold, decisions))
         every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
         return lambda rng: GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
 

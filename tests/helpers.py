@@ -149,11 +149,10 @@ def bfs_levels(initials, edges):
 def sequential_closure(graph, profiles, rumor, initials, gate):
     """The gated closure one pair at a time: a FIFO worklist over ``admission_test``.
 
-    Returns (members, insertion log, missing profiles, decided pairs), the
-    pairs in the order the gate was asked about them.
+    Returns (members, insertion log, decided pairs), the pairs in the order
+    the gate was asked about them.
     """
-    missing = set()
-    admit = admission_test(profiles, rumor, gate, missing)
+    admit = admission_test(profiles, rumor, gate)
     log = sorted(set(initials))
     members = set(log)
     decided = []
@@ -168,7 +167,7 @@ def sequential_closure(graph, profiles, rumor, initials, gate):
                 members.add(j)
                 log.append(j)
                 queue.append(j)
-    return members, log, missing, decided
+    return members, log, decided
 
 
 def shuffled_closure(graph, initials, admit, rng):
@@ -254,12 +253,13 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     step; under ``every-step`` every awake user is rescanned each step until
     it activates.  Users are visited in ascending id and see activations made
     earlier in the same step.  Returns (changes, counts, clamped_agents,
-    final active set, sorted missing profiles) in the shape
-    ``run_simulation`` reports them.
+    final active set) in the shape ``run_simulation`` reports them, and the
+    sorted users without a profile that a gate check named.
     """
     content = rumor if cfg.model is ModelKind.GATED_USER_CONTENT else None
-    missing = set()
-    admit = admission_test(profiles, content, SimilarityGate(cfg.metric, cfg.threshold, decisions), missing)
+    checked = []
+    gate = SimilarityGate(cfg.metric, cfg.threshold, decisions)
+    admit = recorded(admission_test(profiles, content, gate), checked)
     every_step = cfg.evaluation_policy is EvaluationPolicy.EVERY_STEP
     active = set(cfg.initials)
     schedule = []
@@ -288,7 +288,7 @@ def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
         if delta:
             changes[t] = delta
         counts.append(len(active))
-    return changes, counts, clamped, active, sorted(missing)
+    return changes, counts, clamped, active, sorted({u for pair in checked for u in pair} - profiles.keys())
 
 
 def stepwise_classical_run(cfg, graph, rng, edge_p=None):

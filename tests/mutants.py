@@ -249,6 +249,38 @@ MUTANTS = [
         "diffuse_user_content without a rumor silently runs the user-user gate",
     ),
     Mutant(
+        "unprofiled-pair-always-fails",
+        "src/rumorsim/gated.py",
+        "            return 0.0 >= threshold\n",
+        "            return False\n",
+        ("tests/test_gated.py::TestValidation",),
+        "an edge that touches a user without a profile fails even at threshold 0",
+    ),
+    Mutant(
+        "unprofiled-pair-always-passes",
+        "src/rumorsim/gated.py",
+        "            return 0.0 >= threshold\n",
+        "            return True\n",
+        ("tests/test_gated.py::TestValidation",),
+        "an edge that touches a user without a profile passes at any threshold",
+    ),
+    Mutant(
+        "unprofiled-pair-always-fails-in-rounds",
+        "src/rumorsim/gated.py",
+        "passed.append(unscored)",
+        "passed.append(False)",
+        ("tests/test_gated.py::TestValidation",),
+        "a Levenshtein closure's rounds fail an edge that touches a user without a profile, even at threshold 0",
+    ),
+    Mutant(
+        "readme-example-reads-a-removed-field",
+        "README.md",
+        "print(sorted(result.members))",
+        "print(sorted(result.missing_profiles))",
+        ("tests/test_cli.py::TestReadme",),
+        "the library example reads a DiffuserSet field that no longer exists",
+    ),
+    Mutant(
         "levenshtein-bound-rejects-at-threshold",
         "src/rumorsim/similarity.py",
         "return _levenshtein_similarity(abs(m - n), m, n) >= threshold",

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import rumorsim.simulate
-from helpers import FIXTURE_DIR, csv_sims_bytes, random_digraph, random_profiles
-from rumorsim import SimulationConfig, UndefinedCorrelationError, run_cli, save_edges
+from helpers import FIXTURE_DIR, csv_sims_bytes, in_adjacency, random_digraph, random_profiles
+from rumorsim import SimulationConfig, UndefinedCorrelationError, evaluate, run_cli, save_edges
 from rumorsim.cli import build_parser, main
 from rumorsim.similarity import overlap_scores
 
@@ -357,6 +357,26 @@ class TestExport:
         )
         assert code == 1
         assert "to 'infected' at step 0, not a state of model gated_user_user" in stderr
+
+
+class TestReadme:
+    def test_python_blocks_run_in_order(self, monkeypatch, capsys):
+        # the blocks share one namespace, as a reader pasting them in turn would
+        root = FIXTURE_DIR.parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 2
+        monkeypatch.chdir(root)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        result, graph = namespace["result"], namespace["graph"]
+        assert capsys.readouterr().out.splitlines() == [
+            str(sorted(result.members)),
+            str(evaluate(result, namespace["profiles"]).accuracy),
+            str(sorted(graph.edges)[:3]),
+        ]
+        assert {u: tuple(run) for u, run in namespace["sources"].items()} == in_adjacency(graph)
 
 
 class TestConfigKeys:

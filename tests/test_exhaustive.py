@@ -53,7 +53,7 @@ def test_gated_run_equals_the_pull_reference():
     runs = 0
     for graph in GRAPHS:
         for table in tables(graph):
-            admit = admission_test(None, None, SimilarityGate(decisions=table), set())
+            admit = admission_test(None, None, SimilarityGate(decisions=table))
             for seeds in SEED_SETS:
                 rest = [u for u in USERS if u not in seeds]
                 for created in product(CREATED_AT, repeat=len(rest)):

@@ -110,20 +110,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimilarityGate(Metric.COSINE, threshold=1.01)
 
-    def test_missing_profile_scores_zero_and_is_reported(self, chain_graph):
+    def test_missing_profile_scores_zero(self, chain_graph):
         profiles = {1: profile(1, "news"), 3: profile(3, "news")}
         result = diffuse_user_user(chain_graph, profiles, [1], SimilarityGate())
         assert result.members == {1}
-        assert result.missing_profiles == {2}
+        # a profile for 1 alone: no tested pair has a profile at both ends,
+        # so no metric is ever scored, pearson included
+        for metric in Metric:
+            for rumor in (None, RumorContent(frozenset({"news"}))):
+                result = _diffuse(chain_graph, {1: profile(1, "news")}, rumor, [1], SimilarityGate(metric, 0.5))
+                assert result.insertion_log == [1], (metric, rumor)
 
     @pytest.mark.parametrize("rumor", [None, RumorContent(frozenset({"news"}))], ids=["user", "content"])
-    def test_zero_threshold_admits_and_reports_a_user_without_profile(self, chain_graph, rumor):
+    def test_zero_threshold_admits_a_user_without_profile(self, chain_graph, rumor):
         # 2 has no profile: it scores 0.0, passes at threshold 0 and then
         # is the source of the edge (2, 3)
         profiles = {1: profile(1, "news"), 3: profile(3, "news")}
         result = _diffuse(chain_graph, profiles, rumor, [1], SimilarityGate(Metric.COSINE, 0.0))
         assert result.insertion_log == [1, 2, 3]
-        assert result.missing_profiles == {2}
+        # with a profile for 1 alone no metric is ever scored, and a
+        # levenshtein gate decides in rounds
+        for metric in Metric:
+            result = _diffuse(chain_graph, {1: profile(1, "news")}, rumor, [1], SimilarityGate(metric, 0.0))
+            assert result.insertion_log == [1, 2, 3], metric
 
     def test_undefined_metric_against_the_rumor_names_the_user(self, chain_graph, news_profiles):
         # follower 2's topics equal the rumor's: constant binary vectors
@@ -291,7 +300,7 @@ class TestOracleAgreement:
             for tau in TAU_GRID:
                 gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
                 for source in (None, rumor):
-                    admit = admission_test(profiles, source, gate, set())
+                    admit = admission_test(profiles, source, gate)
                     for i, j in order:
                         pi = profiles[i] if source is None else rumor
                         assert admit(i, j) == (score(Metric.LEVENSHTEIN, pi, profiles[j]) >= tau), (i, j)
@@ -393,16 +402,15 @@ class TestOracleAgreement:
             present = {u: p for u, p in profiles.items() if u not in absent}
             for tau in TAU_GRID:
                 gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
-                members, log, missing, pairs = sequential_closure(graph, present, rumor, initials, gate)
+                members, log, pairs = sequential_closure(graph, present, rumor, initials, gate)
                 del decided[:]
                 result = _diffuse(graph, present, rumor, initials, gate)
                 assert result.members == members
                 assert result.insertion_log == log
-                assert result.missing_profiles == missing
                 assert Counter(decided) == Counter(pairs)
                 compared.update(
                     reached=len(log) > len(set(initials)),
-                    missing=bool(missing),
+                    missing=any(u in absent for pair in pairs for u in pair),
                     retested=len(pairs) > len({j for _, j in pairs}),
                 )
         # the corpus reaches past the initials, meets users without a profile
@@ -427,7 +435,7 @@ class TestOracleAgreement:
         for graph, profiles, initials in oracle_corpus(seed=504, count=10, max_nodes=60):
             gate = SimilarityGate(Metric.DICE, 0.5)
             mine = diffuse_user_user(graph, profiles, initials, gate)
-            admit = admission_test(profiles, None, gate, set())
+            admit = admission_test(profiles, None, gate)
             for _ in range(3):
                 assert shuffled_closure(graph, initials, admit, shuffler) == mine.members
 
@@ -461,4 +469,3 @@ class TestInsertionLog:
         assert len(result.insertion_log) == len(set(result.insertion_log))
         assert set(result.insertion_log) == result.members
         assert result.insertion_log[:2] == [1, 5]
-        assert result.size == len(result.members)

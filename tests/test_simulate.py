@@ -305,14 +305,14 @@ class TestEventDrivenScheduler:
                     gate = SimilarityGate(Metric.COSINE, 0.3, table)
                     for every_step in (False, True):
                         pushed, pulled = [], []
-                        admit = recorded(admission_test(profiles, content, gate, set()), pushed)
+                        admit = recorded(admission_test(profiles, content, gate), pushed)
                         run = GatedRun(graph, profiles, initials, admit, max_time, every_step)
                         changes = {}
                         while run.next_step is not None:
                             t = run.next_step
                             if delta := run.step():
                                 changes[t] = delta
-                        admit = recorded(admission_test(profiles, content, gate, set()), pulled)
+                        admit = recorded(admission_test(profiles, content, gate), pulled)
                         assert (changes, run.clamped) == pull_gated_run(
                             graph, profiles, initials, admit, max_time, every_step
                         )
@@ -346,7 +346,7 @@ class TestEventDrivenScheduler:
             gate = SimilarityGate(decisions={e: rng.random() < 0.5 for e in sorted(graph.edges)})
             for every_step in (False, True):
                 del pushed[:]
-                admit = admission_test(profiles, None, gate, set())
+                admit = admission_test(profiles, None, gate)
                 run = GatedRun(graph, profiles, initials, admit, max_time, every_step)
                 # before any step: a wake-up and a record for each in-range follower of a seed, no other
                 assert {k: sorted(sources) for k, sources in run.asleep.items()} == reached
