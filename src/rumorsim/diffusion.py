@@ -9,11 +9,14 @@ only the run's frontier (infected and exposed nodes, the last step's new
 infections, the nodes whose adopted in-neighbor count just changed) and
 returns the step's [(node, new state)] changes by ascending id, and
 ``next_step`` is None once that frontier is empty; they ignore created_at,
-so their ``clamped`` is 0.  A node's out-neighbors are looked up only when
-it changes state.  ``sir_step``, ``ic_step`` and ``tipping_step`` run one
-such step from a full state map.  Random draws always happen in sorted node
-order and are never short-circuited, which keeps the stream consumption,
-and therefore whole runs, reproducible for a given seed.
+so their ``clamped`` is 0.  A run reads the states it starts from only for
+users of its graph, takes a user they do not name to be in the default
+state, and holds state only for the users it reached.  A node's
+out-neighbors are looked up only when it changes state.  ``sir_step``,
+``ic_step`` and ``tipping_step`` run one such step from a full state map.
+Random draws always happen in sorted node order and are never
+short-circuited, which keeps the stream consumption, and therefore whole
+runs, reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -92,24 +95,25 @@ class EdgeProbability:
 class SirRun:
     """SIR state advanced one synchronous step at a time over its frontier.
 
-    Keeps the infected set and, per susceptible node, its exposure: the
-    number of infected in-neighbors.  A step visits only infected and exposed
-    nodes, in ascending id.  An infected node draws once against gamma; an
-    exposed one draws once per infected in-neighbor against beta, every draw
-    taken even after a hit, and is infected if any draw is below beta.  Every
-    other node would draw nothing in a sweep over the whole graph, so the
-    stream is consumed exactly as such a sweep would.
+    Keeps the users no longer susceptible (``reached``), the infected ones
+    among them, and, per exposed node, its exposure: the number of infected
+    in-neighbors.  A step visits only infected and exposed nodes, in
+    ascending id.  An infected node draws once against gamma; an exposed one
+    draws once per infected in-neighbor against beta, every draw taken even
+    after a hit, and is infected if any draw is below beta.  Every other node
+    would draw nothing in a sweep over the whole graph, so the stream is
+    consumed exactly as such a sweep would.
     """
 
     clamped = 0
 
     def __init__(self, graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStream):
-        _require_states(graph, states)
         self.graph = graph
-        self.states = dict(states)
         self.params = params
         self._draw = rng.random
-        self.infected = {u for u in graph.nodes if states[u] is EpidemicState.INFECTED}
+        susceptible = EpidemicState.SUSCEPTIBLE
+        self.reached = {u for u, state in states.items() if state is not susceptible and u in graph.nodes}
+        self.infected = {u for u in self.reached if states[u] is EpidemicState.INFECTED}
         self.exposure = {}
         for u in self.infected:
             self._expose_followers(u, 1)
@@ -117,7 +121,7 @@ class SirRun:
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
-        states, infected, exposure, draw = self.states, self.infected, self.exposure, self._draw
+        reached, infected, exposure, draw = self.reached, self.infected, self.exposure, self._draw
         beta, gamma = self.params.beta, self.params.gamma
         delta = []
         for v in sorted(infected.union(exposure)):
@@ -132,8 +136,8 @@ class SirRun:
                 if hit:
                     delta.append((v, EpidemicState.INFECTED))
         for v, state in delta:
-            states[v] = state
             if state is EpidemicState.INFECTED:
+                reached.add(v)
                 infected.add(v)
                 del exposure[v]
             else:
@@ -145,9 +149,9 @@ class SirRun:
         return delta
 
     def _expose_followers(self, u, change: int) -> None:
-        states, exposure, susceptible = self.states, self.exposure, EpidemicState.SUSCEPTIBLE
+        reached, exposure = self.reached, self.exposure
         for w in self.graph.out_neighbors(u):
-            if states[w] is susceptible:
+            if w not in reached:
                 count = exposure.get(w, 0) + change
                 if count:
                     exposure[w] = count
@@ -158,42 +162,41 @@ class SirRun:
 class IcRun:
     """Independent-cascade state advanced one step at a time over its frontier.
 
-    Only the nodes infected at the start of a step (the spreaders) act: each,
-    in ascending id, tries its out-edges in ascending target order with one
-    draw per edge, infects a target that was susceptible at the start of the
-    step on success, and recovers at the end of the step.  A node spreads in
-    exactly one step, so a run tries every edge at most once without keeping
-    a record of tried edges.  Without per-edge overrides every draw is
+    Keeps the users no longer susceptible (``reached``) and the spreaders,
+    those infected at the start of the next step.  Only the spreaders act:
+    each, in ascending id, tries its out-edges in ascending target order with
+    one draw per edge, infects a target that was susceptible at the start of
+    the step on success, and recovers at the end of the step.  A node spreads
+    in exactly one step, so a run tries every edge at most once without
+    keeping a record of tried edges.  Without per-edge overrides every draw is
     compared with the default probability, with no lookup per edge.
     """
 
     clamped = 0
 
     def __init__(self, graph: SocialGraph, states: Mapping, probs: EdgeProbability, rng: RngStream):
-        _require_states(graph, states)
         self.graph = graph
-        self.states = dict(states)
         self.probs = probs
         self._draw = rng.random
-        self.spreaders = sorted(u for u in graph.nodes if states[u] is EpidemicState.INFECTED)
+        susceptible = EpidemicState.SUSCEPTIBLE
+        self.reached = {u for u, state in states.items() if state is not susceptible and u in graph.nodes}
+        self.spreaders = sorted(u for u in self.reached if states[u] is EpidemicState.INFECTED)
         self.next_step = 1 if self.spreaders else None
 
     def step(self) -> list:
         """Advance one step; returns the [(node, new state)] changes by ascending id."""
-        states, draw, probs = self.states, self._draw, self.probs
-        targets, susceptible = self.graph.out_neighbors, EpidemicState.SUSCEPTIBLE
+        reached, draw, probs, targets = self.reached, self._draw, self.probs, self.graph.out_neighbors
         hit = set()
         for node in self.spreaders:
             out = targets(node)
             edge_p = map(probs.get, zip(repeat(node), out)) if probs.overrides else repeat(probs.default)
             for target, p in zip(out, edge_p):
-                if draw() < p and states[target] is susceptible:
+                if draw() < p and target not in reached:
                     hit.add(target)
         delta = [(u, EpidemicState.RECOVERED) for u in self.spreaders]
         delta.extend((u, EpidemicState.INFECTED) for u in hit)
         delta.sort(key=itemgetter(0))
-        for u, state in delta:
-            states[u] = state
+        reached.update(hit)
         self.spreaders = sorted(hit)
         self.next_step = self.next_step + 1 if hit else None
         return delta
@@ -202,24 +205,24 @@ class IcRun:
 class TippingRun:
     """Threshold-adoption state advanced one step at a time over its frontier.
 
-    Counts, per node not yet adopted, its adopted in-neighbors by pushing
-    each adoption to the adopter's followers.  A step rechecks only the nodes
-    whose count changed in the previous step (at first, every node with an
-    adopted in-neighbor); any other node would face the same test it already
-    failed.  The test needs in-degrees only, counted from the out-adjacency.
+    Keeps the adopted users and, per node not yet adopted, its adopted
+    in-neighbors, counted by pushing each adoption to the adopter's
+    followers.  A step rechecks only the nodes whose count changed in the
+    previous step (at first, every node with an adopted in-neighbor); any
+    other node would face the same test it already failed.  The test needs
+    in-degrees only, counted from the out-adjacency.
     """
 
     clamped = 0
 
     def __init__(self, graph: SocialGraph, states: Mapping, params: TippingParams):
-        _require_states(graph, states)
         self.graph = graph
-        self.states = dict(states)
         self.theta = params.theta
         self.in_degree = Counter(chain.from_iterable(graph.adjacency.values()))
+        self.adopted = {u for u, state in states.items() if state is AdoptionState.ADOPTED and u in graph.nodes}
         self.adopted_in = {}
         self.touched = set()
-        self._notify_followers(u for u in graph.nodes if states[u] is AdoptionState.ADOPTED)
+        self._notify_followers(self.adopted)
         self.next_step = 1 if self.touched else None
 
     def step(self) -> list:
@@ -232,19 +235,18 @@ class TippingRun:
             if adopted / in_degree[v] >= theta:
                 delta.append((v, AdoptionState.ADOPTED))
         self.touched = set()
-        for v, state in delta:
-            self.states[v] = state
+        self.adopted.update(v for v, _ in delta)
         self._notify_followers(v for v, _ in delta)
         self.next_step = self.next_step + 1 if self.touched else None
         return delta
 
     def _notify_followers(self, nodes) -> None:
         """Count each of ``nodes`` as adopted toward its followers not yet adopted."""
-        states, adopted_in, targets = self.states, self.adopted_in, self.graph.out_neighbors
-        count, touch, adopted = adopted_in.get, self.touched.add, AdoptionState.ADOPTED
+        adopted, adopted_in, targets = self.adopted, self.adopted_in, self.graph.out_neighbors
+        count, touch = adopted_in.get, self.touched.add
         for u in nodes:
             for w in targets(u):
-                if states[w] is not adopted:
+                if w not in adopted:
                     adopted_in[w] = count(w, 0) + 1
                     touch(w)
 
@@ -257,9 +259,8 @@ def sir_step(graph: SocialGraph, states: Mapping, params: SirParams, rng: RngStr
     so the stream position does not depend on outcomes.  A node infected at
     the start of the step recovers with probability gamma.
     """
-    run = SirRun(graph, states, params, rng)
-    run.step()
-    return run.states
+    _require_states(graph, states)
+    return dict(states) | dict(SirRun(graph, states, params, rng).step())
 
 
 def tipping_step(graph: SocialGraph, states: Mapping, params: TippingParams) -> dict:
@@ -269,9 +270,8 @@ def tipping_step(graph: SocialGraph, states: Mapping, params: TippingParams) -> 
     fraction of all its in-neighbors reaches theta.  Nodes with no
     in-neighbors never adopt.  Adoption is permanent.
     """
-    run = TippingRun(graph, states, params)
-    run.step()
-    return run.states
+    _require_states(graph, states)
+    return dict(states) | dict(TippingRun(graph, states, params).step())
 
 
 def ic_step(
@@ -295,9 +295,8 @@ def ic_step(
     # untried edge would cost a whole-graph build per step
     infected = [u for u in graph.nodes if states[u] is EpidemicState.INFECTED]
     untried = [(u, t) for u in infected for t in graph.out_neighbors(u) if (u, t) not in attempted]
-    run = IcRun(SocialGraph(untried, infected), states, probs, rng)
-    run.step()
-    return run.states, set(attempted).union(untried)
+    delta = IcRun(SocialGraph(untried, infected), states, probs, rng).step()
+    return dict(states) | dict(delta), set(attempted).union(untried)
 
 
 @dataclass(frozen=True)

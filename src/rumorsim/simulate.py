@@ -9,7 +9,7 @@ within max_time.  A gated run (``gated.GatedRun``) wakes users at their
 created_at step and jumps over steps without events; a classical run
 (``SirRun``, ``IcRun``, ``TippingRun`` in ``diffusion``) ignores
 created_at, steps only its frontier and stops once that is empty.  So a
-run's work follows its activity, not max_time.
+run's work and state follow its activity, not max_time or the user count.
 
 One call checks its inputs and builds its gate once, and each trial is a
 fresh run: trial k draws from an RngStream derived from (seed, k), so traces
@@ -160,9 +160,8 @@ def _starter(cfg, graph, profiles, rumor, decisions):
         return lambda rng: GatedRun(graph, profiles, cfg.initials, admit, cfg.max_time, every_step)
 
     _check_initials(graph, cfg.initials)
-    default, seed = MODEL_STATES[cfg.model]
-    # every run copies these states
-    states = dict.fromkeys(graph.nodes, default) | dict.fromkeys(cfg.initials, seed)
+    # the seed states alone: a run takes every user it is not given to be in the default
+    states = dict.fromkeys(cfg.initials, MODEL_STATES[cfg.model][1])
     if cfg.model is ModelKind.TIPPING:
         params = TippingParams(cfg.model_param("theta"))
         return lambda rng: TippingRun(graph, states, params)

@@ -43,6 +43,12 @@ class Mutant:
 
 
 DIFFUSION = "src/rumorsim/diffusion.py"
+CLASSICAL_REACHED = (
+    "tests/test_simulate.py::TestEventDrivenClassicalRuns::test_holds_state_only_for_reached_users"
+)
+STEP_CONTRACT = (
+    "tests/test_diffusion.py::test_a_step_carries_a_user_outside_the_graph_and_leaves_its_inputs_alone"
+)
 
 MUTANTS = [
     Mutant(
@@ -96,10 +102,59 @@ MUTANTS = [
     Mutant(
         "ic-step-retries-tried-edges",
         DIFFUSION,
-        "return run.states, set(attempted).union(untried)",
-        "return run.states, set(attempted)",
+        "return dict(states) | dict(delta), set(attempted).union(untried)",
+        "return dict(states) | dict(delta), set(attempted)",
         ("tests/test_diffusion.py",),
         "ic_step forgets the edges it tried, so a later step tries them again",
+    ),
+    Mutant(
+        "starter-builds-a-whole-graph-map",
+        "src/rumorsim/simulate.py",
+        "states = dict.fromkeys(cfg.initials, MODEL_STATES[cfg.model][1])",
+        "states = dict.fromkeys(graph.nodes, MODEL_STATES[cfg.model][0])"
+        " | dict.fromkeys(cfg.initials, MODEL_STATES[cfg.model][1])",
+        (CLASSICAL_REACHED,),
+        "each call gives its classical runs a state for every user again, a loop over the whole graph",
+    ),
+    Mutant(
+        "ic-run-keeps-a-state-map",
+        DIFFUSION,
+        "        self.probs = probs\n",
+        "        self.probs = probs\n        self.states = dict(states)\n",
+        (CLASSICAL_REACHED,),
+        "an IC run copies the map it starts from and keeps it, beside the users it reached",
+    ),
+    Mutant(
+        "sir-run-reads-users-outside-its-graph",
+        DIFFUSION,
+        " and u in graph.nodes}\n        self.infected",
+        "}\n        self.infected",
+        (STEP_CONTRACT,),
+        "an SIR run takes an infected user of the caller's map outside its graph as a spreader, and fails",
+    ),
+    Mutant(
+        "ic-run-reads-users-outside-its-graph",
+        DIFFUSION,
+        " and u in graph.nodes}\n        self.spreaders",
+        "}\n        self.spreaders",
+        (STEP_CONTRACT,),
+        "an IC run takes an infected user of the caller's map outside its graph as a spreader, and fails",
+    ),
+    Mutant(
+        "tipping-run-reads-users-outside-its-graph",
+        DIFFUSION,
+        "is AdoptionState.ADOPTED and u in graph.nodes}",
+        "is AdoptionState.ADOPTED}",
+        (STEP_CONTRACT,),
+        "a tipping run notifies the followers of an adopted user of the caller's map outside its graph, and fails",
+    ),
+    Mutant(
+        "sir-step-updates-the-callers-map",
+        DIFFUSION,
+        "return dict(states) | dict(SirRun(graph, states, params, rng).step())",
+        "states.update(SirRun(graph, states, params, rng).step())\n    return states",
+        (STEP_CONTRACT,),
+        "sir_step writes the step's changes into the caller's map and returns that map",
     ),
     Mutant(
         "ic-step-tries-attempted-edges",
@@ -528,8 +583,8 @@ MUTANTS = [
     Mutant(
         "ic-draw-at-most-p",
         DIFFUSION,
-        "if draw() < p and states[target] is susceptible:",
-        "if draw() <= p and states[target] is susceptible:",
+        "if draw() < p and target not in reached:",
+        "if draw() <= p and target not in reached:",
         ("tests/test_diffusion.py", "tests/test_simulate.py"),
         "differs from < only when a draw equals p exactly, which no seeded test meets",
         equivalent=True,

@@ -64,9 +64,8 @@ def ic_frequencies(graph, initials, probs, seed, trials):
         run = IcRun(graph, states, probs, base.derive(k))
         while run.next_step is not None:
             run.step()
-        for u, state in run.states.items():
-            if state is not S:
-                hits[u] += 1
+        for u in run.reached:
+            hits[u] += 1
     return {u: count / trials for u, count in hits.items()}
 
 
@@ -150,7 +149,7 @@ def sir_final_size_counts(graph, initials, params, seed, trials):
         run = SirRun(graph, {u: I if u in initials else S for u in graph.nodes}, params, base.derive(k))
         while run.next_step is not None:
             run.step()
-        counts[sum(state is not S for state in run.states.values())] += 1
+        counts[len(run.reached)] += 1
     return counts
 
 

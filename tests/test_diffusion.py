@@ -246,6 +246,56 @@ class TestIcStep:
             EdgeProbability(default=0.5, overrides={(1, 2): -0.4})
 
 
+A = AdoptionState.ADOPTED
+N = AdoptionState.NOT_ADOPTED
+
+# on the chain 1 -> 2 -> 3: a map in no particular key order that also names
+# user 9, outside the graph, infected or adopted; the step's expected map and
+# its draws; IC also takes and returns an attempted set
+STEP_CONTRACT = [
+    pytest.param(
+        lambda g, states, attempted, rng: (sir_step(g, states, SirParams(1.0, 0.0), rng), None),
+        {9: I, 3: S, 1: I, 2: S},
+        {9: I, 3: S, 1: I, 2: I},
+        2,
+        id="sir",
+    ),
+    pytest.param(
+        lambda g, states, attempted, rng: (tipping_step(g, states, TippingParams(0.0)), None),
+        {9: A, 3: N, 1: A, 2: N},
+        {9: A, 3: N, 1: A, 2: A},
+        0,
+        id="tipping",
+    ),
+    pytest.param(
+        lambda g, states, attempted, rng: ic_step(g, states, EdgeProbability(1.0), attempted, rng),
+        {9: I, 3: S, 1: I, 2: S},
+        {9: I, 3: S, 1: R, 2: I},
+        1,
+        id="ic",
+    ),
+]
+
+
+@pytest.mark.parametrize("step, states, expected, draws", STEP_CONTRACT)
+def test_a_step_carries_a_user_outside_the_graph_and_leaves_its_inputs_alone(
+    chain_graph, step, states, expected, draws
+):
+    before, attempted = dict(states), {(2, 3)}
+    rng = CountingRng(5)
+    after, attempted_after = step(chain_graph, states, attempted, rng)
+    # user 9 is carried through unchanged and never acts
+    assert after == expected
+    assert rng.draws == draws
+    # a new map in the caller's key order; the caller's map and set as they were
+    assert after is not states
+    assert list(after) == list(states)
+    assert states == before and list(states) == list(before)
+    assert attempted == {(2, 3)}
+    if attempted_after is not None:
+        assert attempted_after == {(1, 2), (2, 3)} and attempted_after is not attempted
+
+
 # every value checked to lie in [0, 1], under the name its message gives it
 PROBABILITIES = [
     pytest.param("threshold", lambda x: SimulationConfig(Path("e"), Path("u"), threshold=x), id="config-threshold"),

@@ -445,6 +445,24 @@ class CountingGraph(SocialGraph):
         return super().out_neighbors(u)
 
 
+def chain_and_far_component():
+    """The edges of a 40-user chain from user 1, where the seeds sit, and of
+    2,000 other users in a dense component that the rumor never reaches."""
+    rng = random.Random(73)
+    chain = [(u, u + 1) for u in range(1, 40)]
+    return chain + [(a, b) for a in range(100, 2100) for b in rng.sample(range(100, 2100), 5) if a != b]
+
+
+class IterationCountingSet(frozenset):
+    """A graph's node set that counts the loops over it; a membership test is not one."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 class TestEventDrivenClassicalRuns:
     """The classical runs against the full-sweep reference in helpers."""
 
@@ -507,16 +525,6 @@ class TestEventDrivenClassicalRuns:
         assert moved > 0
 
     def test_lookups_track_state_changes_not_graph_size(self):
-        rng = random.Random(73)
-        # the seeds sit at the head of a 40-user chain; 2,000 other users form
-        # a dense component the rumor never reaches
-        chain = [(u, u + 1) for u in range(1, 40)]
-        far = [
-            (a, b)
-            for a in range(100, 2100)
-            for b in rng.sample(range(100, 2100), 5)
-            if a != b
-        ]
         cases = [
             dict(model=ModelKind.SIR, beta=1.0, gamma=0.0),
             dict(model=ModelKind.SIR, beta=0.5, gamma=0.1),
@@ -524,12 +532,42 @@ class TestEventDrivenClassicalRuns:
             dict(model=ModelKind.TIPPING, theta=1.0),
         ]
         for params in cases:
-            graph = CountingGraph(chain + far)
+            graph = CountingGraph(chain_and_far_component())
             cfg = gated_config(initials=(1,), max_time=600, trials=2, **params)
             traces, _ = run_trials(cfg, graph)
             state_changes = sum(len(delta) for trace in traces for delta in trace.changes.values())
             assert traces[0].counts[-1] > 1
             assert graph.lookups <= 2 * state_changes, params
+
+    def test_holds_state_only_for_reached_users(self):
+        """A run starts from the seed states alone and names only users a change reached."""
+        cases = [
+            (dict(model=ModelKind.SIR, beta=0.5, gamma=0.1), "reached",
+             {"graph", "params", "_draw", "reached", "infected", "exposure", "next_step"}),
+            (dict(model=ModelKind.IC, ic_default_p=0.8), "reached",
+             {"graph", "probs", "_draw", "reached", "spreaders", "next_step"}),
+            (dict(model=ModelKind.TIPPING, theta=1.0), "adopted",
+             {"graph", "theta", "in_degree", "adopted", "adopted_in", "touched", "next_step"}),
+        ]
+        for params, held, expected_vars in cases:
+            graph = SocialGraph(chain_and_far_component())
+            graph.nodes = IterationCountingSet(graph.nodes)
+            cfg = gated_config(initials=(1, 2), max_time=600, trials=3, **params)
+            traces, _ = run_trials(cfg, graph)
+            assert graph.nodes.iterations == 0, params
+            start = simulate._starter(cfg, graph, None, None, None)
+            spread = 0
+            for k, trace in enumerate(traces):
+                run = start(RngStream(cfg.seed).derive(k))
+                assert set(vars(run)) == expected_vars
+                assert getattr(run, held) == {1, 2}
+                assert simulate._drive(cfg, graph, run) == trace
+                changed = {u for delta in trace.changes.values() for u, _ in delta}
+                assert getattr(run, held) == changed <= set(range(1, 41))
+                spread += len(changed) > 2
+            assert graph.nodes.iterations == 0, params
+            # the rumor left the seeds in some trial
+            assert spread > 0, params
 
 
 def counting(run_class, calls):
