@@ -1,6 +1,7 @@
 """Run configuration: a flat key = value text file shared by all CLI commands.
 
-Lines are `key = value`; blank lines and lines starting with '#' are ignored.
+Lines are `key = value`; blank lines and lines whose first non-blank character
+is '#' are ignored, and a '#' after a value is part of the value.
 Relative paths in the file resolve against the directory containing the config
 file, so a bundled dataset can carry its own runnable config; relative paths
 given as overrides (CLI flags) resolve against the working directory.

@@ -13,7 +13,8 @@ so their ``clamped`` is 0.  A run reads the states it starts from only for
 users of its graph, takes a user they do not name to be in the default
 state, and holds state only for the users it reached.  A node's
 out-neighbors are looked up only when it changes state.  ``sir_step``,
-``ic_step`` and ``tipping_step`` run one such step from a full state map.
+``ic_step`` and ``tipping_step`` run one such step from a full state map
+and return a new map in the same key order.
 Random draws always happen in sorted node order and are never
 short-circuited, which keeps the stream consumption, and therefore whole
 runs, reproducible for a given seed.
@@ -304,7 +305,8 @@ class BeliefState:
     """Beliefs in [0, 1] per user, each user regular or forceful.
 
     ``epsilon`` is the weight a regular node keeps on its own belief when it
-    meets a forceful one; the forceful side never moves.
+    meets a forceful one; the forceful side never moves.  A kind that is not
+    an ``AgentKind`` raises ConfigurationError.
     """
 
     beliefs: dict
@@ -362,7 +364,10 @@ def run_belief_process(
     """Run ``iterations`` exchanges over uniformly random edges.
 
     Returns the final state plus the mean belief before the first exchange
-    and after each one (length iterations + 1).
+    and after each one (length iterations + 1).  The edges are listed for
+    this call alone, and nothing is cached on the graph.  Negative
+    ``iterations``, a state without users, a graph user without a belief, or
+    exchanges on a graph without edges raise ConfigurationError.
     """
     if iterations < 0:
         raise ConfigurationError(f"iterations must be >= 0, got {iterations}")

@@ -5,6 +5,9 @@ user-user variant compares the posting user with the follower; the
 user-content variant compares the follower with the rumor itself.  Either
 way the set of reached users is a reachability fixpoint over the gated edges.
 ``GatedRun`` spreads the same gate over time, one event step at a time.
+A gate without a decisions table raises ConfigurationError when
+``profiles`` is None, in ``admission_test`` and so in every closure and
+``filtered_edge_set``; ``diffuse_user_content`` raises it without a rumor.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: Similari
     without a decisions table raises ConfigurationError if ``profiles`` is
     None.  A metric that is undefined for the pair (pearson on a degenerate
     overlap shape) raises UndefinedCorrelationError naming the edge, or the
-    follower and the rumor.
+    follower and the rumor.  Each call builds a fresh predicate, which decides
+    every pair as ``score(...) >= threshold`` would.
     """
     if gate.decisions is not None:
         table = gate.decisions
@@ -117,7 +121,9 @@ class GatedRun:
     Spreading pushes along the out-adjacency, as the classical runs do, and
     the run holds state only for reached users: the first activation to reach
     a follower before its wake-up schedules that wake-up, and a waking user
-    tests each activation that reached it, in ascending id.
+    tests each activation that reached it, in ascending id.  A user that no
+    activation reaches before its created_at step gets no event, since it
+    would find no active in-neighbor.
     """
 
     def __init__(self, graph: SocialGraph, profiles: Mapping, initials, admit, max_time, every_step):

@@ -2,7 +2,8 @@
 
 An edge (a, b) means information flows from a to b: b follows a and sees
 what a posts.  User ids are opaque non-negative integers; nothing assumes
-they are contiguous or start at any particular value.
+they are contiguous or start at any particular value.  ``load_edges`` and
+``load_users`` run with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class SocialGraph:
     Neighbours come back as read-only ascending tuples, shared with the
     graph.  No reversed copy is kept: every model spreads along the
     out-adjacency.  The one pair view, ``edges``, is built on first access;
-    ``sorted(graph.edges)`` lists the pairs in ascending order.
+    ``sorted(graph.edges)`` lists the pairs in ascending order.  No command
+    reads it, and in the package only ``ic_step`` does, to check its
+    ``attempted`` set.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -183,10 +186,11 @@ def _rowwise_edge_rows(path) -> tuple:
 def _bulk_edge_rows(path) -> tuple | None:
     """The (from ids, to ids) columns of a plain edges file, parsed in bulk; ids held once each.
 
-    Returns None, raising no ParseError, when the file is anything but a
-    header and lines of two comma-separated runs of ASCII digits, blank lines
-    allowed; ``load_edges`` then reads it row by row, which names the line at
-    fault.
+    The body is read in batches of about 64k characters, each ending at a
+    line end.  Returns None, raising no ParseError, when the file is anything
+    but a header and lines of two comma-separated runs of ASCII digits, blank
+    lines allowed; ``load_edges`` then reads it row by row, which names the
+    line at fault.
     """
     header = ",".join(EDGES_HEADER)
     limit = csv.field_size_limit()

@@ -20,7 +20,9 @@ overlap shape once, and Levenshtein tries a length bound before the kernel.
 A Levenshtein closure decides whole batches of pairs through
 ``_levenshtein_levels``, whose kernel runs up to ``_LANES`` pairs side by
 side in the lanes of one int: each pair's own pattern and text, so one pass
-of big-int operations advances every lane by one column.
+of big-int operations advances every lane by one column.  Timed gated runs,
+``filtered_edge_set``, ``score`` and the set metrics decide one pair at a
+time.
 """
 
 from __future__ import annotations
@@ -383,8 +385,11 @@ def score(metric: Metric, a, b) -> float:
 
     ``a`` and ``b`` only need a ``topics`` attribute.  Levenshtein compares
     the canonical serialized strings; every other metric is a function of the
-    overlap shape, blind to label names.  Pearson raises UndefinedCorrelationError
-    where the union has under two labels or a binary term vector is constant.
+    overlap shape, blind to label names.  Pearson correlates the binary term
+    vectors over the union of the two sets, which has no position where both
+    are 0, so wherever it is defined it is negative; it raises
+    UndefinedCorrelationError where the union has under two labels or a
+    binary term vector is constant.
     """
     a, b = a.topics, b.topics
     if metric is Metric.LEVENSHTEIN:

@@ -134,7 +134,10 @@ def run_trials(
     rumor: RumorContent | None = None,
     decisions: Mapping | None = None,
 ) -> tuple:
-    """Run cfg.trials trials, one run if the model draws nothing; returns (traces, mean curve)."""
+    """Run cfg.trials trials, one run if the model draws nothing; returns (traces, mean curve).
+
+    Each step's mean is the exact int sum of the trials' counts over the trial count.
+    """
     start = _starter(cfg, graph, profiles, rumor, decisions)
     base = RngStream(cfg.seed)
     if cfg.model in DRAWING_MODELS:

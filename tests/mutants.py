@@ -6,8 +6,9 @@ Run from anywhere, with the interpreter the tests use:
     python3 tests/mutants.py NAME ...    # only the named mutants
 
 For each mutant the script copies ``src/``, ``tests/``, ``fixtures/``,
-``pyproject.toml`` and ``README.md`` (a CLI test reads its config table)
-into a fresh temporary directory, replaces one exact snippet of one file
+``pyproject.toml`` and ``README.md`` (CLI tests read its config table, run
+its Python examples and check the test ids of its model section) into a
+fresh temporary directory, replaces one exact snippet of one file
 there, and runs pytest on the mutant's test files in a subprocess.  A
 failed test kills the mutant.  The script prints one line per mutant and
 exits 1 if a mutant not marked equivalent survives, or if a snippet does not
@@ -334,6 +335,38 @@ MUTANTS = [
         "print(sorted(result.missing_profiles))",
         ("tests/test_cli.py::TestReadme",),
         "the library example reads a DiffuserSet field that no longer exists",
+    ),
+    Mutant(
+        "readme-odd-names-a-missing-test",
+        "README.md",
+        "`tests/test_simulate.py::TestGatedRun::test_created_at_beyond_horizon_never_evaluates`",
+        "`tests/test_simulate.py::TestGatedRun::test_created_at_beyond_horizon_never_wakes`",
+        ("tests/test_cli.py::TestReadme::test_every_model_rule_ends_with_tests_that_exist",),
+        "a rule of the model section names a test that does not exist, as after a rename",
+    ),
+    Mutant(
+        "config-strips-inline-comments",
+        "src/rumorsim/config.py",
+        "raw[key] = (value.strip(), (path, line_no))",
+        'raw[key] = (value.split("#")[0].strip(), (path, line_no))',
+        ("tests/test_simulate.py::TestConfigFile",),
+        "a # after a value starts a comment, so a path holding # is cut short",
+    ),
+    Mutant(
+        "output-written-through-a-symlink",
+        "src/rumorsim/graph.py",
+        "os.replace(tmp, path)",
+        "path.write_bytes(tmp.read_bytes())",
+        ("tests/test_cli.py::TestAtomicOutputs",),
+        "an output is copied into the file at its path, so a symlink there is written through",
+    ),
+    Mutant(
+        "timed-run-seed-without-profile",
+        "src/rumorsim/simulate.py",
+        "_check_initials(graph, cfg.initials, profiles)",
+        "_check_initials(graph, cfg.initials)",
+        ("tests/test_simulate.py::TestGatedRun",),
+        "a timed gated run accepts a seed without a profile, which scores 0 against every follower",
     ),
     Mutant(
         "levenshtein-bound-rejects-at-threshold",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import dataclasses
 import json
@@ -24,6 +25,17 @@ from rumorsim.similarity import overlap_scores
 
 CFG = str(FIXTURE_DIR / "sim.cfg")
 CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(SimulationConfig))
+ROOT = FIXTURE_DIR.parent.parent
+# the parts of README's model section, in the order of the ODD protocol
+ODD_PARTS = [
+    "Purpose and patterns",
+    "Entities, state variables and scales",
+    "Process overview and scheduling",
+    "Design concepts",
+    "Initialization",
+    "Input data",
+    "Submodels",
+]
 
 
 def run(capsys, *argv):
@@ -378,6 +390,43 @@ class TestReadme:
         ]
         assert {u: tuple(run) for u, run in namespace["sources"].items()} == in_adjacency(graph)
 
+    def test_every_model_rule_ends_with_tests_that_exist(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Model (ODD)\n", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"^### (.+)$", section, flags=re.MULTILINE) == ODD_PARTS
+        rules = bullets(section)
+        assert len(rules) >= 30
+        tails = [re.search(r"(?:`tests/[^`\s]+`(?:, |$))+$", rule) for rule in rules]
+        assert [rule for rule, tail in zip(rules, tails) if tail is None] == []
+        ids = [test_id for tail in tails for test_id in re.findall(r"`([^`]+)`", tail.group())]
+        assert [test_id for test_id in ids if not names_a_test(test_id)] == []
+
+
+def bullets(text):
+    """Each top-level ``- `` item of ``text``, its indented lines joined to it by spaces."""
+    items, inside = [], False
+    for line in text.splitlines():
+        if line.startswith("- "):
+            items.append(line[2:].strip())
+            inside = True
+        elif inside and line.startswith("  ") and line.strip():
+            items[-1] += " " + line.strip()
+        else:
+            inside = False
+    return items
+
+
+def names_a_test(test_id):
+    """Whether ``tests/<file>.py::[Test<Class>::]test_<name>`` names a test function in that file."""
+    path, *classes, name = test_id.split("::")
+    source = ROOT / path
+    if len(classes) > 1 or not all(cls.startswith("Test") for cls in classes) or not name.startswith("test_"):
+        return False
+    scope = ast.parse(source.read_text(encoding="utf-8")).body if source.is_file() else []
+    for cls in classes:
+        scope = next((node.body for node in scope if isinstance(node, ast.ClassDef) and node.name == cls), [])
+    return any(isinstance(node, ast.FunctionDef) and node.name == name for node in scope)
+
 
 class TestConfigKeys:
     """The SimulationConfig fields are the one list of config keys."""
@@ -617,6 +666,17 @@ class TestAtomicOutputs:
             "curve.csv", "eval.json", "sims.csv", "summary.json", "trace.csv",
         ]
         assert len(list((tmp_path / "frames").glob("frame_*.dot"))) == 21
+
+    def test_an_output_replaces_a_symlink_at_its_path(self, tmp_path, capsys):
+        out, outside = tmp_path / "out", tmp_path / "outside.csv"
+        out.mkdir()
+        outside.write_bytes(b"kept\n")
+        (out / "trace.csv").symlink_to(outside)
+        code, _, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out))
+        assert code == 0, stderr
+        assert not (out / "trace.csv").is_symlink()
+        assert (out / "trace.csv").read_text(encoding="utf-8").startswith("trial,step,user_id,new_state\n")
+        assert outside.read_bytes() == b"kept\n"
 
     def test_every_output_is_written_with_lf_line_ends(self, tmp_path, capsys, monkeypatch):
         # newline="" writes "\n" as is; the default would write os.linesep

@@ -188,6 +188,14 @@ class TestGatedRun:
         with pytest.raises(ConfigurationError):
             run_simulation(cfg, chain_graph, uniform_profiles(chain_graph))
 
+    def test_initial_without_profile_rejected(self, chain_graph):
+        # as in a closure: a seed without a profile would score 0 against every follower
+        profiles = uniform_profiles(chain_graph)
+        del profiles[1]
+        cfg = gated_config(threshold=0.0)
+        with pytest.raises(ConfigurationError, match="^initial diffuser 1 has no profile$"):
+            run_simulation(cfg, chain_graph, profiles)
+
 
 class TestEveryStepFixpoint:
     def test_final_set_equals_worklist_fixpoint(self):
@@ -974,13 +982,15 @@ class TestConfigFile:
         assert cfg.edges_path == tmp_path / "edges.csv"
 
     def test_comments_blanks_and_values(self, tmp_path):
+        # a comment is a line whose first non-blank character is #, so a path may hold one
         text = (
-            "# a comment\n\n"
+            "# a comment\n\n  # x\n"
             + self.base_text()
             + "max_time = 30\ntrials = 5\nseed = 123\nmodel = ic\nic_default_p = 0.25\n"
-            + "initials = 3, 1, 2\nmetrics = cosine, dice\nevaluation_policy = every_step\n"
+            + "initials = 3, 1, 2\nmetrics = cosine, dice\nevaluation_policy = every_step\nout_dir = runs#1\n"
         )
         cfg = load_config(self.write(tmp_path, text))
+        assert cfg.out_dir == tmp_path / "runs#1"
         assert cfg.max_time == 30
         assert cfg.trials == 5
         assert cfg.seed == 123
