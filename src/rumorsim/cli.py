@@ -141,7 +141,7 @@ def _cmd_similarity(args) -> int:
 
 def _sims_lines(graph, profiles):
     # the four scores depend only on (|a & b|, |a|, |b|), so each shape's row
-    # tail is formatted once. An endpoint without a profile scores 0.0, as in the gate.
+    # tail is formatted once. An endpoint without a profile scores 0.0, though no gate admits it.
     zeros = ",0.0,0.0,0.0,0.0\n"
     tails = {}
     for a, followers in graph.adjacency.items():

@@ -61,19 +61,21 @@ def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: Similari
     """Build the edge admission predicate admit(i, j) for one gate setup.
 
     ``rumor`` of None selects user-user comparison, otherwise the follower j
-    is compared against the rumor.  A user without a profile scores 0, so an
-    edge that touches one passes exactly when the threshold is 0.  A gate
-    without a decisions table raises ConfigurationError if ``profiles`` is
-    None.  A metric that is undefined for the pair (pearson on a degenerate
-    overlap shape) raises UndefinedCorrelationError naming the edge, or the
-    follower and the rumor.  Each call builds a fresh predicate, which decides
-    every pair as ``score(...) >= threshold`` would.
+    is compared against the rumor.  A user without a profile never diffuses:
+    an edge that touches one fails at any threshold, and under a decisions
+    table an edge to a follower without one fails whenever ``profiles`` is
+    given (with None the table alone decides).  A gate without a decisions
+    table raises ConfigurationError if ``profiles`` is None.  A metric that
+    is undefined for the pair (pearson on a degenerate overlap shape) raises
+    UndefinedCorrelationError naming the edge, or the follower and the
+    rumor.  Each call builds a fresh predicate, which decides every pair of
+    profiled users as ``score(...) >= threshold`` would.
     """
     if gate.decisions is not None:
         table = gate.decisions
 
         def admit(i, j):
-            return bool(table.get((i, j), False))
+            return bool(table.get((i, j), False)) and (profiles is None or j in profiles)
 
         return admit
 
@@ -86,7 +88,7 @@ def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: Similari
         pi = profiles.get(i) if rumor is None else rumor
         pj = profiles.get(j)
         if pi is None or pj is None:
-            return 0.0 >= threshold
+            return False
         try:
             return test(pi.topics, pj.topics)
         except UndefinedCorrelationError as exc:
@@ -290,7 +292,6 @@ def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: 
     decision per follower are handled as ``admission_test`` handles them.
     """
     levels = _levenshtein_levels(threshold)
-    unscored = 0.0 >= threshold
     # against the rumor every level has the one pattern, and a follower one decision
     content = None if rumor is None else levels()
     decided = {}
@@ -307,7 +308,7 @@ def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: 
                 pi = profiles.get(i) if rumor is None else rumor
                 pj = profiles.get(j)
                 if pi is None or pj is None:
-                    passed.append(unscored)
+                    passed.append(False)
                 else:
                     where.append(len(passed))
                     scored.append((pi.topics, pj.topics))

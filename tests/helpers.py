@@ -246,6 +246,37 @@ def pull_gated_run(graph, profiles, initials, admit, max_time, every_step):
     return changes, clamped
 
 
+def every_step_law(graph, profiles, initials, admit, max_time):
+    """The step at which ``every-step`` activates each user, found by a Dijkstra search.
+
+    The seeds activate at step 0.  A user j with a profile and created_at in
+    0..max_time activates at the earliest max(created_at_j, t_i + d) over
+    its in-neighbours i with ``admit(i, j)``, where t_i is i's step and d is
+    0 if i is a seed or i < j, else 1; no other user ever activates.  Each
+    edge maps a step to a later-or-equal one, so the first step a user is
+    popped with is its least (Dijkstra, Numerische Mathematik, 1959).  The
+    steps are not cut at max_time: a recheck admitted at max_time can
+    activate a user at max_time + 1.  Returns each activated user's step.
+    """
+    seeds = set(initials)
+    steps = dict.fromkeys(seeds, 0)
+    heap = [(0, u) for u in sorted(seeds)]
+    done = set()
+    while heap:
+        t, i = heapq.heappop(heap)
+        if i in done:
+            continue
+        done.add(i)
+        for j in graph.out_neighbors(i):
+            if j in done or j not in profiles or not 0 <= profiles[j].created_at <= max_time or not admit(i, j):
+                continue
+            candidate = max(profiles[j].created_at, t if i in seeds or i < j else t + 1)
+            if candidate < steps.get(j, candidate + 1):
+                steps[j] = candidate
+                heapq.heappush(heap, (candidate, j))
+    return steps
+
+
 def rescan_gated_run(cfg, graph, profiles, rumor=None, decisions=None):
     """Gated scheduler by brute force: recheck every awake inactive user each step.
 
@@ -370,6 +401,45 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
             break
     counts.extend([counts[-1]] * (cfg.max_time + 1 - len(counts)))
     return changes, counts, {u: s.value for u, s in states.items()}
+
+
+class ScriptedStream:
+    """A stream whose draws are a script: ``random()`` returns its values in order, then ``rest``.
+
+    ``drawn`` counts the draws taken, read or past the script.
+    """
+
+    def __init__(self, script, rest):
+        self.script = script
+        self.rest = rest
+        self.drawn = 0
+
+    def random(self):
+        k = self.drawn
+        self.drawn += 1
+        return self.script[k] if k < len(self.script) else self.rest
+
+
+def every_script(run, values):
+    """Each script over ``values`` that ``run(stream)`` reads whole, in depth-first order.
+
+    Yields (script, result): the draws run took and what it returned.  A
+    script differs from the one before it in its last draw that can take a
+    later value of ``values``; the draws after that one take ``values[0]``.
+    ``run`` must be deterministic in the draws it takes, as a seeded run is.
+    """
+    script = []
+    while True:
+        stream = ScriptedStream(script, values[0])
+        result = run(stream)
+        # a run reads at least the prefix it is given: that prefix was read whole before
+        script = script + [values[0]] * (stream.drawn - len(script))
+        yield list(script), result
+        while script and script[-1] == values[-1]:
+            script.pop()
+        if not script:
+            return
+        script[-1] = values[values.index(script[-1]) + 1]
 
 
 def csv_trace_bytes(traces):

@@ -11,9 +11,11 @@ its Python examples and check the test ids of its model section) into a
 fresh temporary directory, replaces one exact snippet of one file
 there, and runs pytest on the mutant's test files in a subprocess.  A
 failed test kills the mutant.  The script prints one line per mutant and
-exits 1 if a mutant not marked equivalent survives, or if a snippet does not
-occur exactly once in its file (the code it plants a bug in has moved, so
-the entry needs updating).  pytest does not collect this file.
+exits 1 if a mutant not marked equivalent survives, if one marked
+equivalent is killed (it is not equivalent, and its label is stale), or if
+a snippet does not occur exactly once in its file (the code it plants a bug
+in has moved, so the entry needs updating).  pytest does not collect this
+file.
 
 A test added to check a law or a contract brings its planted bug here.
 """
@@ -50,6 +52,8 @@ CLASSICAL_REACHED = (
 STEP_CONTRACT = (
     "tests/test_diffusion.py::test_a_step_carries_a_user_outside_the_graph_and_leaves_its_inputs_alone"
 )
+SCRIPTED_SIR = "tests/test_exhaustive.py::test_sir_run_equals_the_full_sweep_reference_on_every_script"
+SCRIPTED_IC = "tests/test_exhaustive.py::test_ic_run_equals_the_full_sweep_reference_on_every_script"
 
 MUTANTS = [
     Mutant(
@@ -83,6 +87,54 @@ MUTANTS = [
         "                        hit = True\n                        break\n",
         ("tests/test_simulate.py", "tests/test_conformance.py"),
         "an exposed SIR node stops drawing after its first hit, so the stream desyncs",
+    ),
+    Mutant(
+        "sir-one-draw-per-exposed-node-scripted",
+        DIFFUSION,
+        "for _ in range(exposure[v]):",
+        "for _ in range(1):",
+        (SCRIPTED_SIR,),
+        "the same bug, seen by the scripted-draw check against the full-sweep reference",
+    ),
+    Mutant(
+        "sir-stops-drawing-after-a-hit-scripted",
+        DIFFUSION,
+        "                        hit = True\n",
+        "                        hit = True\n                        break\n",
+        (SCRIPTED_SIR,),
+        "the same bug, seen by the scripted-draw check against the full-sweep reference",
+    ),
+    Mutant(
+        "sir-gamma-on-new-infections-scripted",
+        DIFFUSION,
+        "delta.append((v, EpidemicState.INFECTED))",
+        "delta.append((v, EpidemicState.INFECTED if draw() >= gamma else EpidemicState.RECOVERED))",
+        (SCRIPTED_SIR,),
+        "the same bug, seen by the scripted-draw check against the full-sweep reference",
+    ),
+    Mutant(
+        "ic-spreader-spreads-again-scripted",
+        DIFFUSION,
+        "self.spreaders = sorted(hit)",
+        "self.spreaders = sorted(hit.union(self.spreaders))",
+        (SCRIPTED_IC,),
+        "the same bug, seen by the scripted-draw check against the full-sweep reference",
+    ),
+    Mutant(
+        "sir-infection-draw-at-most-beta",
+        DIFFUSION,
+        "if draw() < beta:",
+        "if draw() <= beta:",
+        (SCRIPTED_SIR,),
+        "an exposure draw of exactly beta infects; random() can return it, and a scripted draw does",
+    ),
+    Mutant(
+        "sir-recovery-draw-at-most-gamma",
+        DIFFUSION,
+        "if draw() < gamma:",
+        "if draw() <= gamma:",
+        (SCRIPTED_SIR,),
+        "a recovery draw of exactly gamma recovers; random() can return it, and a scripted draw does",
     ),
     Mutant(
         "tipping-strict-threshold",
@@ -230,6 +282,14 @@ MUTANTS = [
         "under every-step a follower with a higher id waits for the next step instead of this one",
     ),
     Mutant(
+        "every-step-follower-always-waits-law",
+        "src/rumorsim/gated.py",
+        "heapq.heappush(self.events, (t + (k < j), k, True))",
+        "heapq.heappush(self.events, (t + 1, k, True))",
+        ("tests/test_exhaustive.py::test_every_step_activates_at_the_law_step",),
+        "the same bug, seen by the exhaustive check against the activation-step law",
+    ),
+    Mutant(
         "initials-not-recorded",
         "src/rumorsim/gated.py",
         "        for i in sorted(seeds):\n            self._spread(i, -1)\n",
@@ -305,28 +365,38 @@ MUTANTS = [
         "diffuse_user_content without a rumor silently runs the user-user gate",
     ),
     Mutant(
-        "unprofiled-pair-always-fails",
+        "unprofiled-pair-passes-at-threshold-0",
         "src/rumorsim/gated.py",
-        "            return 0.0 >= threshold\n",
-        "            return False\n",
+        "        if pi is None or pj is None:\n            return False\n",
+        "        if pi is None or pj is None:\n            return 0.0 >= threshold\n",
         ("tests/test_gated.py::TestValidation",),
-        "an edge that touches a user without a profile fails even at threshold 0",
+        "the old rule: a user without a profile scores 0, so an edge touching one passes at threshold 0",
     ),
     Mutant(
         "unprofiled-pair-always-passes",
         "src/rumorsim/gated.py",
-        "            return 0.0 >= threshold\n",
-        "            return True\n",
+        "        if pi is None or pj is None:\n            return False\n",
+        "        if pi is None or pj is None:\n            return True\n",
         ("tests/test_gated.py::TestValidation",),
         "an edge that touches a user without a profile passes at any threshold",
     ),
     Mutant(
-        "unprofiled-pair-always-fails-in-rounds",
+        "unprofiled-pair-passes-at-threshold-0-in-rounds",
         "src/rumorsim/gated.py",
-        "passed.append(unscored)",
         "passed.append(False)",
+        "passed.append(0.0 >= threshold)",
         ("tests/test_gated.py::TestValidation",),
-        "a Levenshtein closure's rounds fail an edge that touches a user without a profile, even at threshold 0",
+        "the old rule in a Levenshtein closure's rounds: an edge touching a user without a profile passes at"
+        " threshold 0",
+    ),
+    Mutant(
+        "table-admits-a-follower-without-profile",
+        "src/rumorsim/gated.py",
+        "return bool(table.get((i, j), False)) and (profiles is None or j in profiles)",
+        "return bool(table.get((i, j), False))",
+        ("tests/test_exhaustive.py::test_every_step_at_a_long_horizon_reaches_the_closure",),
+        "the old rule under a decisions table: a closure admits a follower without a profile, which no timed"
+        " run wakes",
     ),
     Mutant(
         "readme-example-reads-a-removed-field",
@@ -366,7 +436,7 @@ MUTANTS = [
         "_check_initials(graph, cfg.initials, profiles)",
         "_check_initials(graph, cfg.initials)",
         ("tests/test_simulate.py::TestGatedRun",),
-        "a timed gated run accepts a seed without a profile, which scores 0 against every follower",
+        "a timed gated run accepts a seed without a profile, which admits no follower",
     ),
     Mutant(
         "levenshtein-bound-rejects-at-threshold",
@@ -484,6 +554,14 @@ MUTANTS = [
         "        return RngStream(_mix64((self.seed + (index + _DERIVED) * _GOLDEN) & _MASK64))\n",
         ("tests/test_cli.py",),
         "a child stream depends on how many streams the process derived before, so a rerun differs",
+    ),
+    Mutant(
+        "randrange-reads-the-low-bits",
+        "src/rumorsim/rng.py",
+        "value = value << bits | int(draw() * (1 << bits))",
+        "value = value << bits | int(draw() * (1 << 53)) & ((1 << bits) - 1)",
+        ("tests/test_diffusion.py::TestRngStream::test_randrange_draws_through_random_alone",),
+        "randrange keeps a draw's low bits, not its top bits: still uniform, but another sequence per seed",
     ),
     Mutant(
         "rumor-read-without-a-rumor-path",
@@ -606,6 +684,14 @@ MUTANTS = [
         "a level's admitted followers join the log by id alone, not after their admitting source",
     ),
     Mutant(
+        "round-admissions-by-id-exhaustive",
+        "src/rumorsim/gated.py",
+        "        admitted.sort()\n",
+        "        admitted.sort(key=lambda admission: admission[1])\n",
+        ("tests/test_exhaustive.py::test_closure_engines_order_a_level_alike_on_four_users",),
+        "the same bug, seen by the exhaustive two-level check on four users",
+    ),
+    Mutant(
         "rounds-retest-admitted-followers",
         "src/rumorsim/gated.py",
         "candidates = [c for c in candidates if c[1] not in members]",
@@ -618,9 +704,8 @@ MUTANTS = [
         DIFFUSION,
         "if draw() < p and target not in reached:",
         "if draw() <= p and target not in reached:",
-        ("tests/test_diffusion.py", "tests/test_simulate.py"),
-        "differs from < only when a draw equals p exactly, which no seeded test meets",
-        equivalent=True,
+        (SCRIPTED_IC,),
+        "a draw of exactly p infects; random() can return it, and a scripted draw does",
     ),
 ]
 
@@ -665,13 +750,15 @@ def main(argv) -> int:
     gaps = 0
     for mutant in chosen:
         status, seconds, last = run_mutant(mutant)
-        # an equivalent mutant may go either way; it is listed so it is not taken for a gap
-        ok = status == "killed" or (mutant.equivalent and status == "survived")
+        # an equivalent mutant must survive: one that a test kills is not equivalent
+        ok = status == ("survived" if mutant.equivalent else "killed")
         gaps += not ok
         tag = "ok " if ok else "GAP"
         kind = " (equivalent)" if mutant.equivalent else ""
         print(f"{tag} {status:<8} {mutant.name}{kind} [{', '.join(mutant.tests)}] {seconds:.1f} s: {last}")
-        if not ok or mutant.equivalent:
+        if status == "killed" and mutant.equivalent:
+            print("    killed, so it is not equivalent: mark it killed")
+        elif not ok or mutant.equivalent:
             print(f"    {mutant.reason}")
     print(f"{len(chosen)} mutants, {gaps} not killed as expected")
     return 1 if gaps else 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,26 @@ class TestRngStream:
         rng = RngStream(5)
         values = {rng.randrange(4) for _ in range(200)}
         assert values == {0, 1, 2, 3}
+
+    def test_randrange_draws_through_random_alone(self):
+        # the reference reads its bits as text: each draw's 53 bits in a row, the first k of them kept
+        def randbelow(random, n):
+            while True:
+                bits = ""
+                while len(bits) < n.bit_length():
+                    bits += format(int(Fraction(random()) * 2**53), "053b")
+                if (value := int(bits[: n.bit_length()], 2)) < n:
+                    return value
+
+        bounds = sorted({2**e + d for e in range(65) for d in (-1, 0, 1)} - {0})
+        for seed, n in enumerate(bounds):
+            stream, reference = RngStream(seed), random.Random(seed)
+            assert [stream.randrange(n) for _ in range(20)] == [randbelow(reference.random, n) for _ in range(20)], n
+            # both stand at the same draw
+            assert stream.random() == reference.random()
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                RngStream(0).randrange(n)
 
 
 class TestSirStep:

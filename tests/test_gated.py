@@ -122,17 +122,13 @@ class TestValidation:
                 assert result.insertion_log == [1], (metric, rumor)
 
     @pytest.mark.parametrize("rumor", [None, RumorContent(frozenset({"news"}))], ids=["user", "content"])
-    def test_zero_threshold_admits_a_user_without_profile(self, chain_graph, rumor):
-        # 2 has no profile: it scores 0.0, passes at threshold 0 and then
-        # is the source of the edge (2, 3)
-        profiles = {1: profile(1, "news"), 3: profile(3, "news")}
-        result = _diffuse(chain_graph, profiles, rumor, [1], SimilarityGate(Metric.COSINE, 0.0))
-        assert result.insertion_log == [1, 2, 3]
-        # with a profile for 1 alone no metric is ever scored, and a
-        # levenshtein gate decides in rounds
+    def test_zero_threshold_never_admits_a_user_without_profile(self, chain_graph, rumor):
+        # 2 has no profile, so it never diffuses, at threshold 0 too, and
+        # 3 behind it stays out; a levenshtein gate decides in rounds
         for metric in Metric:
-            result = _diffuse(chain_graph, {1: profile(1, "news")}, rumor, [1], SimilarityGate(metric, 0.0))
-            assert result.insertion_log == [1, 2, 3], metric
+            for profiles in ({1: profile(1, "news"), 3: profile(3, "news")}, {1: profile(1, "news")}):
+                result = _diffuse(chain_graph, profiles, rumor, [1], SimilarityGate(metric, 0.0))
+                assert result.insertion_log == [1], (metric, sorted(profiles))
 
     def test_undefined_metric_against_the_rumor_names_the_user(self, chain_graph, news_profiles):
         # follower 2's topics equal the rumor's: constant binary vectors
@@ -195,6 +191,14 @@ class TestDecisionsOverride:
         gate = SimilarityGate(Metric.COSINE, 0.5, decisions={(1, 2): True, (2, 3): False})
         result = diffuse_user_user(chain_graph, profiles, [1], gate)
         assert result.members == {1, 2}
+
+    def test_table_never_admits_a_follower_without_profile(self, chain_graph):
+        # the table passes both edges, but 2 has no profile; given no profiles the table decides alone
+        gate = SimilarityGate(decisions={(1, 2): True, (2, 3): True})
+        for rumor in (None, RumorContent(frozenset({"news"}))):
+            result = _diffuse(chain_graph, {1: profile(1), 3: profile(3)}, rumor, [1], gate)
+            assert result.insertion_log == [1], rumor
+            assert _diffuse(chain_graph, None, rumor, [1], gate).insertion_log == [1, 2, 3], rumor
 
     def test_edge_absent_from_table_fails(self, chain_graph, news_profiles):
         gate = SimilarityGate(Metric.COSINE, 0.5, decisions={})

@@ -189,7 +189,7 @@ class TestGatedRun:
             run_simulation(cfg, chain_graph, uniform_profiles(chain_graph))
 
     def test_initial_without_profile_rejected(self, chain_graph):
-        # as in a closure: a seed without a profile would score 0 against every follower
+        # as in a closure: a seed without a profile could admit no follower
         profiles = uniform_profiles(chain_graph)
         del profiles[1]
         cfg = gated_config(threshold=0.0)
