@@ -78,8 +78,7 @@ _EXPORTS = {
         "rebuild_trace",
         "run_simulation",
         "run_trials",
-        "write_curve_csv",
-        "write_summary_json",
+        "write_outputs",
         "write_trace_csv",
     ),
 }

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
-from .graph import _write_lines, load_edges, load_rumor, load_users, validate
+from .graph import _csv_chunks, _write_files, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
 
 # The scheduler, the evaluation harness and the decisions reader are imported
@@ -93,17 +93,14 @@ def _load_inputs(cfg) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import run_trials, write_curve_csv, write_summary_json, write_trace_csv
+    from .simulate import run_trials, write_outputs
 
     cfg = load_config(args.config, _overrides(args))
     graph, profiles, rumor, decisions = _load_inputs(cfg)
     start = time.perf_counter()
     traces, aggregate = run_trials(cfg, graph, profiles, rumor, decisions)
     runtime = time.perf_counter() - start
-    out = Path(cfg.out_dir)
-    write_trace_csv(traces, out / "trace.csv")
-    write_curve_csv(aggregate, out / "curve.csv")
-    write_summary_json(cfg, traces, aggregate, out / "summary.json")
+    write_outputs(cfg, traces, aggregate, cfg.out_dir)
     print(
         f"{cfg.trials} trial(s) of {cfg.model.value}: "
         f"mean final diffusers {aggregate[-1]:g} of {len(graph.nodes)} users in {runtime:.6f} s"
@@ -134,7 +131,7 @@ def _cmd_similarity(args) -> int:
     graph = load_edges(cfg.edges_path)
     profiles = load_users(cfg.users_path)
     path = Path(cfg.out_dir) / "sims.csv"
-    _write_lines(path, SIMS_HEADER, _sims_lines(graph, profiles))
+    _write_files([(path, _csv_chunks(SIMS_HEADER, _sims_lines(graph, profiles)))])
     print(f"wrote {graph.edge_count} edge scores to {path}")
     return 0
 

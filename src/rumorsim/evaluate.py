@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .errors import ConfigurationError, EmptyEvaluationError
 from .gated import DiffuserSet, SimilarityGate, diffuse_user_content, diffuse_user_user
-from .graph import RumorContent, SocialGraph, _write_json
+from .graph import RumorContent, SocialGraph, _json_chunks, _write_files
 from .config import GATED_MODELS, ModelKind
 from .similarity import _SHAPE_SCORES
 
@@ -114,4 +114,4 @@ def sweep_rows(rows, threshold: float) -> list:
 
 
 def write_eval_json(rows, threshold: float, path) -> None:
-    _write_json(path, sweep_rows(rows, threshold))
+    _write_files([(path, _json_chunks(sweep_rows(rows, threshold)))])

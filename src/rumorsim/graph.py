@@ -239,7 +239,7 @@ class _IdTexts(dict):
 def save_edges(graph: SocialGraph, path) -> None:
     """Write the edge list back to CSV in sorted order (round-trips exactly)."""
     lines = (f"{a},{b}\n" for a, followers in graph.adjacency.items() for b in followers)
-    _write_lines(path, EDGES_HEADER, lines)
+    _write_files([(path, _csv_chunks(EDGES_HEADER, lines))])
 
 
 @_collector_paused()
@@ -358,41 +358,47 @@ def _read_rows(path, header: list):
             raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-@contextmanager
-def _open_output(path):
-    """Open ``.<name>.tmp`` beside ``path`` for UTF-8 text; rename it over ``path`` on a clean exit.
+def _write_files(files, stale=()) -> None:
+    """Write ``files``, (path, text chunks) pairs, as one set, then remove each ``stale`` path.
 
-    Newlines are written untranslated, so every output ends its lines in LF
-    on every platform.  Any exception, KeyboardInterrupt included, leaves a
-    previous ``path`` whole and no temp file.
+    Each file is written to ``.<name>.tmp`` beside its path, in UTF-8 with
+    newlines untranslated, so every output ends its lines in LF on every
+    platform.  Only once every file is written are the temp files renamed
+    over their paths, in the given order.  An exception before the first
+    rename, KeyboardInterrupt included, removes every temp file and leaves
+    the previous files as they were; one during the renames leaves the files
+    renamed so far new, the rest old, and no temp file.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
+    staged = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
+        for path, chunks in files:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.tmp")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                staged.append((tmp, path))
+                fh.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    for path in stale:
+        Path(path).unlink()
 
 
-def _write_lines(path, header: list, lines) -> None:
-    """Write a header and then ``lines``, text ending in LF, through ``_open_output``.
+def _csv_chunks(header: list, lines):
+    """A CSV's text chunks for ``_write_files``: the header, then ``lines``, each ending in LF.
 
     Every CSV this package writes holds only ints, floats and labels that need
     no quoting, and ``str()`` of an int or float is what ``csv.writer`` writes.
     """
-    with _open_output(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+    return chain([",".join(header) + "\n"], lines)
 
 
-def _write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON with a final newline."""
-    with _open_output(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_chunks(payload) -> list:
+    """``payload`` as indented, key-sorted JSON with a final newline, in one chunk."""
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
 def _parse_user_id(path, line_no: int, text: str) -> UserId:

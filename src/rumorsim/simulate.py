@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -40,7 +40,7 @@ from .diffusion import (
 )
 from .errors import ConfigurationError, ParseError
 from .gated import GatedRun, GateState, SimilarityGate, _check_initials, admission_test
-from .graph import RumorContent, SocialGraph, _open_output, _read_rows, _write_json, _write_lines
+from .graph import RumorContent, SocialGraph, _csv_chunks, _json_chunks, _read_rows, _write_files
 from .rng import RngStream
 
 TRACE_HEADER = ["trial", "step", "user_id", "new_state"]
@@ -187,9 +187,44 @@ def _drive(cfg, graph, run) -> DiffusionTrace:
     return DiffusionTrace(cfg.model, cfg.max_time, changes, graph.nodes, run.clamped)
 
 
-def write_trace_csv(traces, path) -> None:
-    """Write all trials' deltas as trial,step,user_id,new_state rows, one string per step."""
-    _write_lines(path, TRACE_HEADER, _trace_lines(traces))
+def write_outputs(cfg, traces, aggregate, out_dir) -> None:
+    """Write trace.csv, curve.csv and summary.json into ``out_dir`` as one set, summary.json last.
+
+    summary.json holds final counts and a config echo: the same bytes for the
+    same config and seed.
+    """
+    out = Path(out_dir)
+    payload = {
+        "config": config_echo(cfg),
+        "trials": [
+            {
+                "trial": k,
+                "final_diffusers": trace.counts[-1],
+                "steps_with_changes": len(trace.changes),
+                # a gated run checks only users with a profile, so none is missing
+                "missing_profiles": [],
+                "clamped_agents": trace.clamped_agents,
+            }
+            for k, trace in enumerate(traces)
+        ],
+        "final_diffusers_mean": aggregate[-1],
+    }
+    write_trace_csv(
+        traces,
+        out / "trace.csv",
+        [(out / "curve.csv", _curve_chunks(aggregate)), (out / "summary.json", _json_chunks(payload))],
+    )
+
+
+def write_trace_csv(traces, path, then=()) -> None:
+    """Write all trials' deltas as trial,step,user_id,new_state rows, one string per step.
+
+    The file is committed as one set with ``then``, (path, text chunks) pairs
+    renamed after it in order.  ``write_outputs`` passes simulate's other two
+    files here, so this one call writes and commits the whole set:
+    ``bench/tracer.py`` reads the trace's rows and bytes as it returns.
+    """
+    _write_files([(path, _csv_chunks(TRACE_HEADER, _trace_lines(traces))), *then])
 
 
 def _trace_lines(traces):
@@ -244,39 +279,36 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
 
 
 def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
-    """Write one DOT frame per step plus curve.csv; returns the frame paths.
+    """Write one DOT frame per step plus curve.csv as one set; returns the frame paths.
 
     Nodes are colored red once they have diffused (or been infected /
     adopted) and blue otherwise, so the frame sequence animates the spread.
     A ``frame_<digits>.dot`` already in ``out_dir`` whose number exceeds
-    max_time, left by a longer trial, is removed.
+    max_time, left by a longer trial, is removed once the set is committed.
     """
     out = Path(out_dir)
+    paths = [out / f"frame_{t:04d}.dot" for t in range(trace.max_time + 1)]
+    numbers = ((path, path.stem[len("frame_") :]) for path in out.glob("frame_*.dot"))
+    stale = [path for path, number in numbers if number.isdecimal() and int(number) > trace.max_time]
     nodes_sorted = sorted(graph.nodes)
     # the edge lines are the same in every frame
     adjacency = graph.adjacency.items()
     edge_lines = "".join(f"  {a} -> {b};\n" for a, followers in adjacency for b in followers) + "}\n"
-    activations = dict(trace._activations())
-    active, paths = set(), []
-    for t in range(trace.max_time + 1):
-        active.update(activations.get(t, ()))
-        frame_path = out / f"frame_{t:04d}.dot"
-        with _open_output(frame_path) as fh:
-            fh.write("digraph diffusion {\n")
-            fh.writelines(f"  {u} [color={'red' if u in active else 'blue'}];\n" for u in nodes_sorted)
-            fh.write(edge_lines)
-        paths.append(frame_path)
-    write_curve_csv(trace.counts, out / "curve.csv")
-    for stale in out.glob("frame_*.dot"):
-        number = stale.name[len("frame_") : -len(".dot")]
-        if number.isdecimal() and int(number) > trace.max_time:
-            stale.unlink()
+    # each user's first step out of the default state: the earliest step is assigned last
+    since = {u: t for t, users in reversed(list(trace._activations())) for u in users}
+
+    def frame(t):
+        colors = (f"  {u} [color={'red' if since.get(u, t + 1) <= t else 'blue'}];\n" for u in nodes_sorted)
+        return chain(["digraph diffusion {\n"], colors, [edge_lines])
+
+    frames = zip(paths, map(frame, range(trace.max_time + 1)))
+    _write_files(chain(frames, [(out / "curve.csv", _curve_chunks(trace.counts))]), stale)
     return paths
 
 
-def write_curve_csv(series, path) -> None:
-    """Write a step,diffusers series (ints for one trial, means for many)."""
-    _write_lines(path, CURVE_HEADER, (f"{t},{v}\n" for t, v in enumerate(series)))
+def _curve_chunks(series):
+    """A step,diffusers series (ints for one trial, means for many) as CSV text chunks."""
+    return _csv_chunks(CURVE_HEADER, (f"{t},{v}\n" for t, v in enumerate(series)))
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
@@ -292,23 +324,3 @@ def _jsonable(value):
     if isinstance(value, (tuple, list)):
         return [_jsonable(item) for item in value]
     return value
-
-
-def write_summary_json(cfg, traces, aggregate, path) -> None:
-    """Write final counts and a config echo: the same bytes for the same config and seed."""
-    payload = {
-        "config": config_echo(cfg),
-        "trials": [
-            {
-                "trial": k,
-                "final_diffusers": trace.counts[-1],
-                "steps_with_changes": len(trace.changes),
-                # a gated run checks only users with a profile, so none is missing
-                "missing_profiles": [],
-                "clamped_agents": trace.clamped_agents,
-            }
-            for k, trace in enumerate(traces)
-        ],
-        "final_diffusers_mean": aggregate[-1],
-    }
-    _write_json(path, payload)

@@ -54,6 +54,9 @@ STEP_CONTRACT = (
 )
 SCRIPTED_SIR = "tests/test_exhaustive.py::test_sir_run_equals_the_full_sweep_reference_on_every_script"
 SCRIPTED_IC = "tests/test_exhaustive.py::test_ic_run_equals_the_full_sweep_reference_on_every_script"
+OUTPUT_SET_LAW = (
+    "tests/test_cli.py::TestOutputSets::test_a_failure_at_every_point_leaves_the_previous_set_or_a_prefix_of_the_new"
+)
 
 MUTANTS = [
     Mutant(
@@ -536,6 +539,47 @@ MUTANTS = [
         "int(number) > trace.max_time + 1",
         ("tests/test_simulate.py",),
         "a shorter export leaves the longer run's frame max_time + 1 in place",
+    ),
+    Mutant(
+        "files-renamed-as-written",
+        "src/rumorsim/graph.py",
+        "                fh.writelines(chunks)\n        for tmp, path in staged:\n            os.replace(tmp, path)\n",
+        "                fh.writelines(chunks)\n            os.replace(tmp, path)\n",
+        (OUTPUT_SET_LAW,),
+        "each file is renamed over its target as soon as it is written, so a later failure mixes two runs",
+    ),
+    Mutant(
+        "temp-files-left-on-failure",
+        "src/rumorsim/graph.py",
+        "            tmp.unlink(missing_ok=True)\n",
+        "            pass\n",
+        (OUTPUT_SET_LAW,),
+        "a failed write leaves its temp files beside the previous outputs",
+    ),
+    Mutant(
+        "summary-json-renamed-first",
+        "src/rumorsim/simulate.py",
+        "    write_trace_csv(\n"
+        "        traces,\n"
+        '        out / "trace.csv",\n'
+        '        [(out / "curve.csv", _curve_chunks(aggregate)), (out / "summary.json", _json_chunks(payload))],\n'
+        "    )\n",
+        "    _write_files([\n"
+        '        (out / "summary.json", _json_chunks(payload)),\n'
+        '        (out / "trace.csv", _csv_chunks(TRACE_HEADER, _trace_lines(traces))),\n'
+        '        (out / "curve.csv", _curve_chunks(aggregate)),\n'
+        "    ])\n",
+        (OUTPUT_SET_LAW,),
+        "simulate renames summary.json first, so a failed rename leaves a new summary beside an old trace",
+    ),
+    Mutant(
+        "stale-frames-removed-before-the-renames",
+        "src/rumorsim/graph.py",
+        "        for tmp, path in staged:\n            os.replace(tmp, path)\n",
+        "        for gone in stale:\n            Path(gone).unlink()\n        stale = ()\n"
+        "        for tmp, path in staged:\n            os.replace(tmp, path)\n",
+        (OUTPUT_SET_LAW,),
+        "export removes the stale frames before its renames, so a failed rename loses them",
     ),
     Mutant(
         "export-edge-lines-descending",

@@ -539,7 +539,7 @@ class TestFailureModes:
         def full(*args):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(rumorsim.simulate, "_write_lines", full)
+        monkeypatch.setattr(rumorsim.simulate, "_write_files", full)
         code, _, stderr = run(capsys, "simulate", CFG, "--out-dir", str(tmp_path))
         assert code == 2
         assert stderr == "io error: [Errno 28] No space left on device\n"
@@ -701,6 +701,146 @@ class TestAtomicOutputs:
         assert {f".{name}.tmp" for name in ("trace.csv", "summary.json", "eval.json", "sims.csv")} <= names
         assert ".frame_0020.dot.tmp" in names
         assert [(name, newline) for name, newline in written if newline != ""] == []
+
+
+def snapshot(directory):
+    """Every file in ``directory``, by name, to its bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+class Faults:
+    """Raise ``error()`` at the k-th file opened for writing, chunk written or os.replace; k 0 never raises.
+
+    Counts each point and records the targets renamed, in order.
+    """
+
+    def __init__(self, point, k, error):
+        self.point, self.k, self.error = point, k, error
+        self.seen = dict.fromkeys(("open", "chunk", "replace"), 0)
+        self.renamed = []
+
+    def tick(self, point):
+        self.seen[point] += 1
+        if point == self.point and self.seen[point] == self.k:
+            raise self.error()
+
+    def install(self, monkeypatch):
+        real_open, real_replace = open, os.replace
+        faults = self
+
+        class Counted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                faults.tick("chunk")
+                return self.fh.write(text)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return real_open(file, mode, *args, **kwargs)
+            self.tick("open")
+            return Counted(real_open(file, mode, *args, **kwargs))
+
+        def counted_replace(src, dst):
+            self.tick("replace")
+            real_replace(src, dst)
+            self.renamed.append(Path(dst).name)
+
+        monkeypatch.setattr("rumorsim.graph.open", counted_open, raising=False)
+        monkeypatch.setattr(os, "replace", counted_replace)
+
+
+def output_set_runs(tmp_path, command):
+    """(out dir, previous argv, new argv, the new set's names in commit order) for one command."""
+    out = str(tmp_path / "out")
+    if command == "simulate":
+        new = ["simulate", CFG, "--out-dir", out, "--seed", "7", "--trials", "3", "--max-time", "12"]
+        return out, ["simulate", CFG, "--out-dir", out], new, ["trace.csv", "curve.csv", "summary.json"]
+    if command == "evaluate":
+        new = ["evaluate", CFG, "--out-dir", out, "--threshold", "0.3"]
+        return out, ["evaluate", CFG, "--out-dir", out], new, ["eval.json"]
+    if command == "similarity":
+        few = tmp_path / "few.csv"
+        few.write_text("from_user_id,to_user_id\n1,2\n2,4\n", encoding="utf-8")
+        previous = ["similarity", CFG, "--out-dir", out, "--edges-path", str(few)]
+        return out, previous, ["similarity", CFG, "--out-dir", out], ["sims.csv"]
+    # export over a longer previous export, so the new set has stale frames to remove
+    shutil.copytree(FIXTURE_DIR, tmp_path / "in")
+    text = (tmp_path / "in" / "sim.cfg").read_text(encoding="utf-8")
+    argv = {}
+    for horizon, threshold in ((8, "0"), (5, "0.5")):
+        cfg = tmp_path / "in" / f"sim{horizon}.cfg"
+        cfg.write_text(text.replace("max_time = 20", f"max_time = {horizon}"), encoding="utf-8")
+        run_dir = str(tmp_path / f"run{horizon}")
+        assert run_cli(["simulate", str(cfg), "--out-dir", run_dir, "--threshold", threshold]) == 0
+        argv[horizon] = ["export", str(Path(run_dir, "trace.csv")), out, "--config", str(cfg)]
+    return out, argv[8], argv[5], [f"frame_{t:04d}.dot" for t in range(6)] + ["curve.csv"]
+
+
+class TestOutputSets:
+    """A command's files are staged, then renamed in one order: a failure mixes no two runs."""
+
+    @pytest.mark.parametrize("error", [
+        pytest.param(lambda: OSError(28, "No space left on device"), id="enospc"),
+        pytest.param(KeyboardInterrupt, id="interrupt"),
+    ])
+    @pytest.mark.parametrize("point", ["open", "chunk", "replace"])
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "export"])
+    def test_a_failure_at_every_point_leaves_the_previous_set_or_a_prefix_of_the_new(
+        self, tmp_path, capsys, monkeypatch, command, point, error
+    ):
+        out, previous_argv, new_argv, order = output_set_runs(tmp_path, command)
+        assert run_cli(previous_argv) == 0
+        previous = snapshot(Path(out))
+        with monkeypatch.context() as patch:
+            clean = Faults(point, 0, error)
+            clean.install(patch)
+            assert run_cli(new_argv) == 0
+        new = snapshot(Path(out))
+        assert clean.renamed == order
+        assert set(new) == set(previous) - {"frame_0006.dot", "frame_0007.dot", "frame_0008.dot"} | set(order)
+        assert new[order[-1]] != previous.get(order[-1])
+        assert clean.seen[point] >= len(order)
+        for k in range(1, clean.seen[point] + 1):
+            shutil.rmtree(out)
+            Path(out).mkdir()
+            for name, data in previous.items():
+                Path(out, name).write_bytes(data)
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                Faults(point, k, error).install(patch)
+                if error is KeyboardInterrupt:
+                    with pytest.raises(KeyboardInterrupt):
+                        run_cli(new_argv)
+                else:
+                    assert run_cli(new_argv) == 2, k
+                    assert capsys.readouterr().err == "io error: [Errno 28] No space left on device\n"
+            expected = dict(previous)
+            if point == "replace":
+                expected.update((name, new[name]) for name in order[: k - 1])
+            assert snapshot(Path(out)) == expected, k
+
+    def test_a_blocked_temp_path_keeps_every_previous_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(capsys, "simulate", CFG, "--out-dir", str(out))[0] == 0
+        previous = snapshot(out)
+        (out / ".summary.json.tmp").mkdir()
+        code, _, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out), "--seed", "7", "--trials", "3")
+        assert code == 2
+        assert stderr.startswith("io error: ")
+        assert snapshot(out) == previous
+        assert sorted(p.name for p in out.iterdir()) == sorted([".summary.json.tmp", *previous])
 
 
 class TestModuleEntryPoint:

@@ -33,8 +33,7 @@ from rumorsim import (
     run_cli,
     run_trials,
     save_edges,
-    write_curve_csv,
-    write_trace_csv,
+    write_outputs,
 )
 from rumorsim.graph import USERS_HEADER
 from rumorsim.simulate import config_echo
@@ -272,8 +271,7 @@ def output_digests(input_name, config_name, out_dir):
     base, graph, profiles, rumor = _inputs(input_name)
     cfg = dataclasses.replace(base, **CONFIGS[config_name])
     traces, aggregate = run_trials(cfg, graph, profiles, rumor)
-    write_trace_csv(traces, out_dir / "trace.csv")
-    write_curve_csv(aggregate, out_dir / "curve.csv")
+    write_outputs(cfg, traces, aggregate, out_dir)
     return tuple(
         hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("trace.csv", "curve.csv")

@@ -45,11 +45,11 @@ from rumorsim import (
     rebuild_trace,
     run_simulation,
     run_trials,
-    write_curve_csv,
     write_trace_csv,
 )
 from rumorsim import gated, simulate
 from rumorsim.gated import GatedRun, admission_test
+from rumorsim.graph import _write_files
 
 
 def gated_config(**kwargs):
@@ -886,16 +886,16 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, error):
         path = tmp_path / "curve.csv"
-        write_curve_csv([1, 2, 3], path)
+        _write_files([(path, ["step,diffusers\n", "0,1\n"])])
         before = path.read_bytes()
 
-        def series():
-            yield 4
-            yield 5
+        def chunks():
+            yield "step,diffusers\n"
+            yield "0,4\n"
             raise error("stopped mid-write")
 
         with pytest.raises(error):
-            write_curve_csv(series(), path)
+            _write_files([(path, chunks())])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
@@ -903,7 +903,7 @@ class TestAtomicWrites:
         umask = os.umask(0)
         os.umask(umask)
         path = tmp_path / "curve.csv"
-        write_curve_csv([1], path)
+        _write_files([(path, ["step,diffusers\n"])])
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
