@@ -9,6 +9,7 @@ given as overrides (CLI flags) resolve against the working directory.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -68,10 +69,11 @@ class SimulationConfig:
         for k, metric in enumerate(self.metrics):
             if metric in self.metrics[:k]:
                 raise ConfigurationError(f"metrics lists metric {metric.value!r} twice")
-        if self.max_time < 1:
-            raise ConfigurationError(f"max_time must be >= 1, got {self.max_time}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
+        # a run lists max_time + 1 counts and trials traces, and no Python list outgrows sys.maxsize
+        for key, value, top in (("max_time", self.max_time, sys.maxsize - 1), ("trials", self.trials, sys.maxsize)):
+            if not 1 <= value <= top:
+                bound = ">= 1" if value < 1 else f"<= {top}"
+                raise ConfigurationError(f"{key} must be {bound}, got {value}")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         _check_probability("threshold", self.threshold)

@@ -51,10 +51,11 @@ class AgentKind(Enum):
     FORCEFUL = "forceful"
 
 
-def _require_states(graph: SocialGraph, states: Mapping) -> None:
+def _require_states(graph: SocialGraph, states: Mapping, noun: str = "state") -> None:
+    # users come ascending, so the user named is the smallest without an entry
     for node in graph.nodes:
         if node not in states:
-            raise ConfigurationError(f"no state for user {node}")
+            raise ConfigurationError(f"no {noun} for user {node}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class SirRun:
         self.params = params
         self._draw = rng.random
         susceptible = EpidemicState.SUSCEPTIBLE
-        self.reached = {u for u, state in states.items() if state is not susceptible and u in graph.nodes}
+        self.reached = graph.nodes & {u for u, state in states.items() if state is not susceptible}
         self.infected = {u for u in self.reached if states[u] is EpidemicState.INFECTED}
         self.exposure = {}
         for u in self.infected:
@@ -180,7 +181,7 @@ class IcRun:
         self.probs = probs
         self._draw = rng.random
         susceptible = EpidemicState.SUSCEPTIBLE
-        self.reached = {u for u, state in states.items() if state is not susceptible and u in graph.nodes}
+        self.reached = graph.nodes & {u for u, state in states.items() if state is not susceptible}
         self.spreaders = sorted(u for u in self.reached if states[u] is EpidemicState.INFECTED)
         self.next_step = 1 if self.spreaders else None
 
@@ -220,7 +221,7 @@ class TippingRun:
         self.graph = graph
         self.theta = params.theta
         self.in_degree = Counter(chain.from_iterable(graph.adjacency.values()))
-        self.adopted = {u for u, state in states.items() if state is AdoptionState.ADOPTED and u in graph.nodes}
+        self.adopted = graph.nodes & {u for u, state in states.items() if state is AdoptionState.ADOPTED}
         self.adopted_in = {}
         self.touched = set()
         self._notify_followers(self.adopted)
@@ -290,7 +291,8 @@ def ic_step(
     and attempting nodes recover at the end of the step.
     """
     _require_states(graph, states)
-    if not attempted <= graph.edges:
+    # the out-edges of the attempted pairs' sources, not the whole pair view
+    if not attempted <= {(a, b) for a in {a for a, _ in attempted} for b in graph.adjacency.get(a, ())}:
         raise ConfigurationError("attempted set contains edges not in the graph")
     # the spreaders and their untried out-edges only: a graph of every
     # untried edge would cost a whole-graph build per step
@@ -377,9 +379,7 @@ def run_belief_process(
         raise ConfigurationError("belief process needs at least one edge")
     if not init.beliefs:
         raise ConfigurationError("belief process needs at least one user")
-    for node in graph.nodes:
-        if node not in init.beliefs:
-            raise ConfigurationError(f"no belief for user {node}")
+    _require_states(graph, init.beliefs, "belief")
     state = init
     trace = [_mean_belief(state)]
     for _ in range(iterations):

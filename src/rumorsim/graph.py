@@ -15,7 +15,7 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, compress, islice
 from operator import eq, lt, ne
 from pathlib import Path
@@ -63,16 +63,16 @@ class LoadStats:
 class SocialGraph:
     """Directed graph, immutable after construction, stored as its out-adjacency.
 
-    Each user maps to the ascending tuple of its followers, and that mapping
-    is all the graph keeps besides ``nodes``.  Pairs given in strictly
-    ascending order fill every follower run as they come, checked in one
-    pass; any other input takes one dedup pass, with the same result.
-    Neighbours come back as read-only ascending tuples, shared with the
-    graph.  No reversed copy is kept: every model spreads along the
-    out-adjacency.  The one pair view, ``edges``, is built on first access;
-    ``sorted(graph.edges)`` lists the pairs in ascending order.  No command
-    reads it, and in the package only ``ic_step`` does, to check its
-    ``attempted`` set.
+    Each user, ascending, maps to the ascending tuple of its followers, and
+    that mapping and ``load_stats`` are all the graph keeps: ``nodes`` is a
+    read-only view of the mapping's keys.  Pairs given in strictly ascending
+    order fill every follower run as they come, checked in one pass; any
+    other input takes one dedup pass, with the same result.  Neighbours come
+    back as read-only ascending tuples, shared with the graph.  No reversed
+    copy is kept: every model spreads along the out-adjacency.  The pair
+    view, ``edges``, is built on each read and kept nowhere;
+    ``sorted(graph.edges)`` lists the pairs in ascending order.  No package
+    code reads it.
     """
 
     def __init__(self, edges: Iterable[tuple], nodes: Iterable = ()):
@@ -85,17 +85,22 @@ class SocialGraph:
 
     def _build(self, froms: list, tos: list, nodes: Iterable = ()) -> None:
         """The one graph build, from the two id columns of an edge list without self-loops."""
-        self.nodes = frozenset(chain(nodes, froms, tos))
-        self._out = _runs(sorted(self.nodes), froms, tos)
+        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)
         # strictly ascending pairs, as save_edges writes them, fill every run
         # ascending and without repeats
         if not all(map(lt, zip(froms, tos), zip(islice(froms, 1, None), islice(tos, 1, None)))):
             _dedup(self._out)
         self.load_stats: LoadStats | None = None
 
-    @cached_property
+    @property
+    def nodes(self):
+        """The users, ascending, as a read-only set-like view of the adjacency's keys."""
+        # made on each read: a stored keys view would make the graph unpicklable
+        return self._out.keys()
+
+    @property
     def edges(self) -> frozenset:
-        """The edge set, built from the adjacency on first access."""
+        """The edge set, built from the adjacency on each read and kept nowhere."""
         return frozenset((a, b) for a, followers in self._out.items() for b in followers)
 
     @property
@@ -305,9 +310,10 @@ def validate(graph: SocialGraph, profiles: Mapping) -> ValidationReport:
     """
     out = graph.adjacency
     touched = {u for u, followers in out.items() if followers}.union(chain.from_iterable(out.values()))
-    missing = sorted(u for u in graph.nodes if u not in profiles)
+    # ascending, as the graph's users come
+    missing = [u for u in graph.nodes if u not in profiles]
     empty = sorted(uid for uid, p in profiles.items() if not p.topics)
-    isolated = sorted((set(profiles) | set(graph.nodes)) - touched)
+    isolated = sorted((graph.nodes | set(profiles)) - touched)
     return ValidationReport(missing, empty, isolated)
 
 
@@ -358,8 +364,8 @@ def _read_rows(path, header: list):
             raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-def _write_files(files, stale=()) -> None:
-    """Write ``files``, (path, text chunks) pairs, as one set, then remove each ``stale`` path.
+def _write_files(files) -> None:
+    """Write ``files``, (path, text chunks) pairs, as one set.
 
     Each file is written to ``.<name>.tmp`` beside its path, in UTF-8 with
     newlines untranslated, so every output ends its lines in LF on every
@@ -383,8 +389,6 @@ def _write_files(files, stale=()) -> None:
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
-    for path in stale:
-        Path(path).unlink()
 
 
 def _csv_chunks(header: list, lines):

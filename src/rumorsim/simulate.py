@@ -14,8 +14,8 @@ run's work and state follow its activity, not max_time or the user count.
 One call checks its inputs and builds its gate once, and each trial is a
 fresh run: trial k draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible, and a model that draws nothing runs once.  A
-trial keeps only its deltas and the graph's node set; its curve, frames and
-final states are read from them on demand, also for a trace.csv read back.
+trial keeps only its deltas, not the graph; its curve, frames and final
+states are read from them on demand, also for a trace.csv read back.
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ _STATE_LABELS = {state: state.value for default, _ in MODEL_STATES.values() for 
 
 @dataclass
 class DiffusionTrace:
-    """Result of one trial: its per-step state changes over the graph's users.
+    """Result of one trial: its per-step state changes, and nothing of the graph.
 
     ``changes`` maps step -> [(user_id, new_state_label)] for the steps where
-    a user of ``nodes`` (the graph's own set, all starting in the model's
-    default state) moved; ``counts`` and ``final_states`` are read on demand.
+    a user moved; every user starts in the model's default state, and one
+    that no change names stays in it.  ``counts`` and ``final_states`` are
+    read on demand.
     """
 
     model: ModelKind
     max_time: int
     changes: dict
-    nodes: frozenset
     clamped_agents: int = 0
 
     @cached_property
@@ -93,8 +93,8 @@ class DiffusionTrace:
 
     @cached_property
     def final_states(self) -> dict:
-        """Each user's label after the last change, in the order of ``nodes``."""
-        states = dict.fromkeys(self.nodes, self._default)
+        """Each user named in the changes to its label after its last change; any other user is in the default."""
+        states = {}
         for t in sorted(self.changes):
             states.update(self.changes[t])
         return states
@@ -124,7 +124,7 @@ def run_simulation(
     """Run a single trial; equivalent to trial 0 of ``run_trials``."""
     if rng is None:
         rng = RngStream(cfg.seed).derive(0)
-    return _drive(cfg, graph, _starter(cfg, graph, profiles, rumor, decisions)(rng))
+    return _drive(cfg, _starter(cfg, graph, profiles, rumor, decisions)(rng))
 
 
 def run_trials(
@@ -141,9 +141,9 @@ def run_trials(
     start = _starter(cfg, graph, profiles, rumor, decisions)
     base = RngStream(cfg.seed)
     if cfg.model in DRAWING_MODELS:
-        traces = [_drive(cfg, graph, start(base.derive(k))) for k in range(cfg.trials)]
+        traces = [_drive(cfg, start(base.derive(k))) for k in range(cfg.trials)]
     else:
-        traces = [_drive(cfg, graph, start(base.derive(0)))] * cfg.trials
+        traces = [_drive(cfg, start(base.derive(0)))] * cfg.trials
     # an exact int sum, so each mean is correctly rounded
     aggregate = [sum(column) / len(traces) for column in zip(*(trace.counts for trace in traces))]
     return traces, aggregate
@@ -176,7 +176,7 @@ def _starter(cfg, graph, profiles, rumor, decisions):
     return lambda rng: IcRun(graph, states, probs, rng)
 
 
-def _drive(cfg, graph, run) -> DiffusionTrace:
+def _drive(cfg, run) -> DiffusionTrace:
     """The one scheduler loop: the initials in their seed state, then each step's changes to max_time."""
     seed = _STATE_LABELS[MODEL_STATES[cfg.model][1]]
     changes = {0: [(u, seed) for u in sorted(set(cfg.initials))]}
@@ -184,7 +184,7 @@ def _drive(cfg, graph, run) -> DiffusionTrace:
         t = run.next_step
         if delta := run.step():
             changes.setdefault(t, []).extend([(u, _STATE_LABELS[state]) for u, state in delta])
-    return DiffusionTrace(cfg.model, cfg.max_time, changes, graph.nodes, run.clamped)
+    return DiffusionTrace(cfg.model, cfg.max_time, changes, run.clamped)
 
 
 def write_outputs(cfg, traces, aggregate, out_dir) -> None:
@@ -266,6 +266,7 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
             f"trace has a change at step {min(outside)}, outside 0..max_time (max_time = {cfg.max_time})"
         )
     labels = [state.value for state in type(MODEL_STATES[cfg.model][0])]
+    nodes = graph.nodes
     for t in sorted(changes):
         for uid, label in changes[t]:
             if label not in labels:
@@ -273,9 +274,9 @@ def rebuild_trace(cfg: SimulationConfig, graph: SocialGraph, changes: dict) -> D
                     f"trace sets user {uid} to {label!r} at step {t}, not a state of model "
                     f"{cfg.model.value} ({', '.join(labels)})"
                 )
-            if uid not in graph.nodes:
+            if uid not in nodes:
                 raise ConfigurationError(f"trace references unknown user {uid}")
-    return DiffusionTrace(cfg.model, cfg.max_time, dict(changes), graph.nodes)
+    return DiffusionTrace(cfg.model, cfg.max_time, dict(changes))
 
 
 def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
@@ -290,7 +291,6 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     paths = [out / f"frame_{t:04d}.dot" for t in range(trace.max_time + 1)]
     numbers = ((path, path.stem[len("frame_") :]) for path in out.glob("frame_*.dot"))
     stale = [path for path, number in numbers if number.isdecimal() and int(number) > trace.max_time]
-    nodes_sorted = sorted(graph.nodes)
     # the edge lines are the same in every frame
     adjacency = graph.adjacency.items()
     edge_lines = "".join(f"  {a} -> {b};\n" for a, followers in adjacency for b in followers) + "}\n"
@@ -298,11 +298,13 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     since = {u: t for t, users in reversed(list(trace._activations())) for u in users}
 
     def frame(t):
-        colors = (f"  {u} [color={'red' if since.get(u, t + 1) <= t else 'blue'}];\n" for u in nodes_sorted)
+        colors = (f"  {u} [color={'red' if since.get(u, t + 1) <= t else 'blue'}];\n" for u in graph.nodes)
         return chain(["digraph diffusion {\n"], colors, [edge_lines])
 
     frames = zip(paths, map(frame, range(trace.max_time + 1)))
-    _write_files(chain(frames, [(out / "curve.csv", _curve_chunks(trace.counts))]), stale)
+    _write_files(chain(frames, [(out / "curve.csv", _curve_chunks(trace.counts))]))
+    for path in stale:
+        path.unlink()
     return paths
 
 

@@ -332,7 +332,8 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
     in ``edge_p`` or else ``cfg.ic_default_p``; a tipping node recounts its
     adopted in-neighbours.  SIR and IC stop once nothing is infected, tipping
     after a step without adoptions.  Returns (changes, counts, final_states)
-    in the shape ``run_simulation`` reports them.
+    in the shape ``run_simulation`` reports them: final_states holds the
+    users out of the default state, the only ones a change can name.
     """
     S, I, R = EpidemicState.SUSCEPTIBLE, EpidemicState.INFECTED, EpidemicState.RECOVERED
     initials = set(cfg.initials)
@@ -400,7 +401,7 @@ def stepwise_classical_run(cfg, graph, rng, edge_p=None):
         if not delta and cfg.model is ModelKind.TIPPING:
             break
     counts.extend([counts[-1]] * (cfg.max_time + 1 - len(counts)))
-    return changes, counts, {u: s.value for u, s in states.items()}
+    return changes, counts, {u: s.value for u, s in states.items() if s.value in active}
 
 
 class ScriptedStream:

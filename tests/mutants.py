@@ -183,24 +183,26 @@ MUTANTS = [
     Mutant(
         "sir-run-reads-users-outside-its-graph",
         DIFFUSION,
-        " and u in graph.nodes}\n        self.infected",
-        "}\n        self.infected",
+        "self.reached = graph.nodes & {u for u, state in states.items() if state is not susceptible}\n"
+        "        self.infected",
+        "self.reached = {u for u, state in states.items() if state is not susceptible}\n        self.infected",
         (STEP_CONTRACT,),
         "an SIR run takes an infected user of the caller's map outside its graph as a spreader, and fails",
     ),
     Mutant(
         "ic-run-reads-users-outside-its-graph",
         DIFFUSION,
-        " and u in graph.nodes}\n        self.spreaders",
-        "}\n        self.spreaders",
+        "self.reached = graph.nodes & {u for u, state in states.items() if state is not susceptible}\n"
+        "        self.spreaders",
+        "self.reached = {u for u, state in states.items() if state is not susceptible}\n        self.spreaders",
         (STEP_CONTRACT,),
         "an IC run takes an infected user of the caller's map outside its graph as a spreader, and fails",
     ),
     Mutant(
         "tipping-run-reads-users-outside-its-graph",
         DIFFUSION,
-        "is AdoptionState.ADOPTED and u in graph.nodes}",
-        "is AdoptionState.ADOPTED}",
+        "self.adopted = graph.nodes & {",
+        "self.adopted = {",
         (STEP_CONTRACT,),
         "a tipping run notifies the followers of an adopted user of the caller's map outside its graph, and fails",
     ),
@@ -223,10 +225,18 @@ MUTANTS = [
     Mutant(
         "ic-step-refuses-every-edge-attempted",
         DIFFUSION,
-        "if not attempted <= graph.edges:",
-        "if not attempted < graph.edges:",
+        "if not attempted <= {(a, b)",
+        "if not attempted < {(a, b)",
         ("tests/test_diffusion.py",),
         "ic_step rejects an attempted set equal to the whole edge set",
+    ),
+    Mutant(
+        "ic-step-checks-attempted-sources-alone",
+        DIFFUSION,
+        "if not attempted <= {(a, b) for a in {a for a, _ in attempted} for b in graph.adjacency.get(a, ())}:",
+        "if not {a for a, _ in attempted} <= graph.nodes:",
+        ("tests/test_diffusion.py::TestIcStep::test_attempted_must_be_subset_of_edges",),
+        "ic_step accepts an attempted pair whose source is a user but whose target is not its follower",
     ),
     Mutant(
         "probability-of-one-rejected",
@@ -336,10 +346,28 @@ MUTANTS = [
     Mutant(
         "graph-keeps-a-reversed-copy",
         "src/rumorsim/graph.py",
-        "        self._out = _runs(sorted(self.nodes), froms, tos)\n",
-        "        self._out = _runs(sorted(self.nodes), froms, tos)\n        self._in = _runs(self._out, tos, froms)\n",
+        "        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)\n",
+        "        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)\n"
+        "        self._in = _runs(self._out, tos, froms)\n",
         ("tests/test_footprint.py::test_a_graph_holds_its_adjacency_and_nothing_else",),
         "the graph builds and keeps its in-adjacency beside the out-adjacency",
+    ),
+    Mutant(
+        "graph-stores-its-user-view",
+        "src/rumorsim/graph.py",
+        "        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)\n",
+        "        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)\n"
+        '        self.__dict__["nodes"] = self._out.keys()\n',
+        ("tests/test_footprint.py::test_records_survive_pickle_and_deepcopy",),
+        "the graph stores its keys view, which pickle and deepcopy cannot copy",
+    ),
+    Mutant(
+        "graph-users-in-hash-order",
+        "src/rumorsim/graph.py",
+        "        self._out = _runs(sorted(set(chain(nodes, froms, tos))), froms, tos)\n",
+        "        self._out = _runs(set(chain(nodes, froms, tos)), froms, tos)\n",
+        ("tests/test_diffusion.py::test_a_step_names_the_smallest_user_without_a_state",),
+        "the graph's users, and so every walk over them, come in hash order, not ascending",
     ),
     Mutant(
         "validate-counts-the-pair-view",
@@ -347,7 +375,7 @@ MUTANTS = [
         'f"{len(graph.nodes)} users, {graph.edge_count} edges "',
         'f"{len(graph.nodes)} users, {len(graph.edges)} edges "',
         ("tests/test_footprint.py::test_a_graph_holds_its_adjacency_and_nothing_else",),
-        "the validate command counts edges through the pair view, which stays cached on the graph",
+        "the validate command counts edges through the pair view, building every edge pair to count them",
     ),
     Mutant(
         "belief-pairs-in-descending-source-order",
@@ -518,7 +546,7 @@ MUTANTS = [
     Mutant(
         "rebuild-trace-accepts-unknown-users",
         "src/rumorsim/simulate.py",
-        "            if uid not in graph.nodes:\n"
+        "            if uid not in nodes:\n"
         '                raise ConfigurationError(f"trace references unknown user {uid}")\n',
         "",
         ("tests/test_simulate.py",),
@@ -574,10 +602,11 @@ MUTANTS = [
     ),
     Mutant(
         "stale-frames-removed-before-the-renames",
-        "src/rumorsim/graph.py",
-        "        for tmp, path in staged:\n            os.replace(tmp, path)\n",
-        "        for gone in stale:\n            Path(gone).unlink()\n        stale = ()\n"
-        "        for tmp, path in staged:\n            os.replace(tmp, path)\n",
+        "src/rumorsim/simulate.py",
+        '    _write_files(chain(frames, [(out / "curve.csv", _curve_chunks(trace.counts))]))\n'
+        "    for path in stale:\n        path.unlink()\n",
+        "    for path in stale:\n        path.unlink()\n"
+        '    _write_files(chain(frames, [(out / "curve.csv", _curve_chunks(trace.counts))]))\n',
         (OUTPUT_SET_LAW,),
         "export removes the stale frames before its renames, so a failed rename loses them",
     ),
@@ -742,6 +771,14 @@ MUTANTS = [
         "candidates = list(candidates)",
         ("tests/test_exhaustive.py::test_closure_engines_equal_each_other_and_the_fixpoint",),
         "a follower admitted in one round is decided again against its next source, and joins the log twice",
+    ),
+    Mutant(
+        "max-time-bound-off-by-one",
+        "src/rumorsim/config.py",
+        "            if not 1 <= value <= top:\n",
+        "            if not 1 <= value <= top + 1:\n",
+        ("tests/test_simulate.py::TestConfigFile::test_bad_value_messages",),
+        "a max_time of sys.maxsize passes, and its curve of sys.maxsize + 1 counts fails in the run",
     ),
     Mutant(
         "ic-draw-at-most-p",

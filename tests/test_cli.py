@@ -569,6 +569,24 @@ class TestFailureModes:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize(
+        "key, top",
+        [
+            # max_time + 1 counts per curve
+            pytest.param("max_time", sys.maxsize - 1, id="max_time"),
+            # a list of trials traces
+            pytest.param("trials", sys.maxsize, id="trials"),
+        ],
+    )
+    def test_a_count_no_list_can_hold_is_exit_1_naming_the_key(self, tmp_path, capsys, key, top):
+        """Not an OverflowError traceback from the run."""
+        flag = "--" + key.replace("_", "-")
+        code, stdout, stderr = run(capsys, "simulate", CFG, "--out-dir", str(tmp_path / "out"), flag, str(10**20))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {key} must be <= {top}, got {10**20}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["sim.cfg", "rumor.txt", "users.csv", "edges.csv"])
     def test_undecodable_input_is_exit_1_naming_the_line(self, tmp_path, capsys, name):
         shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")

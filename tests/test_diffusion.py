@@ -349,6 +349,25 @@ def regular_pair_state(xi, xj):
     )
 
 
+# ids whose hash order is not their numeric order
+HASH_ORDERED = [(1024, 1), (2**40, 3)]
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        pytest.param(lambda g, states: sir_step(g, states, SirParams(0.5, 0.5), RngStream(1)), id="sir_step"),
+        pytest.param(lambda g, states: tipping_step(g, states, TippingParams(0.5)), id="tipping_step"),
+        pytest.param(lambda g, states: ic_step(g, states, EdgeProbability(0.5), set(), RngStream(1)), id="ic_step"),
+    ],
+)
+def test_a_step_names_the_smallest_user_without_a_state(step):
+    graph = SocialGraph(HASH_ORDERED)
+    for given, missing in (((), 1), ((1,), 3), ((1, 3), 1024), ((1, 3, 1024), 2**40)):
+        with pytest.raises(ConfigurationError, match=f"^no state for user {missing}$"):
+            step(graph, dict.fromkeys(given, S))
+
+
 class TestBeliefExchange:
     def test_regular_pair_averages(self):
         after = belief_exchange(regular_pair_state(0.2, 0.8), 1, 2)
@@ -511,6 +530,13 @@ class TestBeliefProcess:
         init = regular_pair_state(0.2, 0.8)
         with pytest.raises(ConfigurationError):
             run_belief_process(chain_graph, init, 3, RngStream(1))
+
+    def test_names_the_smallest_user_without_a_belief(self):
+        graph = SocialGraph(HASH_ORDERED)
+        for given, missing in (((1,), 3), ((1, 3), 1024), ((1, 3, 1024), 2**40)):
+            init = BeliefState(dict.fromkeys(given, 0.5), dict.fromkeys(given, AgentKind.REGULAR), 0.5)
+            with pytest.raises(ConfigurationError, match=f"^no belief for user {missing}$"):
+                run_belief_process(graph, init, 1, RngStream(1))
 
     def test_a_state_without_users_is_rejected(self):
         with pytest.raises(ConfigurationError, match="belief process needs at least one user"):

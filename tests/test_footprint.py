@@ -1,15 +1,19 @@
 """What a loaded graph and its profiles keep in memory.
 
-A graph keeps its out-adjacency, each distinct id as one int object and
-each topic label as one string; the edge pairs are built only when a
-caller reads ``edges``, and of the library's own code only ``ic_step`` does.
+A graph keeps its out-adjacency and load record, each distinct id as one
+int object and each topic label as one string; its users are a view of the
+adjacency's keys, and the edge pairs are built on each read of ``edges``,
+which no package code makes.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
+import pickle
 import random
+import sys
 import tracemalloc
 from itertools import chain
 from types import SimpleNamespace
@@ -28,6 +32,9 @@ from rumorsim import (
     ModelKind,
     RngStream,
     SimilarityGate,
+    SocialGraph,
+    diffuse_user_user,
+    evaluate,
     filtered_edge_set,
     ic_step,
     load_config,
@@ -110,8 +117,8 @@ PARAMS = {
     ModelKind.TIPPING: dict(theta=0.3),
 }
 CONFIG = str(FIXTURE_DIR / "sim.cfg")
-# all a graph holds: its users, its out-adjacency and its load record
-FIELDS = {"nodes", "_out", "load_stats"}
+# all a graph holds: its out-adjacency and its load record
+FIELDS = {"_out", "load_stats"}
 
 
 def file_adjacency(path):
@@ -120,6 +127,20 @@ def file_adjacency(path):
         pairs = {(int(a), int(b)) for a, b in list(csv.reader(fh))[1:]}
     users = sorted({u for pair in pairs for u in pair})
     return [(u, tuple(sorted(b for a, b in pairs if a == u))) for u in users]
+
+
+@pytest.fixture
+def edge_reads(monkeypatch):
+    """The module of each read of ``SocialGraph.edges`` while the test runs."""
+    reads = []
+    build = SocialGraph.edges.fget
+
+    def edges(graph):
+        reads.append(sys._getframe(1).f_globals["__name__"])
+        return build(graph)
+
+    monkeypatch.setattr(SocialGraph, "edges", property(edges))
+    return reads
 
 
 @pytest.fixture
@@ -147,14 +168,14 @@ def run_case(model, policy):
         cfg = dataclasses.replace(s.cfg, model=model, evaluation_policy=policy, **PARAMS.get(model, {}))
         run_trials(cfg, s.fresh(), s.profiles, s.rumor)
 
-    return pytest.param(run, set(), id=f"run-{model.value}-{policy.value}")
+    return pytest.param(run, id=f"run-{model.value}-{policy.value}")
 
 
 def sweep_case(model):
     def sweep(s):
         metric_sweep(s.fresh(), s.profiles, s.rumor, s.cfg.initials, s.cfg.metrics, s.cfg.threshold, model)
 
-    return pytest.param(sweep, set(), id=f"metric_sweep-{model.value}")
+    return pytest.param(sweep, id=f"metric_sweep-{model.value}")
 
 
 def belief_process(s):
@@ -170,7 +191,7 @@ def one_ic_step(s):
 
 
 def command_case(name, *argv):
-    return pytest.param(lambda s: s.cli(*argv, "--out-dir", s.out), set(), id=f"cli-{name}")
+    return pytest.param(lambda s: s.cli(*argv, "--out-dir", s.out), id=f"cli-{name}")
 
 
 def export(s):
@@ -183,13 +204,11 @@ CASES = [
     *map(sweep_case, GATED_MODELS),
     pytest.param(
         lambda s: filtered_edge_set(s.fresh(), s.profiles, None, SimilarityGate(Metric.COSINE, s.cfg.threshold)),
-        set(),
         id="filtered_edge_set",
     ),
-    pytest.param(lambda s: validate(s.fresh(), s.profiles), set(), id="validate"),
-    pytest.param(belief_process, set(), id="run_belief_process"),
-    # the one caller that reads the pair view: it checks the attempted set against it
-    pytest.param(one_ic_step, {"edges"}, id="ic_step"),
+    pytest.param(lambda s: validate(s.fresh(), s.profiles), id="validate"),
+    pytest.param(belief_process, id="run_belief_process"),
+    pytest.param(one_ic_step, id="ic_step"),
     command_case("simulate-once", "simulate", CONFIG, "--evaluation-policy", "once"),
     command_case("simulate-every-step", "simulate", CONFIG, "--evaluation-policy", "every-step"),
     command_case("simulate-content", "simulate", CONFIG, "--model", "gated_user_content"),
@@ -198,14 +217,17 @@ CASES = [
     command_case("simulate-tipping", "simulate", CONFIG, "--model", "tipping", "--theta", "0.3"),
     command_case("evaluate", "evaluate", CONFIG),
     command_case("similarity", "similarity", CONFIG),
-    pytest.param(lambda s: s.cli("validate", CONFIG), set(), id="cli-validate"),
-    pytest.param(export, set(), id="cli-export"),
+    pytest.param(lambda s: s.cli("validate", CONFIG), id="cli-validate"),
+    pytest.param(export, id="cli-export"),
 ]
 
 
-@pytest.mark.parametrize("case, built", CASES)
-def test_a_graph_holds_its_adjacency_and_nothing_else(scene, capsys, case, built):
-    """After a run, library call or command, a graph holds its loaded adjacency and no pair view or reversed copy."""
+@pytest.mark.parametrize("case", CASES)
+def test_a_graph_holds_its_adjacency_and_nothing_else(scene, edge_reads, capsys, case):
+    """After a run, library call or command, a graph holds its loaded adjacency and no pair view or reversed copy.
+
+    No package code has read the pair view, which would build every edge pair.
+    """
     expected = file_adjacency(scene.cfg.edges_path)
     pairs = {(a, b) for a, followers in expected for b in followers}
     # the fixture is not symmetric, so a reversed copy held as ``_out`` would not match
@@ -214,14 +236,39 @@ def test_a_graph_holds_its_adjacency_and_nothing_else(scene, capsys, case, built
     capsys.readouterr()
     assert scene.graphs
     for graph in scene.graphs:
-        assert vars(graph).keys() == FIELDS | built
+        assert vars(graph).keys() == FIELDS
         assert list(graph._out.items()) == expected
+    assert [module for module in edge_reads if module.partition(".")[0] == "rumorsim"] == []
 
 
-def test_reading_edges_builds_it_alone():
+def test_reading_edges_or_nodes_leaves_nothing_on_the_graph():
     cfg = load_config(CONFIG)
     graph = load_edges(cfg.edges_path)
-    pairs = [(a, b) for a, followers in file_adjacency(cfg.edges_path) for b in followers]
+    expected = file_adjacency(cfg.edges_path)
+    pairs = [(a, b) for a, followers in expected for b in followers]
+    assert type(graph.edges) is frozenset
     assert graph.edges == frozenset(pairs)
-    assert type(vars(graph)["edges"]) is frozenset
-    assert vars(graph).keys() == FIELDS | {"edges"}
+    # built on each read, so no read returns a kept copy
+    assert graph.edges is not graph.edges
+    assert list(graph.nodes) == [u for u, _ in expected]
+    assert vars(graph).keys() == FIELDS
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda record: pickle.loads(pickle.dumps(record)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_records_survive_pickle_and_deepcopy(copy_of):
+    """A graph stores no view of its adjacency, which neither pickle nor deepcopy can copy."""
+    cfg = load_config(CONFIG)
+    graph = load_edges(cfg.edges_path)
+    copied = copy_of(graph)
+    assert vars(copied).keys() == FIELDS
+    assert list(copied.adjacency.items()) == list(graph.adjacency.items())
+    assert list(copied.nodes) == list(graph.nodes)
+    assert copied.load_stats == graph.load_stats
+    profiles = load_users(cfg.users_path)
+    traces, _ = run_trials(dataclasses.replace(cfg, model=ModelKind.SIR, beta=0.5, gamma=0.2), graph)
+    closure = diffuse_user_user(graph, profiles, cfg.initials, SimilarityGate(Metric.COSINE, cfg.threshold))
+    for record in (traces[0], closure, profiles[cfg.initials[0]], cfg, evaluate(closure.members, profiles)):
+        assert copy_of(record) == record
+    assert copy_of(traces[0]).final_states == traces[0].final_states

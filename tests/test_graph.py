@@ -55,6 +55,18 @@ class TestSocialGraph:
             for u in g.nodes:
                 assert g.out_neighbors(u) == tuple(sorted({b for a, b in pairs if a == u}))
 
+    def test_nodes_are_a_read_only_ascending_view_of_the_adjacency(self):
+        # ids whose hash order is not their numeric order
+        g = SocialGraph([(1024, 1), (2**40, 3)])
+        assert list(g.nodes) == [1, 3, 1024, 2**40]
+        assert g.nodes == {1, 3, 1024, 2**40} and len(g.nodes) == 4
+        assert g.nodes - {1} == {3, 1024, 2**40}
+        assert type(g.nodes) is type({}.keys())
+        # a view read afresh, never stored on the graph
+        assert "nodes" not in vars(g)
+        with pytest.raises(AttributeError):
+            g.nodes = frozenset()
+
     def test_out_neighbors_unknown_user(self):
         g = SocialGraph([(1, 2)])
         with pytest.raises(UnknownUserError):

@@ -4,11 +4,15 @@ trace round-tripping, frame export, and config parsing."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import math
 import os
 import random
+import sys
+import weakref
 from collections import Counter
+from collections.abc import KeysView
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -286,9 +290,8 @@ class TestEventDrivenScheduler:
                         )
                         assert (trace.changes, trace.counts) == (changes, counts)
                         assert trace.clamped_agents == clamped
-                        assert trace.final_states == {
-                            u: "diffuser" if u in active else "non_diffuser" for u in graph.nodes
-                        }
+                        # only the users a change named: every other user stays a non-diffuser
+                        assert trace.final_states == dict.fromkeys(active, "diffuser")
                         assert missing == []
                         if policy is EvaluationPolicy.EVERY_STEP and table is decisions:
                             wakes = [p.created_at for p in profiles.values() if 0 <= p.created_at <= horizon]
@@ -415,7 +418,8 @@ class TestClassicalRuns:
         cfg = gated_config(model=ModelKind.IC, ic_default_p=1.0, max_time=10)
         trace = run_simulation(cfg, g)
         assert trace.final_active() == {1, 2, 3, 4}
-        assert trace.final_states[9] == "susceptible"
+        # never reached, so no change names user 9: it stays susceptible
+        assert 9 not in trace.final_states
 
     def test_tipping_run_is_deterministic(self):
         rng = random.Random(64)
@@ -461,14 +465,26 @@ def chain_and_far_component():
     return chain + [(a, b) for a in range(100, 2100) for b in rng.sample(range(100, 2100), 5) if a != b]
 
 
-class IterationCountingSet(frozenset):
-    """A graph's node set that counts the loops over it; a membership test is not one."""
+class CountedNodes(KeysView):
+    """A graph's users that count each loop over them on the graph; a membership test is not one."""
 
-    iterations = 0
+    def __init__(self, graph):
+        super().__init__(graph.adjacency)
+        self.graph = graph
 
     def __iter__(self):
-        self.iterations += 1
+        self.graph.node_loops += 1
         return super().__iter__()
+
+
+class NodeLoopCountingGraph(SocialGraph):
+    """A graph whose ``nodes`` count the loops over them in ``node_loops``."""
+
+    node_loops = 0
+
+    @property
+    def nodes(self):
+        return CountedNodes(self)
 
 
 class TestEventDrivenClassicalRuns:
@@ -558,22 +574,21 @@ class TestEventDrivenClassicalRuns:
              {"graph", "theta", "in_degree", "adopted", "adopted_in", "touched", "next_step"}),
         ]
         for params, held, expected_vars in cases:
-            graph = SocialGraph(chain_and_far_component())
-            graph.nodes = IterationCountingSet(graph.nodes)
+            graph = NodeLoopCountingGraph(chain_and_far_component())
             cfg = gated_config(initials=(1, 2), max_time=600, trials=3, **params)
             traces, _ = run_trials(cfg, graph)
-            assert graph.nodes.iterations == 0, params
+            assert graph.node_loops == 0, params
             start = simulate._starter(cfg, graph, None, None, None)
             spread = 0
             for k, trace in enumerate(traces):
                 run = start(RngStream(cfg.seed).derive(k))
                 assert set(vars(run)) == expected_vars
                 assert getattr(run, held) == {1, 2}
-                assert simulate._drive(cfg, graph, run) == trace
+                assert simulate._drive(cfg, run) == trace
                 changed = {u for delta in trace.changes.values() for u, _ in delta}
                 assert getattr(run, held) == changed <= set(range(1, 41))
                 spread += len(changed) > 2
-            assert graph.nodes.iterations == 0, params
+            assert graph.node_loops == 0, params
             # the rumor left the seeds in some trial
             assert spread > 0, params
 
@@ -727,9 +742,10 @@ class TestTrials:
             assert aggregate == [math.fsum(column) / trials for column in zip(*(t.counts for t in traces))]
 
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
-    def test_a_trial_keeps_only_its_changes_and_the_node_set(self, model):
+    def test_a_trial_keeps_only_its_changes(self, model):
         rng = random.Random(70)
         g = random_digraph(rng, 30, 0.15)
+        graph_alive = weakref.ref(g)
         profiles = random_profiles(rng, g.nodes, max_created=3)
         rumor = RumorContent(frozenset({"t01", "t05", "t09"}))
         cfg = gated_config(
@@ -740,15 +756,19 @@ class TestTrials:
         default = simulate.MODEL_STATES[model][0].value
         for trace in traces:
             fields = [f.name for f in dataclasses.fields(trace)]
-            assert fields == ["model", "max_time", "changes", "nodes", "clamped_agents"]
-            assert trace.nodes is g.nodes
+            assert fields == ["model", "max_time", "changes", "clamped_agents"]
             assert "final_states" not in vars(trace)
+        # nothing of the graph is kept: the traces do not keep it alive
+        del g
+        gc.collect()
+        assert graph_alive() is None
         for trace in traces:
-            # read on demand: the replay of the changes, keyed in the graph's node order
-            expected = dict.fromkeys(g.nodes, default)
+            # read on demand: the replay of the changes, keyed in the order the changes first name them
+            expected = {}
             for t in sorted(trace.changes):
                 expected.update(trace.changes[t])
             assert list(trace.final_states.items()) == list(expected.items())
+            assert trace.final_active() == {u for u, label in expected.items() if label != default}
         assert any(len(trace.changes) > 1 for trace in traces)
 
     def test_different_trials_draw_different_streams(self):
@@ -1044,6 +1064,9 @@ class TestConfigFile:
             ("metrics = cosine, dice, cosine", "metrics lists metric 'cosine' twice"),
             ("metrics = jaccard, jaccard_set", "metrics lists metric 'jaccard' twice"),
             ("max_time = 0", "max_time must be >= 1, got 0"),
+            # the largest counts a run can list: max_time + 1 counts, trials traces
+            (f"max_time = {sys.maxsize}", f"max_time must be <= {sys.maxsize - 1}, got {sys.maxsize}"),
+            (f"trials = {sys.maxsize + 1}", f"trials must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
             ("seed = 18446744073709551616", "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
             # the policy is reported as normalised: lowercased, '_' -> '-'
             ("evaluation_policy = Every_Sometimes", "config key evaluation_policy must be one "
@@ -1054,6 +1077,11 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as exc:
             load_config(self.write(tmp_path, self.base_text() + line + "\n"))
         assert str(exc.value) == message
+
+    def test_the_largest_max_time_and_trials_are_accepted(self, tmp_path):
+        text = self.base_text() + f"max_time = {sys.maxsize - 1}\ntrials = {sys.maxsize}\n"
+        cfg = load_config(self.write(tmp_path, text))
+        assert (cfg.max_time, cfg.trials) == (sys.maxsize - 1, sys.maxsize)
 
     def test_line_without_equals_names_the_line(self, tmp_path):
         path = self.write(tmp_path, self.base_text() + "# fine\nmax_time 30\n")
