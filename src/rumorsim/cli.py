@@ -98,7 +98,13 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     graph, profiles, rumor, decisions = _load_inputs(cfg)
     start = time.perf_counter()
-    traces, aggregate = run_trials(cfg, graph, profiles, rumor, decisions)
+    try:
+        traces, aggregate = run_trials(cfg, graph, profiles, rumor, decisions)
+    except MemoryError:
+        # a curve of max_time + 1 counts per trial, and a list of trials traces
+        raise ConfigurationError(
+            f"the run does not fit in memory (max_time = {cfg.max_time}, trials = {cfg.trials})"
+        ) from None
     runtime = time.perf_counter() - start
     write_outputs(cfg, traces, aggregate, cfg.out_dir)
     print(

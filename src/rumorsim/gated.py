@@ -79,7 +79,8 @@ def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: Similari
 
         return admit
 
-    _require_profiles(profiles)
+    if profiles is None:
+        raise ConfigurationError("a similarity gate without a decisions table requires user profiles")
     metric, threshold = gate.metric, gate.threshold
     test = _pair_test(metric, threshold)
 
@@ -234,11 +235,6 @@ def load_decisions(path) -> dict:
     return table
 
 
-def _require_profiles(profiles: Mapping | None) -> None:
-    if profiles is None:
-        raise ConfigurationError("a similarity gate without a decisions table requires user profiles")
-
-
 def _check_initials(graph: SocialGraph, initials, profiles: Mapping | None = None) -> None:
     """Reject an empty seed list or a seed outside the graph or, if given, the profiles."""
     if not initials:
@@ -263,60 +259,56 @@ def _diffuse(
     member set does not depend on processing order; the fixed order just
     makes the insertion log reproducible.  A live Levenshtein gate decides
     each level in rounds (``_diffuse_in_rounds``), with the same result.
+    Every source has a profile: an initial must have one, and a follower
+    without one is never admitted.
     """
     _check_initials(graph, initials, profiles)
     log = sorted(set(initials))
     members = set(log)
-    if gate.decisions is None and gate.metric is Metric.LEVENSHTEIN:
-        _require_profiles(profiles)
-        _diffuse_in_rounds(graph, _admission_rounds(profiles, rumor, gate.threshold), log, members)
-        return DiffuserSet(members, log)
     admit = admission_test(profiles, rumor, gate)
-    queue = deque(log)
-    while queue:
-        i = queue.popleft()
-        for j in graph.out_neighbors(i):
-            if j not in members and admit(i, j):
-                members.add(j)
-                log.append(j)
-                queue.append(j)
+    if gate.decisions is None and gate.metric is Metric.LEVENSHTEIN:
+        _diffuse_in_rounds(graph, _admission_rounds(profiles, rumor, gate.threshold), log, members)
+    else:
+        queue = deque(log)
+        while queue:
+            i = queue.popleft()
+            for j in graph.out_neighbors(i):
+                if j not in members and admit(i, j):
+                    members.add(j)
+                    log.append(j)
+                    queue.append(j)
     return DiffuserSet(members, log)
 
 
 def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: float) -> Callable:
-    """The batch form of ``admission_test`` for a live Levenshtein gate.
+    """The batch form of ``admission_test`` for a live Levenshtein gate, as a closure reaches it.
 
     Returns ``level()``, which returns ``decide(pairs)`` for the (i, j)
     pairs of one BFS level: the list of their admit(i, j) decisions, made
-    with one batch call.  A user without a profile and the rumor's one
-    decision per follower are handled as ``admission_test`` handles them.
+    with one batch call.  Every source i has a profile (see ``_diffuse``), so
+    only a follower without one fails untested.  Against the rumor a
+    follower gets one decision: an admitted one is a member and never asked
+    again, so only the refused ones are remembered.
     """
     levels = _levenshtein_levels(threshold)
-    # against the rumor every level has the one pattern, and a follower one decision
+    # against the rumor every level has the one pattern
     content = None if rumor is None else levels()
-    decided = {}
+    refused = set()
 
     def level() -> Callable[[list], list]:
         test = content or levels()
 
         def decide(pairs) -> list:
-            passed, scored, where = [], [], []
-            for i, j in pairs:
-                if j in decided:
-                    passed.append(decided[j])
-                    continue
-                pi = profiles.get(i) if rumor is None else rumor
-                pj = profiles.get(j)
-                if pi is None or pj is None:
-                    passed.append(False)
-                else:
-                    where.append(len(passed))
-                    scored.append((pi.topics, pj.topics))
-                    passed.append(None)
-            for k, ok in zip(where, test(scored)):
+            asked = [k for k, (_, j) in enumerate(pairs) if j in profiles and j not in refused]
+            scored = [
+                ((profiles[i] if rumor is None else rumor).topics, profiles[j].topics)
+                for i, j in map(pairs.__getitem__, asked)
+            ]
+            passed = [False] * len(pairs)
+            for k, ok in zip(asked, test(scored)):
                 passed[k] = ok
-            if rumor is not None:
-                decided.update(zip((j for _, j in pairs), passed))
+                if not ok and rumor is not None:
+                    refused.add(pairs[k][1])
             return passed
 
         return decide

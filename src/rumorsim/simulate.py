@@ -60,9 +60,6 @@ MODEL_STATES = {
 # the models whose runs draw random numbers; any other model's trials repeat trial 0
 DRAWING_MODELS = frozenset({ModelKind.SIR, ModelKind.IC})
 
-# a dict lookup is cheaper than the Enum.value descriptor, read once per change
-_STATE_LABELS = {state: state.value for default, _ in MODEL_STATES.values() for state in type(default)}
-
 
 @dataclass
 class DiffusionTrace:
@@ -178,12 +175,13 @@ def _starter(cfg, graph, profiles, rumor, decisions):
 
 def _drive(cfg, run) -> DiffusionTrace:
     """The one scheduler loop: the initials in their seed state, then each step's changes to max_time."""
-    seed = _STATE_LABELS[MODEL_STATES[cfg.model][1]]
+    seed = MODEL_STATES[cfg.model][1].value
     changes = {0: [(u, seed) for u in sorted(set(cfg.initials))]}
     while run.next_step is not None and run.next_step <= cfg.max_time:
         t = run.next_step
         if delta := run.step():
-            changes.setdefault(t, []).extend([(u, _STATE_LABELS[state]) for u, state in delta])
+            # a member's _value_ is its value, read without the .value descriptor
+            changes.setdefault(t, []).extend([(u, state._value_) for u, state in delta])
     return DiffusionTrace(cfg.model, cfg.max_time, changes, run.clamped)
 
 

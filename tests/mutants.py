@@ -57,6 +57,12 @@ SCRIPTED_IC = "tests/test_exhaustive.py::test_ic_run_equals_the_full_sweep_refer
 OUTPUT_SET_LAW = (
     "tests/test_cli.py::TestOutputSets::test_a_failure_at_every_point_leaves_the_previous_set_or_a_prefix_of_the_new"
 )
+ROUNDS_WORK = (
+    "tests/test_gated.py::TestOracleAgreement::test_levenshtein_rounds_test_each_follower_once_against_the_rumor"
+)
+OVERSIZED_RUN = (
+    "tests/test_cli.py::TestFailureModes::test_a_run_too_large_for_memory_is_exit_1_and_keeps_the_previous_set"
+)
 
 MUTANTS = [
     Mutant(
@@ -414,11 +420,20 @@ MUTANTS = [
     Mutant(
         "unprofiled-pair-passes-at-threshold-0-in-rounds",
         "src/rumorsim/gated.py",
-        "passed.append(False)",
-        "passed.append(0.0 >= threshold)",
+        "passed = [False] * len(pairs)",
+        "passed = [0.0 >= threshold] * len(pairs)",
         ("tests/test_gated.py::TestValidation",),
-        "the old rule in a Levenshtein closure's rounds: an edge touching a user without a profile passes at"
+        "the old rule in a Levenshtein closure's rounds: an edge to a user without a profile passes at"
         " threshold 0",
+    ),
+    Mutant(
+        "rounds-rescore-refused-followers",
+        "src/rumorsim/gated.py",
+        "if j in profiles and j not in refused]",
+        "if j in profiles]",
+        (ROUNDS_WORK,),
+        "against the rumor a Levenshtein closure scores a refused follower again from each later source;"
+        " the decision is the same, so only the batch test's inputs show it",
     ),
     Mutant(
         "table-admits-a-follower-without-profile",
@@ -643,6 +658,14 @@ MUTANTS = [
         "rumor = load_rumor(cfg.rumor_path)",
         ("tests/test_cli.py",),
         "a gated run whose config names no rumor_path tries to open None",
+    ),
+    Mutant(
+        "oversized-run-traceback",
+        "src/rumorsim/cli.py",
+        "    except MemoryError:\n",
+        "    except ArithmeticError:\n",
+        (OVERSIZED_RUN,),
+        "a run too large for memory ends in a MemoryError traceback, not one error line",
     ),
     Mutant(
         "io-error-names-a-missing-file",

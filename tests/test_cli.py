@@ -587,6 +587,29 @@ class TestFailureModes:
         assert stderr == f"error: {key} must be <= {top}, got {10**20}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            pytest.param("--max-time", sys.maxsize - 1, id="max_time"),
+            # a gated model draws nothing, so its trials fail one list allocation, not a loop
+            pytest.param("--trials", sys.maxsize, id="trials"),
+        ],
+    )
+    def test_a_run_too_large_for_memory_is_exit_1_and_keeps_the_previous_set(
+        self, tmp_path, capsys, flag, value
+    ):
+        """Not a MemoryError traceback: one error line, and the out dir as the last run left it."""
+        out = tmp_path / "out"
+        assert run(capsys, "simulate", CFG, "--out-dir", str(out))[0] == 0
+        before = snapshot(out)
+        code, stdout, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out), flag, str(value))
+        assert code == 1
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+        assert "max_time" in stderr and "trials" in stderr and str(value) in stderr
+        assert snapshot(out) == before
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "summary.json", "trace.csv"]
+
     @pytest.mark.parametrize("name", ["sim.cfg", "rumor.txt", "users.csv", "edges.csv"])
     def test_undecodable_input_is_exit_1_naming_the_line(self, tmp_path, capsys, name):
         shutil.copytree(FIXTURE_DIR, tmp_path / "cfg")

@@ -52,6 +52,10 @@ from rumorsim.gated import _diffuse, admission_test
 TAU_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+class OwnTopics(frozenset):
+    """A topic set that is its own object, even when empty or equal to another."""
+
+
 def profile(uid, *labels, created_at=0):
     return UserProfile(uid, frozenset(labels), created_at, False)
 
@@ -412,6 +416,8 @@ class TestOracleAgreement:
                 assert result.members == members
                 assert result.insertion_log == log
                 assert Counter(decided) == Counter(pairs)
+                # the batch form never meets a source without a profile
+                assert all(i in present for i, _ in decided)
                 compared.update(
                     reached=len(log) > len(set(initials)),
                     missing=any(u in absent for pair in pairs for u in pair),
@@ -420,6 +426,36 @@ class TestOracleAgreement:
         # the corpus reaches past the initials, meets users without a profile
         # and tests followers against more than one source
         assert compared["reached"] > 30 and compared["missing"] > 30 and compared["retested"] > 5, compared
+
+    def test_levenshtein_rounds_test_each_follower_once_against_the_rumor(self, monkeypatch):
+        handed = []
+
+        def recording(threshold):
+            level = levels(threshold)
+
+            def level_recorded():
+                test = level()
+                return lambda pairs: handed.extend(id(b) for _, b in pairs) or test(pairs)
+
+            return level_recorded
+
+        levels = gated._levenshtein_levels
+        monkeypatch.setattr(gated, "_levenshtein_levels", recording)
+        rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+        retested = 0
+        for graph, profiles, initials in oracle_corpus(seed=513, count=16, max_nodes=120):
+            # each user its own topic-set object, so the batch test's inputs name their follower
+            own = {u: dataclasses.replace(p, topics=OwnTopics(p.topics)) for u, p in profiles.items()}
+            for tau in TAU_GRID:
+                gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
+                _, _, pairs = sequential_closure(graph, own, rumor, initials, gate)
+                del handed[:]
+                _diffuse(graph, own, rumor, initials, gate)
+                # every follower the one-pair closure asks about, each handed over once
+                assert Counter(handed) == Counter({id(own[j].topics) for _, j in pairs})
+                retested += len(pairs) > len({j for _, j in pairs})
+        # the corpus asks about a refused follower again from another source
+        assert retested > 5, retested
 
     def test_fixpoint_equals_fully_independent_oracle(self):
         # off-lattice threshold so float noise cannot flip a gate decision
