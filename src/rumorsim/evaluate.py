@@ -40,23 +40,19 @@ def evaluate(predicted, profiles: Mapping) -> EvalReport:
 
     Every profiled user counts exactly once; users predicted positive but
     absent from the profiles are not scored (``validate`` reports them).
-    ``predicted`` is a DiffuserSet or any set of user ids.
+    ``predicted`` is a DiffuserSet or any set of user ids.  The counts are
+    set sizes: of the scored users (profiled and predicted) and the observed
+    ones (profiled and labelled diffusers), tp is the overlap, fp the scored
+    rest, fn the observed rest and tn every other profiled user.
     """
     members = predicted.members if isinstance(predicted, DiffuserSet) else set(predicted)
     if not profiles:
         raise EmptyEvaluationError("no labeled users to evaluate against")
-    tp = tn = fp = fn = 0
-    for uid, profile in profiles.items():
-        pred = uid in members
-        if pred and profile.observed_diffuser:
-            tp += 1
-        elif pred:
-            fp += 1
-        elif profile.observed_diffuser:
-            fn += 1
-        else:
-            tn += 1
-    return EvalReport(tp, tn, fp, fn, len(members))
+    scored = profiles.keys() & members
+    observed = {uid for uid, profile in profiles.items() if profile.observed_diffuser}
+    tp = len(scored & observed)
+    fp, fn = len(scored) - tp, len(observed) - tp
+    return EvalReport(tp, len(profiles) - tp - fp - fn, fp, fn, len(members))
 
 
 def metric_sweep(

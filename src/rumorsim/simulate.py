@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Mapping
 
@@ -67,8 +67,11 @@ class DiffusionTrace:
 
     ``changes`` maps step -> [(user_id, new_state_label)] for the steps where
     a user moved; every user starts in the model's default state, and one
-    that no change names stays in it.  ``counts`` and ``final_states`` are
-    read on demand.
+    that no change names stays in it.  Everything else is read from
+    ``changes`` on demand, through two definitions: a user's final state is
+    its last label, and its first step is the first at which its label is
+    not the default.  ``counts[t]`` is the number of users whose first step
+    is at most t, so a recovered user stays counted.
     """
 
     model: ModelKind
@@ -79,22 +82,16 @@ class DiffusionTrace:
     @cached_property
     def counts(self) -> list:
         """Per step 0..max_time, the users that have left the default state; a recovered one stays."""
-        active, counts = set(), []
-        for t, users in self._activations():
-            # steps without changes repeat the last count
-            counts.extend(repeat(len(active), t - len(counts)))
-            active.update(users)
-            counts.append(len(active))
-        counts.extend(repeat(len(active), self.max_time + 1 - len(counts)))
-        return counts
+        # the first activations per step in one allocation, so a max_time no list can hold fails at once
+        rises = [0] * (self.max_time + 1)
+        for t in self._since().values():
+            rises[t] += 1
+        return list(accumulate(rises))
 
     @cached_property
     def final_states(self) -> dict:
         """Each user named in the changes to its label after its last change; any other user is in the default."""
-        states = {}
-        for t in sorted(self.changes):
-            states.update(self.changes[t])
-        return states
+        return {u: label for t in sorted(self.changes) for u, label in self.changes[t]}
 
     def final_active(self) -> set:
         return {u for u, label in self.final_states.items() if label != self._default}
@@ -103,11 +100,10 @@ class DiffusionTrace:
     def _default(self) -> str:
         return MODEL_STATES[self.model][0].value
 
-    def _activations(self):
-        """Yield (t, the users set to a state other than the default at t) per step with changes, in order."""
+    def _since(self) -> dict:
+        """Each user that leaves the default state to its first step out of it; later steps are assigned first."""
         default = self._default
-        for t in sorted(self.changes):
-            yield t, [uid for uid, label in self.changes[t] if label != default]
+        return {u: t for t in sorted(self.changes, reverse=True) for u, label in self.changes[t] if label != default}
 
 
 def run_simulation(
@@ -292,8 +288,7 @@ def export_frames(trace: DiffusionTrace, graph: SocialGraph, out_dir) -> list:
     # the edge lines are the same in every frame
     adjacency = graph.adjacency.items()
     edge_lines = "".join(f"  {a} -> {b};\n" for a, followers in adjacency for b in followers) + "}\n"
-    # each user's first step out of the default state: the earliest step is assigned last
-    since = {u: t for t, users in reversed(list(trace._activations())) for u in users}
+    since = trace._since()
 
     def frame(t):
         colors = (f"  {u} [color={'red' if since.get(u, t + 1) <= t else 'blue'}];\n" for u in graph.nodes)

@@ -17,7 +17,9 @@ from pathlib import Path
 
 from rumorsim import (
     AdoptionState,
+    DiffuserSet,
     EpidemicState,
+    EvalReport,
     EvaluationPolicy,
     ModelKind,
     SimilarityGate,
@@ -441,6 +443,23 @@ def every_script(run, values):
         if not script:
             return
         script[-1] = values[values.index(script[-1]) + 1]
+
+
+def loop_evaluate(predicted, profiles):
+    """The confusion counts one profiled user at a time: the reference for ``evaluate``'s set sizes."""
+    members = predicted.members if isinstance(predicted, DiffuserSet) else set(predicted)
+    tp = tn = fp = fn = 0
+    for uid, profile in profiles.items():
+        pred = uid in members
+        if pred and profile.observed_diffuser:
+            tp += 1
+        elif pred:
+            fp += 1
+        elif profile.observed_diffuser:
+            fn += 1
+        else:
+            tn += 1
+    return EvalReport(tp, tn, fp, fn, len(members))
 
 
 def csv_trace_bytes(traces):

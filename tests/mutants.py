@@ -63,6 +63,9 @@ ROUNDS_WORK = (
 OVERSIZED_RUN = (
     "tests/test_cli.py::TestFailureModes::test_a_run_too_large_for_memory_is_exit_1_and_keeps_the_previous_set"
 )
+EVALUATE_LOOP = "tests/test_evaluate.py::TestEvaluate::test_equals_the_loop_over_every_profile"
+CERTAIN_SPREAD_LAW = "tests/test_exhaustive.py::test_certain_spread_curves_are_equal_on_every_case"
+LIVE_EDGE_CURVE_LAW = "tests/test_conformance.py::test_the_mean_curve_follows_the_live_edge_law"
 
 MUTANTS = [
     Mutant(
@@ -96,6 +99,46 @@ MUTANTS = [
         "                        hit = True\n                        break\n",
         ("tests/test_simulate.py", "tests/test_conformance.py"),
         "an exposed SIR node stops drawing after its first hit, so the stream desyncs",
+    ),
+    Mutant(
+        "sir-gamma-on-new-infections-curve-law",
+        DIFFUSION,
+        "delta.append((v, EpidemicState.INFECTED))",
+        "delta.append((v, EpidemicState.INFECTED if draw() >= gamma else EpidemicState.RECOVERED))",
+        (CERTAIN_SPREAD_LAW,),
+        "the same bug, seen by the cross-model law: SIR with gamma 1 recovers each new infection unspread",
+    ),
+    Mutant(
+        "sir-gamma-on-new-infections-live-edge-curve",
+        DIFFUSION,
+        "delta.append((v, EpidemicState.INFECTED))",
+        "delta.append((v, EpidemicState.INFECTED if draw() >= gamma else EpidemicState.RECOVERED))",
+        (LIVE_EDGE_CURVE_LAW,),
+        "the same bug, seen by the mean curve against the live-edge law",
+    ),
+    Mutant(
+        "ic-spreads-in-its-infection-step",
+        DIFFUSION,
+        "                    hit.add(target)\n",
+        "                    hit.add(target)\n                    reached.add(target)\n                    self.spreaders.append(target)\n",
+        ("tests/test_simulate.py",),
+        "a user IC infects spreads in the step it is infected, so one step crosses many hops",
+    ),
+    Mutant(
+        "ic-spreads-in-its-infection-step-curve-law",
+        DIFFUSION,
+        "                    hit.add(target)\n",
+        "                    hit.add(target)\n                    reached.add(target)\n                    self.spreaders.append(target)\n",
+        (CERTAIN_SPREAD_LAW,),
+        "the same bug, seen by the cross-model law: IC with p 1 runs ahead of the BFS levels",
+    ),
+    Mutant(
+        "ic-spreads-in-its-infection-step-live-edge-curve",
+        DIFFUSION,
+        "                    hit.add(target)\n",
+        "                    hit.add(target)\n                    reached.add(target)\n                    self.spreaders.append(target)\n",
+        (LIVE_EDGE_CURVE_LAW,),
+        "the same bug, seen by the mean curve against the live-edge law",
     ),
     Mutant(
         "sir-one-draw-per-exposed-node-scripted",
@@ -552,11 +595,56 @@ MUTANTS = [
     Mutant(
         "replay-drops-recovered-users",
         "src/rumorsim/simulate.py",
-        "            active.update(users)\n",
-        "            active.update(users)\n"
-        "            active.difference_update(uid for uid, label in self.changes[t] if label == 'recovered')\n",
+        "            rises[t] += 1\n",
+        "            rises[t] += 1\n"
+        "        for t, delta in self.changes.items():\n"
+        "            rises[t] -= sum(label == 'recovered' for _, label in delta)\n",
         ("tests/test_golden.py",),
         "the curve counts a recovered user as inactive, so it can fall",
+    ),
+    Mutant(
+        "since-keeps-the-last-step",
+        "src/rumorsim/simulate.py",
+        "for t in sorted(self.changes, reverse=True)",
+        "for t in sorted(self.changes)",
+        ("tests/test_simulate.py",),
+        "a user's first step is read as the last step that sets it out of the default state",
+    ),
+    Mutant(
+        "curve-grows-step-by-step",
+        "src/rumorsim/simulate.py",
+        "        rises = [0] * (self.max_time + 1)\n"
+        "        for t in self._since().values():\n"
+        "            rises[t] += 1\n"
+        "        return list(accumulate(rises))\n",
+        "        rises = __import__('collections').Counter(self._since().values())\n"
+        "        return list(accumulate(map(rises.__getitem__, range(self.max_time + 1))))\n",
+        (OVERSIZED_RUN,),
+        "the curve is built one step at a time, so a max_time no list can hold grows memory until it runs out",
+    ),
+    Mutant(
+        "evaluate-scores-unprofiled-predictions",
+        "src/rumorsim/evaluate.py",
+        "scored = profiles.keys() & members",
+        "scored = members",
+        ("tests/test_evaluate.py::TestEvaluate::test_unlabeled_predictions_not_scored",),
+        "a predicted user without a profile counts as a false positive",
+    ),
+    Mutant(
+        "evaluate-scores-unprofiled-predictions-loop",
+        "src/rumorsim/evaluate.py",
+        "scored = profiles.keys() & members",
+        "scored = members",
+        (EVALUATE_LOOP,),
+        "the same bug, seen by the check against the loop over every profile",
+    ),
+    Mutant(
+        "evaluate-counts-every-label",
+        "src/rumorsim/evaluate.py",
+        "observed = {uid for uid, profile in profiles.items() if profile.observed_diffuser}",
+        "observed = set(profiles)",
+        (EVALUATE_LOOP,),
+        "every profiled user is taken for an observed diffuser",
     ),
     Mutant(
         "rebuild-trace-accepts-unknown-users",
@@ -690,6 +778,14 @@ MUTANTS = [
         "start(base.derive(0))) for k in range(cfg.trials)",
         ("tests/test_simulate.py",),
         "every trial of a model that draws is driven with trial 0's stream",
+    ),
+    Mutant(
+        "trials-share-one-stream-live-edge-curve",
+        "src/rumorsim/simulate.py",
+        "start(base.derive(k))) for k in range(cfg.trials)",
+        "start(base.derive(0))) for k in range(cfg.trials)",
+        (LIVE_EDGE_CURVE_LAW,),
+        "the same bug, seen by the mean curve against the live-edge law: the mean is one trial's curve",
     ),
     Mutant(
         "sir-treated-as-drawing-nothing",

@@ -10,9 +10,11 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -598,11 +600,31 @@ class TestFailureModes:
     def test_a_run_too_large_for_memory_is_exit_1_and_keeps_the_previous_set(
         self, tmp_path, capsys, flag, value
     ):
-        """Not a MemoryError traceback: one error line, and the out dir as the last run left it."""
+        """Not a MemoryError traceback: one error line, and the out dir as the last run left it.
+
+        The run fails its first allocation, of one list as long as the run,
+        so it stays small.  It runs under an address-space limit 256 MiB
+        above the process's size: a run that grew such a list item by item
+        would fail at that limit instead of exhausting the host's memory, and
+        its traced peak tells it apart.
+        """
         out = tmp_path / "out"
         assert run(capsys, "simulate", CFG, "--out-dir", str(out))[0] == 0
         before = snapshot(out)
-        code, stdout, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out), flag, str(value))
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        status = Path("/proc/self/status").read_text(encoding="ascii")
+        cap = (int(re.search(r"^VmSize:\s+(\d+) kB$", status, flags=re.MULTILINE).group(1)) << 10) + (256 << 20)
+        if limits[1] != resource.RLIM_INFINITY:
+            cap = min(cap, limits[1])
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+        tracemalloc.start()
+        try:
+            code, stdout, stderr = run(capsys, "simulate", CFG, "--out-dir", str(out), flag, str(value))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        assert peak < 64 << 20
         assert code == 1
         assert stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")

@@ -2,7 +2,8 @@
 
 The IC and SIR tests run many seeded trials and compare the observed
 frequencies with probabilities computed exactly from the model's
-definition; the belief-process tests check its edge picks against the
+definition, and the mean curve of ``run_trials`` with its exact
+expectation at every step; the belief-process tests check its edge picks against the
 uniform law and its beliefs against the mean it keeps and the value it
 converges to.  Every seed is fixed, so each test passes or fails the same
 way on every run.
@@ -12,21 +13,25 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 from collections import Counter, defaultdict
 from itertools import compress, product
 
 import pytest
 
-from helpers import bfs_reachable, in_adjacency, random_digraph
+from helpers import bfs_levels, bfs_reachable, in_adjacency, random_digraph
 from rumorsim import (
     AgentKind,
     BeliefState,
     EdgeProbability,
     EpidemicState,
+    ModelKind,
     RngStream,
+    SimulationConfig,
     SirParams,
     SocialGraph,
     run_belief_process,
+    run_trials,
 )
 from rumorsim.diffusion import IcRun, SirRun
 
@@ -101,6 +106,76 @@ def test_ic_activation_follows_the_live_edge_law(name):
             continue
         z = (observed[u] - p) / math.sqrt(p * (1 - p) / trials)
         assert abs(z) <= Z_BOUND, (u, observed[u], p, z)
+
+
+def live_edge_curve(graph, initials, p, max_time):
+    """The exact mean and variance of IC's ``counts[t]`` per step, with every edge live with probability p.
+
+    A user's activation step is its BFS distance from the initials in the
+    live-edge graph (Kempe, Kleinberg & Tardos 2003), so enumerating the
+    2^|E| live-edge graphs gives each step's count distribution.
+    """
+    edges = sorted(graph.edges)
+    moments = [[0.0, 0.0] for _ in range(max_time + 1)]
+    for live in product((False, True), repeat=len(edges)):
+        weight = p ** sum(live) * (1 - p) ** (len(edges) - sum(live))
+        levels = bfs_levels(initials, compress(edges, live))
+        count = 0
+        for t, moment in enumerate(moments):
+            count += len(levels[t]) if t < len(levels) else 0
+            moment[0] += weight * count
+            moment[1] += weight * count * count
+    return [(mean, square - mean * mean) for mean, square in moments]
+
+
+def mean_curve_z(cfg, graph, exact):
+    """The largest |z| of ``run_trials``' mean curve against ``exact``'s (mean, variance) per step.
+
+    A step whose count is certain must come out exactly; one that does not
+    reads as an infinite z.
+    """
+    _, aggregate = run_trials(cfg, graph)
+    worst = 0.0
+    for observed, (mean, variance) in zip(aggregate, exact, strict=True):
+        if variance < 1e-12:
+            worst = max(worst, 0.0 if math.isclose(observed, mean) else math.inf)
+            continue
+        worst = max(worst, abs(observed - mean) / math.sqrt(variance / cfg.trials))
+    return worst
+
+
+# five users and nine edges: two routes from the seed, a cycle back into it
+# and a user that only a two-hop path reaches; 512 live-edge graphs
+CURVE_EDGES = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 1), (3, 4), (4, 2), (4, 5), (3, 5)]
+CURVE_P = 0.4
+CURVE_MAX_TIME = 6
+
+
+def curve_config(model, **params):
+    return SimulationConfig(
+        Path("e"), Path("u"), max_time=CURVE_MAX_TIME, trials=4000, seed=2029, model=model, initials=(1,), **params
+    )
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        pytest.param(ModelKind.IC, {"ic_default_p": CURVE_P}, id="ic"),
+        # with gamma 1 an infected user draws on its out-edges in one step only, as under IC
+        pytest.param(ModelKind.SIR, {"beta": CURVE_P, "gamma": 1.0}, id="sir_gamma_1"),
+    ],
+)
+def test_the_mean_curve_follows_the_live_edge_law(model, params):
+    graph = SocialGraph(CURVE_EDGES)
+    exact = live_edge_curve(graph, (1,), CURVE_P, CURVE_MAX_TIME)
+    assert mean_curve_z(curve_config(model, **params), graph, exact) <= Z_BOUND
+
+
+def test_sir_with_gamma_below_1_is_rejected_by_the_live_edge_law():
+    """The control: a user infected for more than one step draws again, so it spreads further."""
+    graph = SocialGraph(CURVE_EDGES)
+    exact = live_edge_curve(graph, (1,), CURVE_P, CURVE_MAX_TIME)
+    assert mean_curve_z(curve_config(ModelKind.SIR, beta=CURVE_P, gamma=0.5), graph, exact) > Z_BOUND
 
 
 def sir_final_sizes(graph, initials, params):

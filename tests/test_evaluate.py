@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
+import random
 
 import pytest
 
-from helpers import FIXTURE_DIR
+from helpers import FIXTURE_DIR, loop_evaluate, oracle_corpus
 from rumorsim import (
     ConfigurationError,
     DiffuserSet,
@@ -79,6 +81,26 @@ class TestEvaluate:
         graph, profiles, _ = fixture_inputs
         result = diffuse_user_user(graph, profiles, (1,), SimilarityGate(Metric.COSINE, 0.5))
         assert evaluate(result, profiles) == evaluate(set(result.members), profiles)
+
+    def test_equals_the_loop_over_every_profile(self):
+        """The set sizes against ``loop_evaluate``, on predictions with unprofiled ids and without profiled ones."""
+        rng = random.Random(2042)
+        gate = SimilarityGate(Metric.COSINE, 0.3)
+        strangers = 0
+        for graph, profiles, initials in oracle_corpus(2043, count=40, max_nodes=80):
+            # labels at random, and a fifth of the non-seed users without a profile
+            labelled = {
+                u: dataclasses.replace(profile, observed_diffuser=rng.random() < 0.4)
+                for u, profile in profiles.items()
+                if u in initials or rng.random() < 0.8
+            }
+            outside = set(range(max(graph.nodes) + 1, max(graph.nodes) + 4))
+            closure = diffuse_user_user(graph, labelled, initials, gate)
+            sample = set(rng.sample(sorted(graph.nodes), rng.randint(0, len(graph.nodes))))
+            for predicted in (closure, closure.members | outside, sample, sample | outside, set(), outside):
+                assert evaluate(predicted, labelled) == loop_evaluate(predicted, labelled)
+            strangers += len(sample - labelled.keys())
+        assert strangers > 0
 
     def test_empty_labels_rejected(self):
         with pytest.raises(EmptyEvaluationError):

@@ -8,25 +8,37 @@ every digraph on users 1, 2 and 3 (64 of them) and every non-empty seed set
 the graph's edges, so the gate may be any predicate at all: 729 graph and
 table pairs.  The SIR and IC runs take every script of draws over a hit
 and a draw of exactly the probability, so the stream may be any outcome
-sequence (VeriSoft's choice points, Godefroid, POPL 1997).
+sequence (VeriSoft's choice points, Godefroid, POPL 1997).  The classical
+models whose every draw hits spread by BFS levels alike, so their curves
+are checked against each other on every case.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, permutations, product
 from pathlib import Path
 
 from helpers import (
     ScriptedStream,
+    bfs_levels,
     every_script,
     every_step_law,
     pull_gated_run,
+    random_digraph,
     recorded,
     shuffled_closure,
     stepwise_classical_run,
 )
-from rumorsim import ModelKind, SimilarityGate, SimulationConfig, SocialGraph, UserProfile, run_simulation
+from rumorsim import (
+    ModelKind,
+    SimilarityGate,
+    SimulationConfig,
+    SocialGraph,
+    UserProfile,
+    run_simulation,
+    run_trials,
+)
 from rumorsim.gated import GatedRun, _diffuse, _diffuse_in_rounds, admission_test
 
 USERS = (1, 2, 3)
@@ -248,3 +260,38 @@ def test_sir_run_equals_the_full_sweep_reference_on_every_script():
 
 def test_ic_run_equals_the_full_sweep_reference_on_every_script():
     assert scripted_runs_equal_the_reference(ModelKind.IC, 3, 0.5, ic_default_p=0.5) == 3423
+
+
+# the classical models, each at the parameters under which every draw hits
+CERTAIN_SPREAD = {
+    ModelKind.IC: {"ic_default_p": 1.0},
+    ModelKind.SIR: {"beta": 1.0, "gamma": 1.0},
+    ModelKind.TIPPING: {"theta": 0.0},
+}
+
+
+def test_certain_spread_curves_are_equal_on_every_case():
+    """IC with p 1, SIR with beta = gamma = 1 and tipping with theta 0 give equal counts at every step.
+
+    Each activates a user one step after its first active in-neighbour, so
+    ``counts[t]`` is the number of users within t hops of the seeds.  Every
+    3-user case runs through ``run_trials``, and so does a seeded sample of
+    4- and 5-user graphs, each with one to three seeds.
+    """
+    max_time = 5
+    rng = random.Random(2028)
+    sample = []
+    for n in (4, 5):
+        for _ in range(100):
+            graph = random_digraph(rng, n, 0.35)
+            sample.append((graph, tuple(rng.sample(range(1, n + 1), rng.randint(1, 3)))))
+    cases = list(product(GRAPHS, SEED_SETS)) + sample
+    for graph, seeds in cases:
+        levels = bfs_levels(seeds, graph.edges)
+        hops = list(accumulate(len(levels[t]) if t < len(levels) else 0 for t in range(max_time + 1)))
+        for model, params in CERTAIN_SPREAD.items():
+            cfg = SimulationConfig(Path("e"), Path("u"), max_time=max_time, model=model, initials=seeds, **params)
+            traces, aggregate = run_trials(cfg, graph)
+            assert [trace.counts for trace in traces] == [hops] * cfg.trials, (model, sorted(graph.edges), seeds)
+            assert aggregate == hops
+    assert len(cases) == 448 + 200
