@@ -8,13 +8,14 @@ each config key can be overridden with a flag of the same name.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
 
 from .config import CONFIG_KEYS, GATED_MODELS, load_config
 from .errors import ConfigurationError, RumorSimError
-from .graph import _csv_chunks, _write_files, load_edges, load_rumor, load_users, validate
+from .graph import _collector_paused, _csv_chunks, _write_files, load_edges, load_rumor, load_users, validate
 from .similarity import overlap_scores
 
 # The scheduler, the evaluation harness and the decisions reader are imported
@@ -199,7 +200,9 @@ def _print_findings(label: str, ids) -> None:
         print(f"{label}: {len(ids)} [{shown}{more}]")
 
 
+@_collector_paused()
 def run_cli(argv=None) -> int:
+    """Run one command; returns its exit code.  The cyclic collector is paused throughout."""
     parser = build_parser()
     try:
         # an unknown flag is reported with the usage of the command it follows
@@ -222,7 +225,12 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run_cli())
+    # the process ends after the command: the heap, frozen before the collector
+    # resumes, leaves neither its first pass nor the final collection anything to scan
+    with _collector_paused():
+        code = run_cli()
+        gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

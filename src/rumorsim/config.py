@@ -10,12 +10,11 @@ given as overrides (CLI flags) resolve against the working directory.
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, ParseError, _check_probability
+from .errors import ConfigurationError, ParseError, _check_probability, _Checked
 from .graph import _open_input
 from .similarity import Metric
 
@@ -40,29 +39,43 @@ class EvaluationPolicy(Enum):
 
 _DEFAULT_SWEEP = (Metric.COSINE, Metric.JACCARD_SET, Metric.DICE, Metric.AVERAGE)
 
+# the default of a key that every config sets
+_REQUIRED = object()
 
-@dataclass
-class SimulationConfig:
-    edges_path: Path
-    users_path: Path
-    rumor_path: Path | None = None
-    decisions_path: Path | None = None
-    out_dir: Path = Path(".")
-    max_time: int = 1296
-    trials: int = 2
-    seed: int = 0
-    model: ModelKind = ModelKind.GATED_USER_USER
-    metric: Metric = Metric.COSINE
-    threshold: float = 0.5
-    evaluation_policy: EvaluationPolicy = EvaluationPolicy.ONCE
-    initials: tuple[int, ...] = ()
-    beta: float | None = None
-    gamma: float | None = None
-    theta: float | None = None
-    ic_default_p: float | None = None
-    metrics: tuple[Metric, ...] = _DEFAULT_SWEEP
+# the one list of config keys, as (key, kind, default): the class, the file
+# parser, the CLI flags and the summary echo all read it.  A kind (X,) is a
+# comma-separated tuple of Xs; a key whose default is None holds an X or None.
+# The required keys come first, as a namedtuple's defaults fill the last fields.
+_KEYS = (
+    ("edges_path", Path, _REQUIRED),
+    ("users_path", Path, _REQUIRED),
+    ("rumor_path", Path, None),
+    ("decisions_path", Path, None),
+    ("out_dir", Path, Path(".")),
+    ("max_time", int, 1296),
+    ("trials", int, 2),
+    ("seed", int, 0),
+    ("model", ModelKind, ModelKind.GATED_USER_USER),
+    ("metric", Metric, Metric.COSINE),
+    ("threshold", float, 0.5),
+    ("evaluation_policy", EvaluationPolicy, EvaluationPolicy.ONCE),
+    ("initials", (int,), ()),
+    ("beta", float, None),
+    ("gamma", float, None),
+    ("theta", float, None),
+    ("ic_default_p", float, None),
+    ("metrics", (Metric,), _DEFAULT_SWEEP),
+)
+CONFIG_KEYS = tuple(key for key, _, _ in _KEYS)
 
-    def __post_init__(self):
+
+class SimulationConfig(
+    _Checked, namedtuple("SimulationConfig", CONFIG_KEYS, defaults=[d for _, _, d in _KEYS if d is not _REQUIRED])
+):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.metrics:
             raise ConfigurationError("metrics must list at least one metric")
         # one eval.json row per metric; an alias (jaccard_set) names its metric
@@ -79,18 +92,13 @@ class SimulationConfig:
         _check_probability("threshold", self.threshold)
         if self.model is ModelKind.GATED_USER_CONTENT and self.rumor_path is None:
             raise ConfigurationError("model gated_user_content requires rumor_path")
+        return self
 
     def model_param(self, name: str) -> float:
         value = getattr(self, name)
         if value is None:
             raise ConfigurationError(f"model {self.model.value} requires config key {name}")
         return value
-
-
-# the dataclass fields are the one list of config keys: the file parser, the
-# CLI flags and the summary echo all derive from it
-CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
-_TYPES = get_type_hints(SimulationConfig)
 
 
 def load_config(path, overrides: dict | None = None) -> SimulationConfig:
@@ -125,25 +133,21 @@ def load_config(path, overrides: dict | None = None) -> SimulationConfig:
 
 def _build(raw: dict) -> SimulationConfig:
     kwargs = {}
-    for f in fields(SimulationConfig):
-        if f.name in raw:
-            value, origin = raw[f.name]
-            kwargs[f.name] = _parse(f.name, _TYPES[f.name], value, origin)
-        elif f.default is MISSING:
-            raise ConfigurationError(f"config is missing required key {f.name}")
+    for key, kind, default in _KEYS:
+        if key in raw:
+            value, origin = raw[key]
+            kwargs[key] = _parse(key, kind, value, origin)
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"config is missing required key {key}")
     return SimulationConfig(**kwargs)
 
 
 def _parse(key: str, kind, value: str, origin: tuple | None):
-    """Parse one config value by its field's annotated type."""
-    if type(None) in get_args(kind):
-        # X | None: the value, when given, is an X
-        kind = get_args(kind)[0]
-    if get_origin(kind) is tuple:
+    """Parse one config value by its key's kind in ``_KEYS``."""
+    if type(kind) is tuple:
         # comma-separated; empty fragments are skipped
-        item = get_args(kind)[0]
         parts = [part.strip() for part in value.split(",") if part.strip()]
-        return tuple(_parse(key, item, part, origin) for part in parts)
+        return tuple(_parse(key, kind[0], part, origin) for part in parts)
     if kind is Path:
         return _resolve(key, value, origin)
     if kind is int:

@@ -23,14 +23,13 @@ runs, reproducible for a given seed.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping
 
-from .errors import ConfigurationError, UnknownUserError, _check_probability
+from .errors import ConfigurationError, UnknownUserError, _check_probability, _Checked
 from .graph import SocialGraph
 from .rng import RngStream
 
@@ -58,26 +57,27 @@ def _require_states(graph: SocialGraph, states: Mapping, noun: str = "state") ->
             raise ConfigurationError(f"no {noun} for user {node}")
 
 
-@dataclass(frozen=True)
-class SirParams:
+class SirParams(_Checked, namedtuple("SirParams", "beta gamma")):
     """Per-contact infection probability and per-step recovery probability."""
 
-    beta: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_probability("beta", self.beta)
         _check_probability("gamma", self.gamma)
+        return self
 
 
-@dataclass(frozen=True)
-class TippingParams:
+class TippingParams(_Checked, namedtuple("TippingParams", "theta")):
     """Adoption threshold on the fraction of adopted in-neighbors."""
 
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_probability("theta", self.theta)
+        return self
 
 
 class EdgeProbability:
@@ -302,8 +302,7 @@ def ic_step(
     return dict(states) | dict(delta), set(attempted).union(untried)
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(_Checked, namedtuple("BeliefState", "beliefs kinds epsilon")):
     """Beliefs in [0, 1] per user, each user regular or forceful.
 
     ``epsilon`` is the weight a regular node keeps on its own belief when it
@@ -311,11 +310,10 @@ class BeliefState:
     an ``AgentKind`` raises ConfigurationError.
     """
 
-    beliefs: dict
-    kinds: dict
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_probability("epsilon", self.epsilon)
         for uid, belief in self.beliefs.items():
             _check_probability(f"belief for user {uid}", belief)
@@ -325,6 +323,7 @@ class BeliefState:
                 raise ConfigurationError(
                     f"agent kind for user {uid} is not an AgentKind: {self.kinds[uid]!r}"
                 )
+        return self
 
 
 def belief_exchange(state: BeliefState, i, j) -> BeliefState:

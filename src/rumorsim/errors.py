@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the value checks shared across the package."""
 
 
 class RumorSimError(Exception):
@@ -22,6 +22,21 @@ def _check_probability(name: str, value: float) -> None:
     """Raise ConfigurationError naming ``name`` unless ``value`` is in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
+
+
+class _Checked:
+    """Base of a namedtuple record whose ``__new__`` checks its values.
+
+    A namedtuple's ``_make``, and so its ``_replace``, builds the tuple
+    without its class's ``__new__``; this ``_make`` calls the class, so every
+    way to build the record, pickle and deepcopy included, runs its checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class UnknownUserError(ConfigurationError):

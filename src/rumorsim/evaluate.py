@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping
 
 from .errors import ConfigurationError, EmptyEvaluationError
@@ -12,15 +12,10 @@ from .config import GATED_MODELS, ModelKind
 from .similarity import _SHAPE_SCORES
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(namedtuple("EvalReport", "true_pos true_neg false_pos false_neg predicted_count")):
     """Confusion counts over all labeled users, with derived accuracy."""
 
-    true_pos: int
-    true_neg: int
-    false_pos: int
-    false_neg: int
-    predicted_count: int
+    __slots__ = ()
 
     @property
     def total(self) -> int:

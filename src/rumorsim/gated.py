@@ -13,12 +13,11 @@ A gate without a decisions table raises ConfigurationError when
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from typing import Callable, Mapping
 
-from .errors import ConfigurationError, ParseError, UndefinedCorrelationError, _check_probability
+from .errors import ConfigurationError, ParseError, UndefinedCorrelationError, _check_probability, _Checked
 from .graph import RumorContent, SocialGraph, _parse_user_id, _read_rows
 from .similarity import Metric, _levenshtein_levels, _pair_test
 
@@ -30,31 +29,30 @@ class GateState(Enum):
     DIFFUSER = "diffuser"  # absorbing
 
 
-@dataclass(frozen=True)
-class SimilarityGate:
+class SimilarityGate(
+    _Checked, namedtuple("SimilarityGate", "metric threshold decisions", defaults=(Metric.COSINE, 0.5, None))
+):
     """Hard-threshold admission test shared by the gated algorithms.
 
     When a precomputed ``decisions`` table is present it fully replaces live
     scoring; an edge with no entry fails the gate.
     """
 
-    metric: Metric = Metric.COSINE
-    threshold: float = 0.5
-    decisions: Mapping | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_probability("threshold", self.threshold)
+        return self
 
 
-@dataclass
-class DiffuserSet:
+class DiffuserSet(namedtuple("DiffuserSet", "members insertion_log")):
     """Diffusion result: the member set plus the order members were added.
 
     Users without a profile are not listed here; ``validate`` reports them.
     """
 
-    members: set
-    insertion_log: list
+    __slots__ = ()
 
 
 def admission_test(profiles: Mapping, rumor: RumorContent | None, gate: SimilarityGate) -> Callable:

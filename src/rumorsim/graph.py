@@ -3,7 +3,10 @@
 An edge (a, b) means information flows from a to b: b follows a and sees
 what a posts.  User ids are opaque non-negative integers; nothing assumes
 they are contiguous or start at any particular value.  ``load_edges`` and
-``load_users`` run with the cyclic garbage collector paused.
+``load_users`` run with the cyclic garbage collector paused, as every
+command of ``cli.run_cli`` does.  The records, ``UserProfile``,
+``RumorContent``, ``LoadStats`` and ``ValidationReport``, are namedtuples:
+``_replace`` and ``_asdict`` read and rebuild them.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import csv
 import gc
 import json
 import os
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, islice
 from operator import eq, lt, ne
@@ -23,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, ParseError, UnknownUserError
-from .similarity import TopicSet, _topic_label, tokenize_topics
+from .similarity import _topic_label, tokenize_topics
 
 UserId = int
 
@@ -34,30 +36,22 @@ _BOOL_VALUES = {"0": False, "1": True, "false": False, "true": True}
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
-@dataclass(frozen=True, slots=True)
-class UserProfile:
+class UserProfile(namedtuple("UserProfile", "id topics created_at observed_diffuser")):
     """Offline attributes of one user: topics, wake-up step, observed label."""
 
-    id: UserId
-    topics: TopicSet
-    created_at: int
-    observed_diffuser: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RumorContent:
+class RumorContent(namedtuple("RumorContent", "topics")):
     """Topic labels describing the rumor being propagated."""
 
-    topics: TopicSet
+    __slots__ = ()
 
 
-@dataclass
-class LoadStats:
+class LoadStats(namedtuple("LoadStats", "rows_read duplicate_edges self_loops_skipped", defaults=(0, 0, 0))):
     """Bookkeeping from an edge-list load: rows seen, rows dropped and why."""
 
-    rows_read: int = 0
-    duplicate_edges: int = 0
-    self_loops_skipped: int = 0
+    __slots__ = ()
 
 
 class SocialGraph:
@@ -165,15 +159,13 @@ def load_edges(path) -> SocialGraph:
     """
     columns = _bulk_edge_rows(path)
     froms, tos = _rowwise_edge_rows(path) if columns is None else columns
-    stats = LoadStats(rows_read=len(froms))
+    rows_read = len(froms)
     keep = list(map(ne, froms, tos))
     if not all(keep):
         froms, tos = list(compress(froms, keep)), list(compress(tos, keep))
-    stats.self_loops_skipped = stats.rows_read - len(froms)
     graph = SocialGraph.__new__(SocialGraph)
     graph._build(froms, tos)
-    stats.duplicate_edges = len(froms) - graph.edge_count
-    graph.load_stats = stats
+    graph.load_stats = LoadStats(rows_read, len(froms) - graph.edge_count, rows_read - len(froms))
     return graph
 
 
@@ -288,13 +280,10 @@ def load_rumor(path) -> RumorContent:
     return RumorContent(tokenize_topics(",".join(lines)))
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "missing_profiles empty_topics isolated_nodes")):
     """Report-only consistency findings; an all-empty report means clean inputs."""
 
-    missing_profiles: list
-    empty_topics: list
-    isolated_nodes: list
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:

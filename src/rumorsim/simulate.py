@@ -20,7 +20,6 @@ states are read from them on demand, also for a trace.csv read back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
@@ -61,7 +60,6 @@ MODEL_STATES = {
 DRAWING_MODELS = frozenset({ModelKind.SIR, ModelKind.IC})
 
 
-@dataclass
 class DiffusionTrace:
     """Result of one trial: its per-step state changes, and nothing of the graph.
 
@@ -74,10 +72,19 @@ class DiffusionTrace:
     is at most t, so a recovered user stays counted.
     """
 
-    model: ModelKind
-    max_time: int
-    changes: dict
-    clamped_agents: int = 0
+    def __init__(self, model: ModelKind, max_time: int, changes: dict, clamped_agents: int = 0):
+        self.model = model
+        self.max_time = max_time
+        self.changes = changes
+        self.clamped_agents = clamped_agents
+
+    def __eq__(self, other):
+        # the four fields, not the views read from them
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model, self.max_time, self.changes, self.clamped_agents) == (
+            other.model, other.max_time, other.changes, other.clamped_agents
+        )
 
     @cached_property
     def counts(self) -> list:
@@ -307,8 +314,8 @@ def _curve_chunks(series):
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
-    """JSON-friendly dump of the effective configuration, one entry per field."""
-    return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
+    """JSON-friendly dump of the effective configuration, one entry per config key."""
+    return {key: _jsonable(value) for key, value in cfg._asdict().items()}
 
 
 def _jsonable(value):

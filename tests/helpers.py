@@ -492,21 +492,21 @@ def generator_tokenize_topics(raw):
 
 def rowwise_load_edges(path):
     """The row-by-row edge loader: parse each row, drop self-loops, dedup in a set."""
-    stats = LoadStats()
+    rows = duplicates = loops = 0
     edges = set()
     for line_no, row in _read_rows(path, EDGES_HEADER):
         a = _parse_user_id(path, line_no, row[0])
         b = _parse_user_id(path, line_no, row[1])
-        stats.rows_read += 1
+        rows += 1
         if a == b:
-            stats.self_loops_skipped += 1
+            loops += 1
             continue
         if (a, b) in edges:
-            stats.duplicate_edges += 1
+            duplicates += 1
             continue
         edges.add((a, b))
     graph = SocialGraph(edges)
-    graph.load_stats = stats
+    graph.load_stats = LoadStats(rows, duplicates, loops)
     return graph
 
 

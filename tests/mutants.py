@@ -822,8 +822,9 @@ MUTANTS = [
     Mutant(
         "config-imports-the-gate",
         "src/rumorsim/config.py",
-        "from .errors import ConfigurationError, ParseError, _check_probability\n",
-        "from .errors import ConfigurationError, ParseError, _check_probability\nfrom .gated import SimilarityGate\n",
+        "from .errors import ConfigurationError, ParseError, _check_probability, _Checked\n",
+        "from .errors import ConfigurationError, ParseError, _check_probability, _Checked\n"
+        "from .gated import SimilarityGate\n",
         ("tests/test_imports.py",),
         "loading a config loads the gate module, so every process that reads inputs does",
     ),
@@ -906,6 +907,46 @@ MUTANTS = [
         "if draw() <= p and target not in reached:",
         (SCRIPTED_IC,),
         "a draw of exactly p infects; random() can return it, and a scripted draw does",
+    ),
+    Mutant(
+        "config-imports-dataclasses",
+        "src/rumorsim/config.py",
+        "from collections import namedtuple\n",
+        "from collections import namedtuple\nimport dataclasses\n",
+        ("tests/test_imports.py::TestNoUnneededStdlib",),
+        "every process that reads a config imports dataclasses, and with it inspect and its parsers",
+    ),
+    Mutant(
+        "pause-never-resumes-the-collector",
+        "src/rumorsim/graph.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        if enabled:\n            gc.disable()\n",
+        ("tests/test_cli.py::TestCollectorPolicy",),
+        "a command leaves the cyclic collector off, though it found it on",
+    ),
+    Mutant(
+        "a-cycle-per-loaded-user",
+        "src/rumorsim/graph.py",
+        "        profiles[uid] = UserProfile(uid, topics, created_at, flag)\n",
+        "        profiles[uid] = UserProfile(uid, topics, created_at, flag)\n        (cycle := []).append(cycle)\n",
+        ("tests/test_cli.py::TestCollectorPolicy::test_a_command_leaves_as_much_cyclic_garbage_on_any_input",),
+        "each loaded user leaves one reference cycle, which only the paused collector could free",
+    ),
+    Mutant(
+        "main-exits-unfrozen",
+        "src/rumorsim/cli.py",
+        "        gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::TestFailureModes::test_main_raises_systemexit_with_cli_code",),
+        "the interpreter's final collection scans the whole heap the command left",
+    ),
+    Mutant(
+        "replace-skips-record-checks",
+        "src/rumorsim/errors.py",
+        "        return cls(*iterable)\n",
+        "        return tuple.__new__(cls, iterable)\n",
+        ("tests/test_footprint.py::test_a_checked_record_runs_its_checks_however_it_is_built",),
+        "_replace on a config, or any checked record, builds it past its range checks",
     ),
 ]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
-import dataclasses
+import gc
 import json
 import os
 import random
@@ -21,12 +21,12 @@ import pytest
 
 import rumorsim.simulate
 from helpers import FIXTURE_DIR, csv_sims_bytes, in_adjacency, random_digraph, random_profiles
-from rumorsim import SimulationConfig, UndefinedCorrelationError, evaluate, run_cli, save_edges
+from rumorsim import SimulationConfig, SocialGraph, UndefinedCorrelationError, evaluate, run_cli, save_edges
 from rumorsim.cli import build_parser, main
 from rumorsim.similarity import overlap_scores
 
 CFG = str(FIXTURE_DIR / "sim.cfg")
-CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(SimulationConfig))
+CONFIG_KEYS = sorted(SimulationConfig._fields)
 ROOT = FIXTURE_DIR.parent.parent
 # the parts of README's model section, in the order of the ODD protocol
 ODD_PARTS = [
@@ -683,11 +683,99 @@ class TestFailureModes:
         assert not (tmp_path / "out").exists()
 
     def test_main_raises_systemexit_with_cli_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["rumorsim", "validate", CFG])
-        with pytest.raises(SystemExit) as exc:
-            main()
-        assert exc.value.code == 0
+        enabled = gc.isenabled()
+        for argv, code in ((["validate", CFG], 0), (["validate", CFG, "--no-such-flag"], 1)):
+            monkeypatch.setattr(sys, "argv", ["rumorsim", *argv])
+            try:
+                with pytest.raises(SystemExit) as exc:
+                    main()
+                # the heap is frozen for the process's exit
+                assert gc.get_freeze_count() > 0
+            finally:
+                gc.unfreeze()
+            assert exc.value.code == code
+            assert gc.isenabled() is enabled
         capsys.readouterr()
+
+
+@pytest.fixture
+def collector(request):
+    """Set the cyclic collector on or off for one test, as ``request.param`` says; restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPolicy:
+    """A command runs with the cyclic collector paused, and leaves it as it found it."""
+
+    # one case per exit code: a clean run, a usage error, an edges file that is not there
+    EXITS = {
+        "exit-0": ([], 0),
+        "exit-1": (["--no-such-flag"], 1),
+        "exit-2": (["--edges-path", "no-such-edges.csv"], 2),
+    }
+
+    @pytest.mark.parametrize("collector", [True, False], ids=["enabled", "disabled"], indirect=True)
+    @pytest.mark.parametrize("case", EXITS)
+    def test_run_cli_pauses_the_collector_and_restores_it(self, case, collector, tmp_path, capsys, monkeypatch):
+        flags, code = self.EXITS[case]
+        seen = []
+        load = rumorsim.cli.load_edges
+        monkeypatch.setattr(rumorsim.cli, "load_edges", lambda path: seen.append(gc.isenabled()) or load(path))
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "validate", CFG, *flags)[0] == code
+        assert gc.isenabled() is collector
+        assert seen == ([] if code == 1 else [False])
+
+    @pytest.mark.parametrize("collector", [True, False], ids=["enabled", "disabled"], indirect=True)
+    def test_an_interrupted_command_restores_the_collector(self, collector, monkeypatch):
+        def interrupt(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rumorsim.cli, "load_edges", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["validate", CFG])
+        assert gc.isenabled() is collector
+
+    COMMANDS = {
+        "gated": ["simulate"],
+        "sir": ["simulate", "--model", "sir", "--beta", "0.3", "--gamma", "0.2"],
+        "evaluate": ["evaluate"],
+        "similarity": ["similarity"],
+    }
+
+    @pytest.fixture(scope="class")
+    def large_cfg(self, tmp_path_factory):
+        """The fixture's config on 1000 users and about 5000 edges, 100 times its inputs; the rumor reaches most."""
+        work = tmp_path_factory.mktemp("large")
+        rng = random.Random(151)
+        users = range(1, 1001)
+        save_edges(SocialGraph({(a, b) for a in users for b in rng.sample(users, 5) if a != b}), work / "edges.csv")
+        profiles = random_profiles(rng, users, max_created=5)
+        with open(work / "users.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user_id", "topics", "created_at", "is_diffuser"])
+            for u, p in profiles.items():
+                writer.writerow((u, ",".join(sorted(p.topics)), p.created_at, rng.randint(0, 1)))
+        shutil.copy(FIXTURE_DIR / "rumor.txt", work / "rumor.txt")
+        text = (FIXTURE_DIR / "sim.cfg").read_text(encoding="utf-8")
+        text = text.replace("threshold = 0.5", "threshold = 0.1").replace("= once", "= every-step")
+        (work / "sim.cfg").write_text(text, encoding="utf-8")
+        return str(work / "sim.cfg")
+
+    @pytest.mark.parametrize("collector", [False], ids=["disabled"], indirect=True)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_leaves_as_much_cyclic_garbage_on_any_input(self, command, collector, large_cfg, tmp_path):
+        name, *flags = self.COMMANDS[command]
+        gc.collect()
+        found = []
+        # the first run may import what the command needs
+        for k, cfg in enumerate((CFG, CFG, large_cfg)):
+            assert run_cli([name, cfg, *flags, "--out-dir", str(tmp_path / str(k))]) == 0
+            found.append(gc.collect())
+        assert found[1] == found[2]
 
 
 class TestAtomicOutputs:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import json
 import random
@@ -90,7 +89,7 @@ class TestEvaluate:
         for graph, profiles, initials in oracle_corpus(2043, count=40, max_nodes=80):
             # labels at random, and a fifth of the non-seed users without a profile
             labelled = {
-                u: dataclasses.replace(profile, observed_diffuser=rng.random() < 0.4)
+                u: profile._replace(observed_diffuser=rng.random() < 0.4)
                 for u, profile in profiles.items()
                 if u in initials or rng.random() < 0.8
             }

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from helpers import FIXTURE_DIR
 from rumorsim import (
     AgentKind,
     BeliefState,
+    ConfigurationError,
     EdgeProbability,
     EpidemicState,
     EvaluationPolicy,
@@ -32,7 +34,10 @@ from rumorsim import (
     ModelKind,
     RngStream,
     SimilarityGate,
+    SimulationConfig,
+    SirParams,
     SocialGraph,
+    TippingParams,
     diffuse_user_user,
     evaluate,
     filtered_edge_set,
@@ -165,7 +170,7 @@ def scene(tmp_path, monkeypatch):
 
 def run_case(model, policy):
     def run(s):
-        cfg = dataclasses.replace(s.cfg, model=model, evaluation_policy=policy, **PARAMS.get(model, {}))
+        cfg = s.cfg._replace(model=model, evaluation_policy=policy, **PARAMS.get(model, {}))
         run_trials(cfg, s.fresh(), s.profiles, s.rumor)
 
     return pytest.param(run, id=f"run-{model.value}-{policy.value}")
@@ -267,8 +272,69 @@ def test_records_survive_pickle_and_deepcopy(copy_of):
     assert list(copied.nodes) == list(graph.nodes)
     assert copied.load_stats == graph.load_stats
     profiles = load_users(cfg.users_path)
-    traces, _ = run_trials(dataclasses.replace(cfg, model=ModelKind.SIR, beta=0.5, gamma=0.2), graph)
-    closure = diffuse_user_user(graph, profiles, cfg.initials, SimilarityGate(Metric.COSINE, cfg.threshold))
-    for record in (traces[0], closure, profiles[cfg.initials[0]], cfg, evaluate(closure.members, profiles)):
-        assert copy_of(record) == record
+    traces, _ = run_trials(cfg._replace(model=ModelKind.SIR, beta=0.5, gamma=0.2), graph)
+    gate = SimilarityGate(Metric.COSINE, cfg.threshold)
+    closure = diffuse_user_user(graph, profiles, cfg.initials, gate)
+    records = (
+        traces[0],
+        closure,
+        profiles[cfg.initials[0]],
+        cfg,
+        evaluate(closure.members, profiles),
+        graph.load_stats,
+        validate(graph, profiles),
+        SirParams(0.5, 0.2),
+        TippingParams(0.3),
+        BeliefState({1: 0.25, 2: 1.0}, {1: AgentKind.REGULAR, 2: AgentKind.FORCEFUL}, 0.5),
+        gate,
+        load_rumor(cfg.rumor_path),
+    )
+    for record in records:
+        copied = copy_of(record)
+        assert type(copied) is type(record)
+        assert copied == record
     assert copy_of(traces[0]).final_states == traces[0].final_states
+
+
+BELIEFS = BeliefState({1: 0.5}, {1: AgentKind.REGULAR}, 0.5)
+PLAIN = SimulationConfig(Path("edges.csv"), Path("users.csv"))
+
+# a valid record of each kind that checks its values, the values that break
+# it, and the message it raises for them
+CHECKED = {
+    "config-max-time": (PLAIN, {"max_time": 0}, "max_time must be >= 1, got 0"),
+    "config-trials": (PLAIN, {"trials": sys.maxsize + 1}, f"trials must be <= {sys.maxsize}, got {sys.maxsize + 1}"),
+    "config-seed": (PLAIN, {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
+    "config-threshold": (PLAIN, {"threshold": 1.5}, "threshold must be in [0, 1], got 1.5"),
+    "config-metrics": (PLAIN, {"metrics": ()}, "metrics must list at least one metric"),
+    "config-twice": (PLAIN, {"metrics": (Metric.DICE,) * 2}, "metrics lists metric 'dice' twice"),
+    "config-rumor": (
+        PLAIN, {"model": ModelKind.GATED_USER_CONTENT}, "model gated_user_content requires rumor_path"
+    ),
+    "sir": (SirParams(0.5, 0.2), {"gamma": -0.1}, "gamma must be in [0, 1], got -0.1"),
+    "tipping": (TippingParams(0.5), {"theta": 2}, "theta must be in [0, 1], got 2"),
+    "belief-epsilon": (BELIEFS, {"epsilon": 1.5}, "epsilon must be in [0, 1], got 1.5"),
+    "belief-value": (BELIEFS, {"beliefs": {1: 2.0}}, "belief for user 1 must be in [0, 1], got 2.0"),
+    "belief-no-kind": (BELIEFS, {"kinds": {}}, "no agent kind for user 1"),
+    "belief-kind": (BELIEFS, {"kinds": {1: "regular"}}, "agent kind for user 1 is not an AgentKind: 'regular'"),
+    "gate": (SimilarityGate(), {"threshold": -0.5}, "threshold must be in [0, 1], got -0.5"),
+}
+
+# every way to build a record from a valid one and the values that break it;
+# pickle and deepcopy copy a record forged past its checks
+BUILDS = {
+    "positional": lambda good, bad: type(good)(*bad.values()),
+    "keywords": lambda good, bad: type(good)(**bad),
+    "make": lambda good, bad: type(good)._make(bad.values()),
+    "replace": lambda good, bad: good._replace(**bad),
+    "pickle": lambda good, bad: pickle.loads(pickle.dumps(tuple.__new__(type(good), bad.values()))),
+    "deepcopy": lambda good, bad: copy.deepcopy(tuple.__new__(type(good), bad.values())),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("case", CHECKED)
+def test_a_checked_record_runs_its_checks_however_it_is_built(case, build):
+    good, changes, message = CHECKED[case]
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        BUILDS[build](good, {**good._asdict(), **changes})

@@ -3,7 +3,6 @@ agreement with independent reachability oracles on random graphs."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 from itertools import count, groupby
@@ -366,7 +365,7 @@ class TestOracleAgreement:
                 "edge set": lambda: filtered_edge_set(graph, profiles, None, gate),
                 "once": lambda: run_trials(cfg, graph, profiles),
                 "every step": lambda: run_trials(
-                    dataclasses.replace(cfg, evaluation_policy=EvaluationPolicy.EVERY_STEP), graph, profiles
+                    cfg._replace(evaluation_policy=EvaluationPolicy.EVERY_STEP), graph, profiles
                 ),
                 "content": lambda: diffuse_user_content(graph, profiles, rumor, initials, gate),
             }
@@ -445,7 +444,7 @@ class TestOracleAgreement:
         retested = 0
         for graph, profiles, initials in oracle_corpus(seed=513, count=16, max_nodes=120):
             # each user its own topic-set object, so the batch test's inputs name their follower
-            own = {u: dataclasses.replace(p, topics=OwnTopics(p.topics)) for u, p in profiles.items()}
+            own = {u: p._replace(topics=OwnTopics(p.topics)) for u, p in profiles.items()}
             for tau in TAU_GRID:
                 gate = SimilarityGate(Metric.LEVENSHTEIN, tau)
                 _, _, pairs = sequential_closure(graph, own, rumor, initials, gate)

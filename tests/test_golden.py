@@ -12,7 +12,6 @@ unchanged; an intended output change updates the table and says why.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -269,7 +268,7 @@ def _inputs(name):
 
 def output_digests(input_name, config_name, out_dir):
     base, graph, profiles, rumor = _inputs(input_name)
-    cfg = dataclasses.replace(base, **CONFIGS[config_name])
+    cfg = base._replace(**CONFIGS[config_name])
     traces, aggregate = run_trials(cfg, graph, profiles, rumor)
     write_outputs(cfg, traces, aggregate, out_dir)
     return tuple(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import gc
 import random
 import sys
@@ -715,5 +714,5 @@ class TestValidate:
     )
     def test_one_kind_of_finding_alone_is_not_clean(self, profiles, finding):
         report = validate(SocialGraph([(1, 2)]), {u: UserProfile(u, t, 0, False) for u, t in profiles.items()})
-        assert [name for name, ids in dataclasses.asdict(report).items() if ids] == [finding]
+        assert [name for name, ids in report._asdict().items() if ids] == [finding]
         assert not report.is_empty

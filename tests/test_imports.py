@@ -54,6 +54,9 @@ report = {"all": rumorsim.__all__, "names": names, "dir": dir(rumorsim), "star":
 
 SCHEDULER = {"rumorsim.simulate", "rumorsim.diffusion", "rumorsim.rng"}
 
+# stdlib modules no process needs: dataclasses, and inspect with the parsers it imports
+UNNEEDED = {"dataclasses", "inspect"}
+
 
 def _python(code: str, *argv, cwd=None) -> dict:
     """Run ``code`` in a fresh interpreter; returns its ``report`` dict and the modules it loaded."""
@@ -109,6 +112,25 @@ class TestPerProcessImports:
         modules = _package_modules(_python(RUN_CLI, "simulate", CFG, "--out-dir", str(tmp_path))["modules"])
         assert SCHEDULER | {"rumorsim.gated"} <= modules
         assert "rumorsim.evaluate" not in modules
+
+
+class TestNoUnneededStdlib:
+    @pytest.fixture(scope="class")
+    def unneeded(self):
+        """The unneeded modules a bare interpreter here has not loaded already, by a site hook say."""
+        return UNNEEDED - set(_python("import sys")["modules"])
+
+    def test_loading_inputs_imports_no_unneeded_module(self, unneeded):
+        assert unneeded.isdisjoint(_python(LOAD_INPUTS, CFG)["modules"])
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "similarity", "validate", "export"])
+    def test_no_command_imports_an_unneeded_module(self, command, unneeded, tmp_path):
+        if command == "export":
+            _python(RUN_CLI, "simulate", CFG, "--out-dir", str(tmp_path))
+            argv = ("export", str(tmp_path / "trace.csv"), str(tmp_path / "frames"), "--config", CFG)
+        else:
+            argv = (command, CFG, "--out-dir", str(tmp_path))
+        assert unneeded.isdisjoint(_python(RUN_CLI, *argv)["modules"])
 
 
 class TestPackageNamespace:
