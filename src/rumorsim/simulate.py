@@ -189,10 +189,11 @@ def _drive(cfg, run) -> DiffusionTrace:
 
 
 def write_outputs(cfg, traces, aggregate, out_dir) -> None:
-    """Write trace.csv, curve.csv and summary.json into ``out_dir`` as one set, summary.json last.
+    """Write trace.csv, curve.csv and summary.json into ``out_dir`` as one set, renamed in that order.
 
-    summary.json holds final counts and a config echo: the same bytes for the
-    same config and seed.
+    The three go to the set writer in one call, so a failure before the
+    first rename leaves the previous set as it was.  summary.json holds final
+    counts and a config echo: the same bytes for the same config and seed.
     """
     out = Path(out_dir)
     payload = {
@@ -210,22 +211,19 @@ def write_outputs(cfg, traces, aggregate, out_dir) -> None:
         ],
         "final_diffusers_mean": aggregate[-1],
     }
-    write_trace_csv(
-        traces,
-        out / "trace.csv",
-        [(out / "curve.csv", _curve_chunks(aggregate)), (out / "summary.json", _json_chunks(payload))],
-    )
+    _write_files([
+        (out / "trace.csv", _csv_chunks(TRACE_HEADER, _trace_lines(traces))),
+        (out / "curve.csv", _curve_chunks(aggregate)),
+        (out / "summary.json", _json_chunks(payload)),
+    ])
 
 
-def write_trace_csv(traces, path, then=()) -> None:
-    """Write all trials' deltas as trial,step,user_id,new_state rows, one string per step.
+def write_trace_csv(traces, path) -> None:
+    """Write all trials' deltas to ``path`` alone, as the trace.csv of ``write_outputs``.
 
-    The file is committed as one set with ``then``, (path, text chunks) pairs
-    renamed after it in order.  ``write_outputs`` passes simulate's other two
-    files here, so this one call writes and commits the whole set:
-    ``bench/tracer.py`` reads the trace's rows and bytes as it returns.
+    Each row is trial,step,user_id,new_state, and each step's rows go out as one string.
     """
-    _write_files([(path, _csv_chunks(TRACE_HEADER, _trace_lines(traces))), *then])
+    _write_files([(path, _csv_chunks(TRACE_HEADER, _trace_lines(traces)))])
 
 
 def _trace_lines(traces):

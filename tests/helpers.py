@@ -26,6 +26,7 @@ from rumorsim import (
     SocialGraph,
     UserProfile,
     overlap_scores,
+    score,
 )
 from rumorsim.gated import GateState, admission_test
 from rumorsim.graph import EDGES_HEADER, LoadStats, _parse_user_id, _read_rows
@@ -170,6 +171,39 @@ def sequential_closure(graph, profiles, rumor, initials, gate):
                 log.append(j)
                 queue.append(j)
     return members, log, decided
+
+
+def bottleneck_levels(graph, profiles, rumor, initials, metric):
+    """Each user u to b(u): the best, over paths from the seeds, of the smallest edge score on the path.
+
+    The edge (i, j) scores ``score(metric, ...)`` of j against i, or against
+    the rumor when one is given, and -inf when i or j has no profile; b is
+    +inf at a seed, and a user whose b is -inf is left out.  This is the
+    maximum-capacity route problem (Pollack 1960; Hu 1961), solved by a
+    max-heap Dijkstra.  The law it serves: a gated closure at threshold tau
+    holds exactly the users with b(u) >= tau, for every tau at once.
+    """
+
+    def weight(i, j):
+        if i not in profiles or j not in profiles:
+            return -math.inf
+        return score(metric, profiles[i] if rumor is None else rumor, profiles[j])
+
+    levels = dict.fromkeys(initials, math.inf)
+    # a min-heap of (-b, user) pops the widest user first
+    heap = [(-math.inf, u) for u in levels]
+    settled = set()
+    while heap:
+        _, i = heapq.heappop(heap)
+        if i in settled:
+            continue
+        settled.add(i)
+        for j in graph.out_neighbors(i):
+            width = min(levels[i], weight(i, j))
+            if j not in settled and width > levels.get(j, -math.inf):
+                levels[j] = width
+                heapq.heappush(heap, (-width, j))
+    return levels
 
 
 def shuffled_closure(graph, initials, admit, rng):

@@ -66,6 +66,7 @@ OVERSIZED_RUN = (
 EVALUATE_LOOP = "tests/test_evaluate.py::TestEvaluate::test_equals_the_loop_over_every_profile"
 CERTAIN_SPREAD_LAW = "tests/test_exhaustive.py::test_certain_spread_curves_are_equal_on_every_case"
 LIVE_EDGE_CURVE_LAW = "tests/test_conformance.py::test_the_mean_curve_follows_the_live_edge_law"
+BOTTLENECK_LAW = "tests/test_exhaustive.py::test_every_closure_engine_cuts_at_every_bottleneck_level"
 
 MUTANTS = [
     Mutant(
@@ -536,6 +537,22 @@ MUTANTS = [
         "the Levenshtein length bound rejects a pair whose bound equals the threshold",
     ),
     Mutant(
+        "shape-gate-rejects-at-threshold",
+        "src/rumorsim/similarity.py",
+        "passed = decided[shape] = scorer(*shape) >= threshold",
+        "passed = decided[shape] = scorer(*shape) > threshold",
+        (BOTTLENECK_LAW,),
+        "a shape-metric gate rejects a pair that scores exactly the threshold",
+    ),
+    Mutant(
+        "lane-kernel-rejects-at-threshold",
+        "src/rumorsim/similarity.py",
+        "passed[k] = _levenshtein_similarity(distance, m, n) >= threshold",
+        "passed[k] = _levenshtein_similarity(distance, m, n) > threshold",
+        (BOTTLENECK_LAW,),
+        "the Levenshtein closure's batch test rejects a pair that scores exactly the threshold",
+    ),
+    Mutant(
         "parse-user-id-unguarded",
         "src/rumorsim/graph.py",
         "    try:\n        value = int(text)\n    except ValueError:\n"
@@ -690,11 +707,11 @@ MUTANTS = [
     Mutant(
         "summary-json-renamed-first",
         "src/rumorsim/simulate.py",
-        "    write_trace_csv(\n"
-        "        traces,\n"
-        '        out / "trace.csv",\n'
-        '        [(out / "curve.csv", _curve_chunks(aggregate)), (out / "summary.json", _json_chunks(payload))],\n'
-        "    )\n",
+        "    _write_files([\n"
+        '        (out / "trace.csv", _csv_chunks(TRACE_HEADER, _trace_lines(traces))),\n'
+        '        (out / "curve.csv", _curve_chunks(aggregate)),\n'
+        '        (out / "summary.json", _json_chunks(payload)),\n'
+        "    ])\n",
         "    _write_files([\n"
         '        (out / "summary.json", _json_chunks(payload)),\n'
         '        (out / "trace.csv", _csv_chunks(TRACE_HEADER, _trace_lines(traces))),\n'

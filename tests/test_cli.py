@@ -603,17 +603,18 @@ class TestFailureModes:
         """Not a MemoryError traceback: one error line, and the out dir as the last run left it.
 
         The run fails its first allocation, of one list as long as the run,
-        so it stays small.  It runs under an address-space limit 256 MiB
-        above the process's size: a run that grew such a list item by item
+        so it stays small: its traced peak is about 0.1 MiB, and the
+        process's size grows by under 1 MiB.  It runs under an address-space
+        limit 32 MiB above that size: a run that grew such a list item by item
         would fail at that limit instead of exhausting the host's memory, and
-        its traced peak tells it apart.
+        its traced peak, well above 8 MiB, tells it apart.
         """
         out = tmp_path / "out"
         assert run(capsys, "simulate", CFG, "--out-dir", str(out))[0] == 0
         before = snapshot(out)
         limits = resource.getrlimit(resource.RLIMIT_AS)
         status = Path("/proc/self/status").read_text(encoding="ascii")
-        cap = (int(re.search(r"^VmSize:\s+(\d+) kB$", status, flags=re.MULTILINE).group(1)) << 10) + (256 << 20)
+        cap = (int(re.search(r"^VmSize:\s+(\d+) kB$", status, flags=re.MULTILINE).group(1)) << 10) + (32 << 20)
         if limits[1] != resource.RLIM_INFINITY:
             cap = min(cap, limits[1])
         resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
@@ -624,7 +625,7 @@ class TestFailureModes:
         finally:
             tracemalloc.stop()
             resource.setrlimit(resource.RLIMIT_AS, limits)
-        assert peak < 64 << 20
+        assert peak < 8 << 20
         assert code == 1
         assert stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")

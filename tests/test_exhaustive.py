@@ -10,20 +10,26 @@ table pairs.  The SIR and IC runs take every script of draws over a hit
 and a draw of exactly the probability, so the stream may be any outcome
 sequence (VeriSoft's choice points, Godefroid, POPL 1997).  The classical
 models whose every draw hits spread by BFS levels alike, so their curves
-are checked against each other on every case.
+are checked against each other on every case.  A live gate's closure is
+checked at every threshold where its member set can change, against the
+bottleneck-path law.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import accumulate, chain, combinations, permutations, product
 from pathlib import Path
 
 from helpers import (
+    VOCAB,
     ScriptedStream,
     bfs_levels,
+    bottleneck_levels,
     every_script,
     every_step_law,
+    oracle_corpus,
     pull_gated_run,
     random_digraph,
     recorded,
@@ -31,7 +37,9 @@ from helpers import (
     stepwise_classical_run,
 )
 from rumorsim import (
+    Metric,
     ModelKind,
+    RumorContent,
     SimilarityGate,
     SimulationConfig,
     SocialGraph,
@@ -39,7 +47,7 @@ from rumorsim import (
     run_simulation,
     run_trials,
 )
-from rumorsim.gated import GatedRun, _diffuse, _diffuse_in_rounds, admission_test
+from rumorsim.gated import GatedRun, _diffuse, _diffuse_in_rounds, admission_test, filtered_edge_set
 
 USERS = (1, 2, 3)
 
@@ -213,6 +221,58 @@ def test_closure_engines_order_a_level_alike_on_four_users():
             assert (members, log) == (queued.members, queued.insertion_log), sorted(table.items())
             cases += 1
     assert cases == 81
+
+
+def law_cases():
+    """(graph, profiles, rumor, seeds): every 3-user case, then a random corpus.
+
+    A 3-user case draws its topics and the rumor's from four labels, so many
+    scores tie, and leaves a non-seed user without a profile one time in four.
+    """
+    rng = random.Random(3200)
+    labels = VOCAB[:4]
+    for graph in GRAPHS:
+        for seeds in SEED_SETS:
+            profiled = [u for u in USERS if u in seeds or rng.random() < 0.75]
+            profiles = {u: UserProfile(u, frozenset(rng.sample(labels, rng.randint(0, 3))), 0, False) for u in profiled}
+            yield graph, profiles, RumorContent(frozenset(rng.sample(labels, rng.randint(0, 3)))), seeds
+    rumor = RumorContent(frozenset({"t00", "t07", "t13", "t21"}))
+    for graph, profiles, initials in oracle_corpus(seed=5, count=60, max_nodes=40):
+        yield graph, profiles, rumor, initials
+
+
+def test_every_closure_engine_cuts_at_every_bottleneck_level():
+    """A closure at threshold tau holds exactly the users u with ``bottleneck_levels`` b(u) >= tau.
+
+    Checked at every finite b level, where some edge scores exactly tau,
+    and at 0 and 1, for every metric but Pearson under both gated models.
+    The engines are ``_diffuse`` (the queue loop, or the Levenshtein rounds
+    with the lane kernel), ``_diffuse_in_rounds`` over the one-pair test,
+    and the queue loop over a decisions table of the edges the gate passes.
+    """
+    closures = 0
+    for graph, profiles, rumor, seeds in law_cases():
+        for content in (None, rumor):
+            for metric in Metric:
+                if metric is Metric.PEARSON:
+                    continue
+                levels = bottleneck_levels(graph, profiles, content, seeds, metric)
+                for tau in sorted({b for b in levels.values() if b < math.inf} | {0.0, 1.0}):
+                    law = {u for u, b in levels.items() if b >= tau}
+                    gate = SimilarityGate(metric, tau)
+                    admit = admission_test(profiles, content, gate)
+                    log, members = sorted(set(seeds)), set(seeds)
+                    _diffuse_in_rounds(graph, lambda: lambda pairs: [admit(i, j) for i, j in pairs], log, members)
+                    passing = filtered_edge_set(graph, profiles, content, gate)
+                    table = SimilarityGate(decisions=dict.fromkeys(passing, True))
+                    engines = (
+                        _diffuse(graph, profiles, content, seeds, gate).members,
+                        members,
+                        _diffuse(graph, profiles, content, seeds, table).members,
+                    )
+                    assert engines == (law,) * 3, (sorted(graph.edges), profiles, content, seeds, metric, tau)
+                    closures += 1
+    assert closures == 13791
 
 
 def test_tipping_run_equals_the_full_sweep_reference():

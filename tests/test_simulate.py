@@ -48,6 +48,7 @@ from rumorsim import (
     rebuild_trace,
     run_simulation,
     run_trials,
+    write_outputs,
     write_trace_csv,
 )
 from rumorsim import gated, simulate
@@ -800,6 +801,7 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("model", list(ModelKind), ids=lambda m: m.value)
     def test_bytes_equal_the_csv_writer(self, tmp_path, model):
+        """A trace.csv alone and the one ``write_outputs`` puts in its set hold the csv module's bytes."""
         rng = random.Random(69)
         g = random_digraph(rng, 40, 0.08)
         profiles = random_profiles(rng, g.nodes, max_created=5)
@@ -808,10 +810,12 @@ class TestTraceSerialization:
             model=model, rumor_path=Path("rumor.txt"), initials=(1, 2), max_time=12, trials=3,
             threshold=0.1, beta=0.4, gamma=0.3, ic_default_p=0.4, theta=0.2,
         )
-        traces, _ = run_trials(cfg, g, profiles, rumor)
+        traces, aggregate = run_trials(cfg, g, profiles, rumor)
         path = tmp_path / "trace.csv"
         write_trace_csv(traces, path)
         assert path.read_bytes() == csv_trace_bytes(traces)
+        write_outputs(cfg, traces, aggregate, tmp_path / "out")
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == path.read_bytes()
         # rows past step 0 from more than one trial
         assert sum(len(trace.changes) > 1 for trace in traces) > 1
 
