@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
     try:
         traces, aggregate = run_trials(cfg, graph, profiles, rumor, decisions)
     except MemoryError:
-        # a curve of max_time + 1 counts per trial, and a list of trials traces
+        # a curve of max_time + 1 counts per distinct run, and a list of trials traces
         raise ConfigurationError(
             f"the run does not fit in memory (max_time = {cfg.max_time}, trials = {cfg.trials})"
         ) from None

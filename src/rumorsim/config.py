@@ -74,8 +74,7 @@ class SimulationConfig(
 ):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.metrics:
             raise ConfigurationError("metrics must list at least one metric")
         # one eval.json row per metric; an alias (jaccard_set) names its metric
@@ -92,7 +91,6 @@ class SimulationConfig(
         _check_probability("threshold", self.threshold)
         if self.model is ModelKind.GATED_USER_CONTENT and self.rumor_path is None:
             raise ConfigurationError("model gated_user_content requires rumor_path")
-        return self
 
     def model_param(self, name: str) -> float:
         value = getattr(self, name)

@@ -62,11 +62,9 @@ class SirParams(_Checked, namedtuple("SirParams", "beta gamma")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _check_probability("beta", self.beta)
         _check_probability("gamma", self.gamma)
-        return self
 
 
 class TippingParams(_Checked, namedtuple("TippingParams", "theta")):
@@ -74,10 +72,8 @@ class TippingParams(_Checked, namedtuple("TippingParams", "theta")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _check_probability("theta", self.theta)
-        return self
 
 
 class EdgeProbability:
@@ -312,8 +308,7 @@ class BeliefState(_Checked, namedtuple("BeliefState", "beliefs kinds epsilon")):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _check_probability("epsilon", self.epsilon)
         for uid, belief in self.beliefs.items():
             _check_probability(f"belief for user {uid}", belief)
@@ -323,7 +318,6 @@ class BeliefState(_Checked, namedtuple("BeliefState", "beliefs kinds epsilon")):
                 raise ConfigurationError(
                     f"agent kind for user {uid} is not an AgentKind: {self.kinds[uid]!r}"
                 )
-        return self
 
 
 def belief_exchange(state: BeliefState, i, j) -> BeliefState:

@@ -25,14 +25,21 @@ def _check_probability(name: str, value: float) -> None:
 
 
 class _Checked:
-    """Base of a namedtuple record whose ``__new__`` checks its values.
+    """Base of a namedtuple record that checks its values with its ``_check``.
 
-    A namedtuple's ``_make``, and so its ``_replace``, builds the tuple
-    without its class's ``__new__``; this ``_make`` calls the class, so every
-    way to build the record, pickle and deepcopy included, runs its checks.
+    ``__new__`` builds the tuple, then calls ``_check``, which raises
+    ConfigurationError for a bad value.  A namedtuple's ``_make``, and so its
+    ``_replace``, builds the tuple without ``__new__``; this ``_make`` calls
+    the class, so every way to build the record, pickle and deepcopy
+    included, runs its checks.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
 
     @classmethod
     def _make(cls, iterable):

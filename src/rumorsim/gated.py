@@ -40,10 +40,8 @@ class SimilarityGate(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _check_probability("threshold", self.threshold)
-        return self
 
 
 class DiffuserSet(namedtuple("DiffuserSet", "members insertion_log")):
@@ -281,54 +279,51 @@ def _diffuse(
 def _admission_rounds(profiles: Mapping, rumor: RumorContent | None, threshold: float) -> Callable:
     """The batch form of ``admission_test`` for a live Levenshtein gate, as a closure reaches it.
 
-    Returns ``level()``, which returns ``decide(pairs)`` for the (i, j)
-    pairs of one BFS level: the list of their admit(i, j) decisions, made
-    with one batch call.  Every source i has a profile (see ``_diffuse``), so
-    only a follower without one fails untested.  Against the rumor a
+    Returns ``decide(pairs, tables)``: the list of admit(i, j) decisions for
+    the (i, j) pairs of one BFS level, made with one batch call that keeps
+    its sources' pattern tables in ``tables``.  Against the rumor every
+    level has the one pattern, so its table is kept in a dict of the
+    closure's own instead.  Every source i has a profile (see ``_diffuse``),
+    so only a follower without one fails untested.  Against the rumor a
     follower gets one decision: an admitted one is a member and never asked
     again, so only the refused ones are remembered.
     """
-    levels = _levenshtein_levels(threshold)
-    # against the rumor every level has the one pattern
-    content = None if rumor is None else levels()
+    test = _levenshtein_levels(threshold)
+    rumor_tables = {}
     refused = set()
 
-    def level() -> Callable[[list], list]:
-        test = content or levels()
+    def decide(pairs, tables) -> list:
+        asked = [k for k, (_, j) in enumerate(pairs) if j in profiles and j not in refused]
+        scored = [
+            ((profiles[i] if rumor is None else rumor).topics, profiles[j].topics)
+            for i, j in map(pairs.__getitem__, asked)
+        ]
+        passed = [False] * len(pairs)
+        for k, ok in zip(asked, test(scored, tables if rumor is None else rumor_tables)):
+            passed[k] = ok
+            if not ok and rumor is not None:
+                refused.add(pairs[k][1])
+        return passed
 
-        def decide(pairs) -> list:
-            asked = [k for k, (_, j) in enumerate(pairs) if j in profiles and j not in refused]
-            scored = [
-                ((profiles[i] if rumor is None else rumor).topics, profiles[j].topics)
-                for i, j in map(pairs.__getitem__, asked)
-            ]
-            passed = [False] * len(pairs)
-            for k, ok in zip(asked, test(scored)):
-                passed[k] = ok
-                if not ok and rumor is not None:
-                    refused.add(pairs[k][1])
-            return passed
-
-        return decide
-
-    return level
+    return decide
 
 
-def _diffuse_in_rounds(graph: SocialGraph, level_admit: Callable, log: list, members: set) -> None:
+def _diffuse_in_rounds(graph: SocialGraph, decide: Callable, log: list, members: set) -> None:
     """``_diffuse``'s breadth-first loop, each level decided in rounds.
 
     ``log`` holds the initials, the first level; it and ``members`` grow in
     place.  Round r decides every follower not yet reached against its r-th
-    source in the level, in queue order, with one ``decide`` call, so a
-    follower is tested against its sources up to the first that passes, as
-    in the one-pair-at-a-time loop.  The admitted followers join the log in
-    order of (queue position of the admitting source, follower id), the
-    order that loop admits them in, so it gives the same members, log and
-    tested pairs.
+    source in the level, in queue order, with one ``decide(pairs, tables)``
+    call; ``tables`` is a fresh dict per level, so a source's pattern table
+    is built once.  A follower is tested against its sources up to the first
+    that passes, as in the one-pair-at-a-time loop.  The admitted followers
+    join the log in order of (queue position of the admitting source,
+    follower id), the order that loop admits them in, so it gives the same
+    members, log and tested pairs.
     """
     level = list(log)
     while level:
-        decide = level_admit()
+        tables = {}
         # rounds[r]: each follower's r-th source in the level, as (position, follower)
         rounds, seen = [], {}
         for position, i in enumerate(level):
@@ -341,7 +336,7 @@ def _diffuse_in_rounds(graph: SocialGraph, level_admit: Callable, log: list, mem
         admitted = []
         for candidates in rounds:
             candidates = [c for c in candidates if c[1] not in members]
-            for (position, j), passed in zip(candidates, decide([(level[p], j) for p, j in candidates])):
+            for (position, j), passed in zip(candidates, decide([(level[p], j) for p, j in candidates], tables)):
                 if passed:
                     members.add(j)
                     admitted.append((position, j))

@@ -329,44 +329,40 @@ def _levenshtein_test(threshold: float) -> Callable[[TopicSet, TopicSet], bool]:
     return test
 
 
-def _levenshtein_levels(threshold: float) -> Callable[[], Callable[[list], list]]:
-    """The Levenshtein predicate for batches of pairs, one level of a closure at a time.
+def _levenshtein_levels(threshold: float) -> Callable[[list, dict], list]:
+    """The Levenshtein predicate for batches of pairs, such as one level of a closure.
 
-    ``level()`` returns ``test(pairs)``, the list of decisions for a list of
+    Returns ``test(pairs, tables)``, the list of decisions for a list of
     (a, b) topic-set pairs; each decision equals ``_levenshtein_test``'s.  A
     pair that the length bound fails skips the kernel.  The rest run through
     ``_edit_distances``, ``_LANES`` at a time and longest text first, so a
     pass holds texts of about one length; the first set's string is the
-    pattern.  A level builds each pattern's byte table once, and canonical
+    pattern.  ``tables`` maps a pattern to its byte table, built on its first
+    use, so the caller's dict sets how long a table is kept.  Canonical
     strings are kept for the predicate's lifetime.
     """
     canonical = cache(canonical_topic_string)
 
-    def level() -> Callable[[list], list]:
-        tables = {}
+    def test(pairs, tables) -> list:
+        passed = [False] * len(pairs)
+        lanes = []
+        for k, (a, b) in enumerate(pairs):
+            first, text = canonical(a), canonical(b)
+            m, n = len(first), len(text)
+            if not _within_length_bound(m, n, threshold):
+                continue
+            table = tables.get(first)
+            if table is None:
+                table = tables[first] = _byte_pattern(first)
+            lanes.append((n, k, table, m, text))
+        lanes.sort(key=itemgetter(0), reverse=True)
+        for start in range(0, len(lanes), _LANES):
+            chunk = lanes[start : start + _LANES]
+            for (n, k, _, m, _), distance in zip(chunk, _edit_distances([lane[2:] for lane in chunk])):
+                passed[k] = _levenshtein_similarity(distance, m, n) >= threshold
+        return passed
 
-        def test(pairs) -> list:
-            passed = [False] * len(pairs)
-            lanes = []
-            for k, (a, b) in enumerate(pairs):
-                first, text = canonical(a), canonical(b)
-                m, n = len(first), len(text)
-                if not _within_length_bound(m, n, threshold):
-                    continue
-                table = tables.get(first)
-                if table is None:
-                    table = tables[first] = _byte_pattern(first)
-                lanes.append((n, k, table, m, text))
-            lanes.sort(key=itemgetter(0), reverse=True)
-            for start in range(0, len(lanes), _LANES):
-                chunk = lanes[start : start + _LANES]
-                for (n, k, _, m, _), distance in zip(chunk, _edit_distances([lane[2:] for lane in chunk])):
-                    passed[k] = _levenshtein_similarity(distance, m, n) >= threshold
-            return passed
-
-        return test
-
-    return level
+    return test
 
 
 # every metric but Levenshtein, as a function of the overlap shape (k, na, nb)

@@ -15,13 +15,13 @@ One call checks its inputs and builds its gate once, and each trial is a
 fresh run: trial k draws from an RngStream derived from (seed, k), so traces
 are byte-for-byte reproducible, and a model that draws nothing runs once.  A
 trial keeps only its deltas, not the graph; its curve, frames and final
-states are read from them on demand, also for a trace.csv read back.
+states are built from them on each read, also for a trace.csv read back.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Mapping
@@ -60,33 +60,21 @@ MODEL_STATES = {
 DRAWING_MODELS = frozenset({ModelKind.SIR, ModelKind.IC})
 
 
-class DiffusionTrace:
+class DiffusionTrace(namedtuple("DiffusionTrace", "model max_time changes clamped_agents", defaults=(0,))):
     """Result of one trial: its per-step state changes, and nothing of the graph.
 
     ``changes`` maps step -> [(user_id, new_state_label)] for the steps where
     a user moved; every user starts in the model's default state, and one
-    that no change names stays in it.  Everything else is read from
-    ``changes`` on demand, through two definitions: a user's final state is
-    its last label, and its first step is the first at which its label is
+    that no change names stays in it.  Everything else is built from
+    ``changes`` on each read, through two definitions: a user's final state
+    is its last label, and its first step is the first at which its label is
     not the default.  ``counts[t]`` is the number of users whose first step
     is at most t, so a recovered user stays counted.
     """
 
-    def __init__(self, model: ModelKind, max_time: int, changes: dict, clamped_agents: int = 0):
-        self.model = model
-        self.max_time = max_time
-        self.changes = changes
-        self.clamped_agents = clamped_agents
+    __slots__ = ()
 
-    def __eq__(self, other):
-        # the four fields, not the views read from them
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.model, self.max_time, self.changes, self.clamped_agents) == (
-            other.model, other.max_time, other.changes, other.clamped_agents
-        )
-
-    @cached_property
+    @property
     def counts(self) -> list:
         """Per step 0..max_time, the users that have left the default state; a recovered one stays."""
         # the first activations per step in one allocation, so a max_time no list can hold fails at once
@@ -95,7 +83,7 @@ class DiffusionTrace:
             rises[t] += 1
         return list(accumulate(rises))
 
-    @cached_property
+    @property
     def final_states(self) -> dict:
         """Each user named in the changes to its label after its last change; any other user is in the default."""
         return {u: label for t in sorted(self.changes) for u, label in self.changes[t]}
@@ -136,17 +124,16 @@ def run_trials(
 ) -> tuple:
     """Run cfg.trials trials, one run if the model draws nothing; returns (traces, mean curve).
 
-    Each step's mean is the exact int sum of the trials' counts over the trial count.
+    Only the distinct runs are driven and averaged: cfg.trials of them for a
+    model that draws, otherwise one, listed cfg.trials times.  Each step's
+    mean is the exact int sum of the runs' counts over the run count.
     """
     start = _starter(cfg, graph, profiles, rumor, decisions)
     base = RngStream(cfg.seed)
-    if cfg.model in DRAWING_MODELS:
-        traces = [_drive(cfg, start(base.derive(k))) for k in range(cfg.trials)]
-    else:
-        traces = [_drive(cfg, start(base.derive(0)))] * cfg.trials
+    runs = [_drive(cfg, start(base.derive(k))) for k in range(cfg.trials if cfg.model in DRAWING_MODELS else 1)]
     # an exact int sum, so each mean is correctly rounded
-    aggregate = [sum(column) / len(traces) for column in zip(*(trace.counts for trace in traces))]
-    return traces, aggregate
+    aggregate = [sum(column) / len(runs) for column in zip(*(trace.counts for trace in runs))]
+    return runs * (cfg.trials // len(runs)), aggregate
 
 
 def _starter(cfg, graph, profiles, rumor, decisions):
@@ -201,7 +188,8 @@ def write_outputs(cfg, traces, aggregate, out_dir) -> None:
         "trials": [
             {
                 "trial": k,
-                "final_diffusers": trace.counts[-1],
+                # the users that left the default state, without building the curve
+                "final_diffusers": len(trace._since()),
                 "steps_with_changes": len(trace.changes),
                 # a gated run checks only users with a profile, so none is missing
                 "missing_profiles": [],

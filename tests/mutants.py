@@ -791,16 +791,16 @@ MUTANTS = [
     Mutant(
         "trials-share-one-stream",
         "src/rumorsim/simulate.py",
-        "start(base.derive(k))) for k in range(cfg.trials)",
-        "start(base.derive(0))) for k in range(cfg.trials)",
+        "start(base.derive(k))) for k in range(",
+        "start(base.derive(0))) for k in range(",
         ("tests/test_simulate.py",),
         "every trial of a model that draws is driven with trial 0's stream",
     ),
     Mutant(
         "trials-share-one-stream-live-edge-curve",
         "src/rumorsim/simulate.py",
-        "start(base.derive(k))) for k in range(cfg.trials)",
-        "start(base.derive(0))) for k in range(cfg.trials)",
+        "start(base.derive(k))) for k in range(",
+        "start(base.derive(0))) for k in range(",
         (LIVE_EDGE_CURVE_LAW,),
         "the same bug, seen by the mean curve against the live-edge law: the mean is one trial's curve",
     ),
@@ -964,6 +964,25 @@ MUTANTS = [
         "        return tuple.__new__(cls, iterable)\n",
         ("tests/test_footprint.py::test_a_checked_record_runs_its_checks_however_it_is_built",),
         "_replace on a config, or any checked record, builds it past its range checks",
+    ),
+    Mutant(
+        "check-hook-skips-keywords",
+        "src/rumorsim/errors.py",
+        "        self._check()\n",
+        "        if not kwargs:\n            self._check()\n",
+        ("tests/test_footprint.py::test_a_checked_record_runs_its_checks_however_it_is_built",),
+        "a checked record built from keyword arguments skips its checks",
+    ),
+    Mutant(
+        "rumor-table-per-level",
+        "src/rumorsim/gated.py",
+        "test(scored, tables if rumor is None else rumor_tables)",
+        "test(scored, tables)",
+        (
+            "tests/test_gated.py::TestOracleAgreement::"
+            "test_levenshtein_pattern_built_once_per_run_of_checks_from_a_source",
+        ),
+        "a Levenshtein closure against the rumor builds the rumor's pattern table again at each level",
     ),
 ]
 

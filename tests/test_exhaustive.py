@@ -184,13 +184,13 @@ def test_closure_engines_equal_each_other_and_the_fixpoint():
         for table in tables(graph):
             admit = table.get
 
-            def level():
-                return lambda pairs: [admit(pair, False) for pair in pairs]
+            def decide(pairs, tables):
+                return [admit(pair, False) for pair in pairs]
 
             for seeds in SEED_SETS:
                 queued = _diffuse(graph, None, None, seeds, SimilarityGate(decisions=table))
                 log, members = sorted(seeds), set(seeds)
-                _diffuse_in_rounds(graph, level, log, members)
+                _diffuse_in_rounds(graph, decide, log, members)
                 assert (members, log) == (queued.members, queued.insertion_log), (sorted(table.items()), seeds)
                 fixpoint = shuffled_closure(graph, seeds, lambda i, j: admit((i, j), False), shuffler)
                 assert members == fixpoint == set(log)
@@ -212,12 +212,12 @@ def test_closure_engines_order_a_level_alike_on_four_users():
         graph = SocialGraph(edges, nodes=(1, 2, 3, 4))
         for table in tables(graph):
 
-            def level():
-                return lambda pairs: [table.get(pair, False) for pair in pairs]
+            def decide(pairs, tables):
+                return [table.get(pair, False) for pair in pairs]
 
             queued = _diffuse(graph, None, None, (1, 2), SimilarityGate(decisions=table))
             log, members = [1, 2], {1, 2}
-            _diffuse_in_rounds(graph, level, log, members)
+            _diffuse_in_rounds(graph, decide, log, members)
             assert (members, log) == (queued.members, queued.insertion_log), sorted(table.items())
             cases += 1
     assert cases == 81
@@ -262,7 +262,7 @@ def test_every_closure_engine_cuts_at_every_bottleneck_level():
                     gate = SimilarityGate(metric, tau)
                     admit = admission_test(profiles, content, gate)
                     log, members = sorted(set(seeds)), set(seeds)
-                    _diffuse_in_rounds(graph, lambda: lambda pairs: [admit(i, j) for i, j in pairs], log, members)
+                    _diffuse_in_rounds(graph, lambda pairs, tables: [admit(i, j) for i, j in pairs], log, members)
                     passing = filtered_edge_set(graph, profiles, content, gate)
                     table = SimilarityGate(decisions=dict.fromkeys(passing, True))
                     engines = (

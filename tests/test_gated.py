@@ -331,19 +331,14 @@ class TestOracleAgreement:
             return admit_recorded
 
         def recording_rounds(*args):
-            level = rounds(*args)
+            decide = rounds(*args)
             gate_no = next(gates)
 
-            def level_recorded():
-                decide = level()
+            def decide_recorded(pairs, tables):
+                checks.extend((gate_no, i) for i, _ in pairs)
+                return decide(pairs, tables)
 
-                def decide_recorded(pairs):
-                    checks.extend((gate_no, i) for i, _ in pairs)
-                    return decide(pairs)
-
-                return decide_recorded
-
-            return level_recorded
+            return decide_recorded
 
         rounds = gated._admission_rounds
         monkeypatch.setattr(gated, "admission_test", recording)
@@ -390,13 +385,8 @@ class TestOracleAgreement:
         decided = []
 
         def recording(*args):
-            level = rounds(*args)
-
-            def level_recorded():
-                decide = level()
-                return lambda pairs: decided.extend(pairs) or decide(pairs)
-
-            return level_recorded
+            decide = rounds(*args)
+            return lambda pairs, tables: decided.extend(pairs) or decide(pairs, tables)
 
         rounds = gated._admission_rounds
         monkeypatch.setattr(gated, "_admission_rounds", recording)
@@ -430,13 +420,8 @@ class TestOracleAgreement:
         handed = []
 
         def recording(threshold):
-            level = levels(threshold)
-
-            def level_recorded():
-                test = level()
-                return lambda pairs: handed.extend(id(b) for _, b in pairs) or test(pairs)
-
-            return level_recorded
+            test = levels(threshold)
+            return lambda pairs, tables: handed.extend(id(b) for _, b in pairs) or test(pairs, tables)
 
         levels = gated._levenshtein_levels
         monkeypatch.setattr(gated, "_levenshtein_levels", recording)

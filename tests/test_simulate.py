@@ -755,8 +755,10 @@ class TestTrials:
         traces, _ = run_trials(cfg, g, profiles, rumor)
         default = simulate.MODEL_STATES[model][0].value
         for trace in traces:
-            # the four fields and the curve run_trials has read; nothing else, final states included
-            assert list(vars(trace)) == ["model", "max_time", "changes", "clamped_agents", "counts"]
+            # the four fields and nothing else: no curve or final states kept beside them
+            assert not hasattr(trace, "__dict__")
+            assert trace._fields == ("model", "max_time", "changes", "clamped_agents")
+            assert trace == (model, cfg.max_time, trace.changes, trace.clamped_agents)
         # nothing of the graph is kept: the traces do not keep it alive
         del g
         gc.collect()
